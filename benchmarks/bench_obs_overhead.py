@@ -23,14 +23,10 @@ an enabled run counts the recorder-site hits (rect stamps, entity frames,
 builtin tags), a microbenchmark prices the disabled ``get_recorder()`` +
 ``enabled`` check, and the product must stay under 1% of the workload.
 
-So do the cross-process additions: histogram recording lives inside
-``StatsSink.on_span`` — the *enabled* path — so a disabled span is the same
-shared null object as before and ``_disabled_call_ns`` already prices the
-histogram-bearing instrumentation exactly; trace-context capture
-(``TraceContext.capture`` at every pool fan-out) reduces to one ``enabled``
-check when untraced, which ``_disabled_context_capture_ns`` prices
-(acceptance: under 1% of the workload even at one capture per compaction
-step, a wild overestimate of real fan-out frequency).
+Histogram recording lives inside ``StatsSink.on_span`` — the *enabled*
+path — so a disabled span is the same shared null object as before and
+``_disabled_call_ns`` already prices the histogram-bearing instrumentation
+exactly.
 
 Run ``BENCH_SMOKE=1 pytest benchmarks/bench_obs_overhead.py`` for the quick
 CI variant (one repetition per mode).
@@ -45,7 +41,6 @@ from repro.amplifier import build_amplifier, measure_amplifier
 from repro.obs import (
     ProvenanceRecorder,
     StatsSink,
-    TraceContext,
     Tracer,
     activate,
     get_recorder,
@@ -63,8 +58,6 @@ MAX_DISABLED_OVERHEAD_PCT = 2.0
 MAX_DISABLED_PROV_OVERHEAD_PCT = 1.0
 #: Acceptance threshold for the opted-out run-ledger overhead estimate.
 MAX_DISABLED_LEDGER_OVERHEAD_PCT = 1.0
-#: Acceptance threshold for the untraced context-capture overhead estimate.
-MAX_DISABLED_CONTEXT_OVERHEAD_PCT = 1.0
 
 
 def _workload(tech):
@@ -128,17 +121,6 @@ def _disabled_ledger_check_ns(loops=200_000):
             os.environ["REPRO_LEDGER"] = previous
 
 
-def _disabled_context_capture_ns(loops=200_000):
-    """Per-call cost of ``TraceContext.capture`` on a disabled tracer —
-    the whole price an untraced pool fan-out pays for propagation."""
-    tracer = get_tracer()
-    assert not tracer.enabled
-    start = time.perf_counter_ns()
-    for _ in range(loops):
-        TraceContext.capture(tracer)
-    return (time.perf_counter_ns() - start) / loops
-
-
 def test_obs_overhead(tech, record, ledger_append):
     # Tracer disabled: the production default.
     disabled_s, report = _best_of(REPS, _workload, tech)
@@ -184,15 +166,6 @@ def test_obs_overhead(tech, record, ledger_append):
         100.0 * ledger_check_ns / (disabled_s * 1e9)
     )
 
-    # Trace-context propagation: price one untraced capture per compaction
-    # step — a heavy overestimate, since captures happen per pool *fan-out*
-    # (one per parallel optimize call), not per step.
-    context_capture_ns = _disabled_context_capture_ns()
-    capture_sites = stats.counters.get("compact.steps", 1)
-    est_disabled_context_overhead_pct = (
-        100.0 * (capture_sites * context_capture_ns) / (disabled_s * 1e9)
-    )
-
     report_json = {
         "workload": "Sec. 3 amplifier build + measure (DRC included)",
         "smoke": SMOKE,
@@ -211,10 +184,6 @@ def test_obs_overhead(tech, record, ledger_append):
         "disabled_ledger_check_ns": ledger_check_ns,
         "est_disabled_ledger_overhead_pct": est_disabled_ledger_overhead_pct,
         "max_disabled_ledger_overhead_pct": MAX_DISABLED_LEDGER_OVERHEAD_PCT,
-        "context_capture_sites": capture_sites,
-        "disabled_context_capture_ns": context_capture_ns,
-        "est_disabled_context_overhead_pct": est_disabled_context_overhead_pct,
-        "max_disabled_context_overhead_pct": MAX_DISABLED_CONTEXT_OVERHEAD_PCT,
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_obs.json").write_text(
@@ -239,11 +208,6 @@ def test_obs_overhead(tech, record, ledger_append):
         f" → {est_disabled_ledger_overhead_pct:.6f}% estimated disabled"
         " ledger overhead"
         f" (acceptance: < {MAX_DISABLED_LEDGER_OVERHEAD_PCT}%)",
-        f"  {capture_sites} untraced context captures ×"
-        f" {context_capture_ns:.0f} ns"
-        f" → {est_disabled_context_overhead_pct:.4f}% estimated untraced"
-        " propagation overhead"
-        f" (acceptance: < {MAX_DISABLED_CONTEXT_OVERHEAD_PCT}%)",
     ])
     ledger_append("BENCH_obs", report_json, wall_s=disabled_s)
 
@@ -258,9 +222,4 @@ def test_obs_overhead(tech, record, ledger_append):
     assert est_disabled_ledger_overhead_pct < MAX_DISABLED_LEDGER_OVERHEAD_PCT, (
         f"opted-out ledger overhead {est_disabled_ledger_overhead_pct:.4f}%"
         f" exceeds {MAX_DISABLED_LEDGER_OVERHEAD_PCT}%"
-    )
-    assert est_disabled_context_overhead_pct < MAX_DISABLED_CONTEXT_OVERHEAD_PCT, (
-        f"untraced context-capture overhead"
-        f" {est_disabled_context_overhead_pct:.4f}%"
-        f" exceeds {MAX_DISABLED_CONTEXT_OVERHEAD_PCT}%"
     )

@@ -1,14 +1,14 @@
 """T-TREE — perf: shared-prefix tree vs replay-based exhaustive order search.
 
 Sec. 2.4 finds the best compaction order by trying "all different
-variations".  The replay baseline recompacts every permutation from scratch
-(O(n!*n) compaction steps); :class:`~repro.opt.TreeOrderOptimizer` shares
-each distinct order prefix (one step per prefix), optionally prunes subtrees
-by the area lower bound, and can fan first-step subtrees out to worker
-processes.  This bench races the four engines on a heterogeneous module of
-transistor-like devices (diffusion + poly + metal straps) at 4-8 objects and
-writes ``benchmarks/results/BENCH_optimizer.json``.  Each serial engine runs
-under a :class:`repro.obs.Tracer`, so every entry carries a per-stage split
+variations".  The replay oracle (:mod:`repro.verify.reference`) recompacts
+every permutation from scratch (O(n!*n) compaction steps);
+:class:`~repro.opt.OrderOptimizer` shares each distinct order prefix (one
+step per prefix) and prunes subtrees by the area lower bound.  This bench
+races the two on a heterogeneous module of transistor-like devices
+(diffusion + poly + metal straps) at 4-7 objects and writes
+``benchmarks/results/BENCH_optimizer.json``.  Each engine runs under a
+:class:`repro.obs.Tracer`, so every entry carries a per-stage split
 (compaction vs candidate rating vs tree bookkeeping) from the obs timers.
 
 Run ``BENCH_SMOKE=1 pytest benchmarks/bench_order_tree.py`` for the quick
@@ -24,7 +24,8 @@ from repro.compact import Compactor
 from repro.db import LayoutObject
 from repro.geometry import Direction, Rect
 from repro.obs import StatsSink, Tracer, activate
-from repro.opt import OrderOptimizer, Step, TreeOrderOptimizer
+from repro.opt import OrderOptimizer, Step
+from repro.verify.reference import ReplayOrderOptimizer
 
 RESULTS_DIR = Path(__file__).parent / "results"
 SMOKE = bool(int(os.environ.get("BENCH_SMOKE", "0")))
@@ -43,10 +44,8 @@ SHAPES = [
     (9000, 2500, Direction.SOUTH),
 ]
 
-# Engine sizes: replay is O(n!*n) and the unpruned tree still visits every
-# permutation node, so both stop at 7; the pruned engines carry on to 8.
-REPLAY_MAX = 7
-TREE_MAX = 7
+#: Largest module measured; both engines stay exhaustive up to it.
+MAX_STEPS = 7
 
 
 def device(tech, name, w, h, net):
@@ -71,9 +70,7 @@ def _timed(optimize, name, tech, steps):
     The per-stage split comes from the obs timers: ``compact_s`` is time in
     :meth:`Compactor.compact` steps (``compact.step`` spans), ``rating_s``
     is candidate evaluation (``opt.rate`` spans), and ``bookkeeping_s`` is
-    the remainder — snapshots, cache management, permutation walking.  The
-    parallel engine compacts in worker processes (fresh disabled tracers),
-    so its stage split only covers the coordinating process.
+    the remainder — snapshots, cache management, permutation walking.
     """
     tracer = Tracer(enabled=True)
     stats = StatsSink()
@@ -95,89 +92,59 @@ def _timed(optimize, name, tech, steps):
 
 
 def test_order_tree_scaling(tech, record, ledger_append):
-    sizes = range(4, 6) if SMOKE else range(4, 9)
+    sizes = range(4, 6) if SMOKE else range(4, MAX_STEPS + 1)
     report = {"module": "heterogeneous device row", "smoke": SMOKE, "sizes": {}}
-    lines = ["T-TREE — order-search engines, one compact per distinct prefix:"]
+    lines = ["T-TREE — replay oracle vs OrderOptimizer (shared-prefix tree):"]
 
     headline = None
     for count in sizes:
         steps = make_steps(tech, count)
         entry = {}
 
-        replay = None
-        if count <= REPLAY_MAX:
-            replay_opt = OrderOptimizer(
-                compactor=Compactor(), exhaustive_limit=REPLAY_MAX
-            )
-            entry["replay_s"], replay, entry["replay_stages"] = _timed(
-                replay_opt.optimize, "m", tech, steps
-            )
-            entry["replay_compacts"] = replay_opt.compactor.calls
-        else:
-            entry["replay_s"] = None  # O(n!*n) — dropped, not measured
-
-        tree = None
-        if count <= TREE_MAX:
-            entry["tree_s"], tree, entry["tree_stages"] = _timed(
-                TreeOrderOptimizer(compactor=Compactor(), prune=False).optimize,
-                "m", tech, steps,
-            )
-            entry["tree_compacts"] = tree.compact_calls
-        else:
-            entry["tree_s"] = None  # visits every permutation — dropped
-
-        entry["pruned_s"], pruned, entry["pruned_stages"] = _timed(
-            TreeOrderOptimizer(compactor=Compactor(), prune=True).optimize,
-            "m", tech, steps,
+        replay_opt = ReplayOrderOptimizer(
+            compactor=Compactor(), exhaustive_limit=MAX_STEPS
         )
-        entry["pruned_compacts"] = pruned.compact_calls
-        entry["pruned_orders_skipped"] = pruned.pruned
+        entry["replay_s"], replay, entry["replay_stages"] = _timed(
+            replay_opt.optimize, "m", tech, steps
+        )
+        entry["replay_compacts"] = replay_opt.compactor.calls
 
-        entry["parallel_s"], parallel, _ = _timed(
-            TreeOrderOptimizer(
-                compactor=Compactor(), prune=True, workers=2
+        entry["tree_s"], tree, entry["tree_stages"] = _timed(
+            OrderOptimizer(
+                compactor=Compactor(), exhaustive_limit=MAX_STEPS
             ).optimize,
             "m", tech, steps,
         )
+        entry["tree_compacts"] = tree.compact_calls
+        entry["tree_orders_evaluated"] = tree.evaluated
+        entry["tree_orders_pruned"] = tree.pruned
 
-        # All engines must agree exactly — same best order, same score.
-        reference = replay or tree or pruned
-        for result in (replay, tree, pruned, parallel):
-            if result is None:
-                continue
-            assert result.best_order == reference.best_order
-            assert abs(result.best_score - reference.best_score) < 1e-9
-        entry["best_order"] = list(reference.best_order)
-        entry["best_score"] = reference.best_score
-
-        if replay is not None:
-            entry["tree_speedup"] = (
-                entry["replay_s"] / entry["tree_s"] if tree else None
-            )
-            entry["pruned_speedup"] = entry["replay_s"] / entry["pruned_s"]
-            if count == 7:
-                headline = entry["pruned_speedup"]
+        # Both engines must agree exactly — same best order, same score.
+        assert tree.best_order == replay.best_order
+        assert tree.best_score == replay.best_score
+        entry["best_order"] = list(tree.best_order)
+        entry["best_score"] = tree.best_score
+        entry["speedup"] = entry["replay_s"] / entry["tree_s"]
+        if count == 7:
+            headline = entry["speedup"]
         report["sizes"][str(count)] = entry
 
-        def fmt(value):
-            return f"{value:7.3f}s" if value is not None else "      —"
-
-        stages = entry["pruned_stages"]
+        stages = entry["tree_stages"]
         lines.append(
-            f"  n={count}: replay {fmt(entry['replay_s'])}"
-            f"  tree {fmt(entry['tree_s'])}"
-            f"  pruned {fmt(entry['pruned_s'])}"
-            f" ({entry['pruned_compacts']}c,"
-            f" skip {entry['pruned_orders_skipped']})"
-            f"  parallel {fmt(entry['parallel_s'])}"
-            f"  [pruned split: compact {stages['compact_s']:.2f}s"
+            f"  n={count}: replay {entry['replay_s']:7.3f}s"
+            f" ({entry['replay_compacts']}c)"
+            f"  tree {entry['tree_s']:7.3f}s"
+            f" ({entry['tree_compacts']}c,"
+            f" skip {entry['tree_orders_pruned']})"
+            f"  {entry['speedup']:5.2f}x"
+            f"  [tree split: compact {stages['compact_s']:.2f}s"
             f" rate {stages['rating_s']:.2f}s"
             f" tree {stages['bookkeeping_s']:.2f}s]"
         )
 
     if headline is not None:
-        report["headline_pruned_speedup_n7"] = headline
-        lines.append(f"  headline: pruned tree {headline:.2f}x replay at n=7")
+        report["headline_speedup_n7"] = headline
+        lines.append(f"  headline: tree {headline:.2f}x replay at n=7")
     lines.append("shape vs paper: identical optima to Sec. 2.4's exhaustive")
     lines.append("sweep; the tree pays one compaction step per distinct prefix")
     lines.append("and the bound prunes most permutations outright.")
@@ -191,4 +158,4 @@ def test_order_tree_scaling(tech, record, ledger_append):
 
     if not SMOKE and headline is not None:
         # Acceptance: >= 3x over replay at n=7 with identical best order.
-        assert headline >= 3.0, f"pruned speedup {headline:.2f}x < 3x"
+        assert headline >= 3.0, f"tree speedup {headline:.2f}x < 3x"

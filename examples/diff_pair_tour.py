@@ -50,7 +50,7 @@ def main():
         )
 
     # ------------------------------------------------------------------
-    print("\nSec. 2.4 — compaction-order optimization (all 24 orders):")
+    print("\nSec. 2.4 — compaction-order optimization (24 orders, branch and bound):")
     steps = [
         Step(contact_row(env.tech, "pdiff", w=4.0, net="a", name="a"), Direction.WEST),
         Step(contact_row(env.tech, "pdiff", w=14.0, net="b", name="b"), Direction.SOUTH),
@@ -60,8 +60,9 @@ def main():
     ]
     result = env.optimize_order("module", steps)
     scores = sorted(result.scores.values())
-    print(f"  evaluated {result.evaluated} orders; best {scores[0]:.1f} µm², "
-          f"worst {scores[-1]:.1f} µm² ({scores[-1] / scores[0]:.2f}x)")
+    print(f"  rated {result.evaluated} orders, {result.pruned} pruned by the area bound;"
+          f" best {scores[0]:.1f} µm², worst rated {scores[-1]:.1f} µm²"
+          f" ({scores[-1] / scores[0]:.2f}x)")
     print(f"  best order: {result.best_order}")
     env.write_svg(result.best, OUT / "optimized_module.svg", scale=0.04)
     print(f"\nSVGs written to {OUT}/")

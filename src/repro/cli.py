@@ -312,7 +312,7 @@ def cmd_amplifier(args: argparse.Namespace) -> int:
 
     tech = _resolve_tech(args.tech)
     if not args.no_selfcheck:
-        _pipeline_selfcheck(tech, workers=args.workers)
+        _pipeline_selfcheck(tech)
     amp = build_amplifier(tech)
     report = measure_amplifier(amp)
     print(f"amplifier: {report.width_um:.0f} × {report.height_um:.0f} µm = "
@@ -325,20 +325,18 @@ def cmd_amplifier(args: argparse.Namespace) -> int:
     return 0
 
 
-def _pipeline_selfcheck(tech: Technology, workers: Optional[int] = None) -> None:
+def _pipeline_selfcheck(tech: Technology) -> None:
     """Exercise interpreter and order optimizer ahead of the amplifier build.
 
     The amplifier itself is assembled in Python (compactor + DRC); a traced
     run should show spans from all four instrumented layers, so build the
     library transistor from its PLDL source (interpreter → compactor) and
-    sweep a small compaction-order search (optimizer) first.  *workers*
-    opts the order search into the process pool — under ``--trace`` that
-    exercises cross-process snapshot merging end to end.
+    sweep a small compaction-order search (optimizer) first.
     """
     from .geometry import Direction
     from .library import contact_row
     from .library.dsl_sources import TRANSISTOR_SOURCE
-    from .opt import Step, TreeOrderOptimizer
+    from .opt import OrderOptimizer, Step
 
     env = Environment(tech=tech)
     env.load(TRANSISTOR_SOURCE)
@@ -353,9 +351,7 @@ def _pipeline_selfcheck(tech: Technology, workers: Optional[int] = None) -> None
         Step(contact_row(tech, "poly", w=2.0, length=12.0, net="c", name="c"),
              Direction.WEST),
     ]
-    result = TreeOrderOptimizer(workers=workers).optimize(
-        "order_demo", tech, steps
-    )
+    result = OrderOptimizer().optimize("order_demo", tech, steps)
     log.info(
         "selfcheck: order search best=%s score=%.0f (%d trials)",
         list(result.best_order), result.best_score, result.evaluated,
@@ -631,12 +627,6 @@ def build_parser() -> argparse.ArgumentParser:
     amplifier.add_argument(
         "--no-selfcheck", action="store_true",
         help="skip the interpreter/optimizer pipeline exercise",
-    )
-    amplifier.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="run the selfcheck order search on N worker processes"
-             " (0 = one per CPU); with --trace the worker spans are merged"
-             " into the written Chrome trace",
     )
     amplifier.set_defaults(func=cmd_amplifier)
 

@@ -76,13 +76,6 @@ class LayoutObject:
         if self._index is not None:
             self._index.mark_dirty()
 
-    def __getstate__(self):
-        # The index maps rects by id(); ids do not survive pickling (the
-        # parallel order optimizer ships step objects to worker processes).
-        state = self.__dict__.copy()
-        state["_index"] = None
-        return state
-
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------

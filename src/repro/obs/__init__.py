@@ -30,7 +30,6 @@ From the command line: ``repro --trace trace.json amplifier`` and
 sink catalogue, the per-layer instrumentation map and the Perfetto how-to.
 """
 
-from .context import TraceContext, TracerSnapshot
 from .hist import LogHistogram
 from .ledger import (
     Ledger,
@@ -83,8 +82,6 @@ __all__ = [
     "ChromeTraceSink",
     "validate_chrome_trace",
     "LogHistogram",
-    "TraceContext",
-    "TracerSnapshot",
     "SamplingProfiler",
     "Ledger",
     "RunRecord",

@@ -1,19 +1,16 @@
 """Fixed log-bucket histograms: latency distributions without dependencies.
 
-Scalar span statistics (total / mean / max) hide exactly what a parallel
-workload needs visible: the *shape* of a latency distribution across many
-calls and many worker processes.  :class:`LogHistogram` records values into
+Scalar span statistics (total / mean / max) hide the *shape* of a latency
+distribution across many calls.  :class:`LogHistogram` records values into
 a fixed logarithmic bucket grid — powers of two subdivided into
 :data:`~LogHistogram.SUBBUCKETS` linear sub-buckets, the HdrHistogram idea
 shrunk to a dict — so p50/p90/p99 estimates stay within ~9% relative error
 at any magnitude while an empty histogram costs one dict.
 
 The bucket grid is *fixed* (a value always lands in the same bucket no
-matter which process recorded it), which makes histograms **mergeable**:
-folding worker histograms into the parent is plain bucket-count addition
-and is exactly equal to having recorded every value in one process.  That
-property is what lets :class:`~repro.obs.context.TracerSnapshot` carry
-distributions across process boundaries deterministically.
+matter which histogram recorded it), which makes histograms **mergeable**:
+merging is plain bucket-count addition and is exactly equal to having
+recorded every value in one histogram.
 
 Values are non-negative integers (the tracer records span durations in
 nanoseconds); floats are truncated, negatives clamp to zero.
@@ -110,7 +107,7 @@ class LogHistogram:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[int, int]:
-        """The sparse bucket counts (the picklable snapshot payload)."""
+        """The sparse bucket counts (restorable with ``LogHistogram(d)``)."""
         return dict(self.buckets)
 
     def __eq__(self, other: object) -> bool:

@@ -12,12 +12,7 @@ Three built-ins cover the paper pipeline's needs:
   ``chrome://tracing`` — what ``repro --trace out.json ...`` writes.
 
 A sink is any object with the ``on_*`` callbacks plus ``close``;
-:class:`Sink` is the no-op base class custom sinks can subclass.  Since
-worker snapshots (:mod:`repro.obs.context`) exist, sinks also receive
-``on_snapshot`` when the parent tracer folds in a worker's records; the
-base class replays the snapshot through the ordinary callbacks, and
-:class:`StatsSink` / :class:`ChromeTraceSink` override it to merge exactly
-(aggregate addition; per-worker pid lanes).
+:class:`Sink` is the no-op base class custom sinks can subclass.
 """
 
 from __future__ import annotations
@@ -32,7 +27,6 @@ from typing import IO, TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 from .hist import LogHistogram
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with .tracer
-    from .context import TracerSnapshot
     from .tracer import SpanRecord
 
 __all__ = [
@@ -61,32 +55,7 @@ class Sink:
         """Gauge *name* was set to *value*."""
 
     def on_event(self, name: str, ts_ns: int, attrs: Dict[str, Any]) -> None:
-        """An instant event occurred.
-
-        ``attrs`` may carry a reserved ``__tid``/``__pid`` marking a record
-        replayed from a worker snapshot (see :meth:`on_snapshot`)."""
-
-    def on_snapshot(self, snapshot: "TracerSnapshot") -> None:
-        """A worker's :class:`~repro.obs.context.TracerSnapshot` was merged.
-
-        The default replays the snapshot through the ordinary callbacks —
-        spans via :meth:`on_span` (paired with :meth:`on_span_start` so
-        begin/end accounting stays balanced), counters via :meth:`on_count`
-        and so on — so an unaware sink sees worker records as if they had
-        happened locally.  Sinks that can merge more faithfully (exact
-        aggregates, per-worker lanes) override this.
-        """
-        from .tracer import SpanRecord  # deferred: import cycle
-
-        for name, start_ns, dur_ns, depth, attrs, _tid in snapshot.spans:
-            self.on_span_start(name)
-            self.on_span(SpanRecord(name, start_ns, dur_ns, depth, attrs))
-        for name, value in snapshot.counters.items():
-            self.on_count(name, value, snapshot.end_ns)
-        for name, value in snapshot.gauges.items():
-            self.on_gauge(name, value, snapshot.end_ns)
-        for name, ts_ns, attrs in snapshot.events:
-            self.on_event(name, ts_ns, attrs)
+        """An instant event occurred."""
 
     def close(self) -> None:
         """Flush buffers / write files; must be idempotent."""
@@ -155,28 +124,6 @@ class StatsSink(Sink):
 
     def on_event(self, name: str, ts_ns: int, attrs: Dict[str, Any]) -> None:
         self.events[name] = self.events.get(name, 0) + 1
-
-    def on_snapshot(self, snapshot: "TracerSnapshot") -> None:
-        """Fold a worker snapshot in exactly.
-
-        Spans replay through :meth:`on_span` (which rebuilds the identical
-        histogram state, since the bucket grid is fixed); counter *call*
-        counts — which the default replay would collapse to one call per
-        counter — are merged from the snapshot's own tally so the overhead
-        bench still sees true instrumentation hit counts.
-        """
-        from .tracer import SpanRecord  # deferred: import cycle
-
-        for name, start_ns, dur_ns, depth, attrs, _tid in snapshot.spans:
-            self.on_span(SpanRecord(name, start_ns, dur_ns, depth, attrs))
-        for name, value in snapshot.counters.items():
-            self.counters[name] = self.counters.get(name, 0) + value
-        for name, calls in snapshot.counter_calls.items():
-            self.counter_calls[name] = self.counter_calls.get(name, 0) + calls
-        for name, value in snapshot.gauges.items():
-            self.gauges[name] = value
-        for name, _ts_ns, _attrs in snapshot.events:
-            self.events[name] = self.events.get(name, 0) + 1
 
     # ------------------------------------------------------------------
     def total_s(self, span_name: str) -> float:
@@ -350,8 +297,6 @@ class ChromeTraceSink(Sink):
         self._closed = False
         self._spans_begun = 0
         self._spans_ended = 0
-        #: Worker pids already given a process_name metadata record.
-        self._worker_pids: set = set()
         #: Begin/end imbalance observed at :meth:`close` (0 = balanced).
         #: A positive value means that many spans never finished — their
         #: "X" events are missing from the written trace.
@@ -425,76 +370,6 @@ class ChromeTraceSink(Sink):
             event["args"] = {key: str(value) for key, value in attrs.items()}
         with self._lock:
             self.events.append(event)
-
-    def on_snapshot(self, snapshot: "TracerSnapshot") -> None:
-        """Merge a worker snapshot as its own pid lane.
-
-        The first snapshot from a pid contributes a ``process_name``
-        metadata record so Perfetto labels the lane; each span becomes an
-        ``"X"`` event under the worker's pid and recorded thread id, with
-        timestamps already rebased onto this process's epoch.  Counters
-        become one cumulative ``"C"`` step per name at the snapshot's end
-        (per-increment timing died with the worker; the totals are exact).
-        """
-        with self._lock:
-            if snapshot.pid not in self._worker_pids:
-                self._worker_pids.add(snapshot.pid)
-                self.events.append(
-                    {
-                        "name": "process_name",
-                        "ph": "M",
-                        "ts": 0,
-                        "pid": snapshot.pid,
-                        "tid": 0,
-                        "args": {"name": f"repro worker {snapshot.pid}"},
-                    }
-                )
-            for name, start_ns, dur_ns, _depth, attrs, tid in snapshot.spans:
-                event = {
-                    "name": name,
-                    "cat": self._category(name),
-                    "ph": "X",
-                    "ts": start_ns / 1000.0,
-                    "dur": dur_ns / 1000.0,
-                    "pid": snapshot.pid,
-                    "tid": tid,
-                }
-                if attrs:
-                    event["args"] = {
-                        key: str(value) for key, value in attrs.items()
-                    }
-                self._spans_begun += 1
-                self._spans_ended += 1
-                self.events.append(event)
-            for name in sorted(snapshot.counters):
-                total = self._counter_totals.get(name, 0) + snapshot.counters[name]
-                self._counter_totals[name] = total
-                self.events.append(
-                    {
-                        "name": name,
-                        "cat": self._category(name),
-                        "ph": "C",
-                        "ts": snapshot.end_ns / 1000.0,
-                        "pid": self._pid,
-                        "tid": self._tid,
-                        "args": {"value": total},
-                    }
-                )
-            for name, ts_ns, attrs in snapshot.events:
-                event = {
-                    "name": name,
-                    "cat": self._category(name),
-                    "ph": "i",
-                    "ts": ts_ns / 1000.0,
-                    "pid": snapshot.pid,
-                    "tid": self._tid,
-                    "s": "t",
-                }
-                if attrs:
-                    event["args"] = {
-                        key: str(value) for key, value in attrs.items()
-                    }
-                self.events.append(event)
 
     # ------------------------------------------------------------------
     def add_sample(

@@ -17,8 +17,7 @@ manager, so an un-traced run pays a few nanoseconds per instrumentation
 site (measured by ``benchmarks/bench_obs_overhead.py``).
 
 Thread model: the tracer is process-local and its span stack is per-thread,
-so spans nest correctly under concurrency; worker *processes* (the parallel
-order optimizer) start with their own disabled tracer.
+so spans nest correctly under concurrency.
 """
 
 from __future__ import annotations
@@ -26,13 +25,9 @@ from __future__ import annotations
 import functools
 import threading
 import time
-import uuid
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from .sinks import Sink
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle with .context
-    from .context import TracerSnapshot
 
 __all__ = [
     "Tracer",
@@ -149,10 +144,6 @@ class Tracer:
         self.enabled = enabled
         self.sinks: List[Sink] = list(sinks)
         self.epoch_ns = time.perf_counter_ns()
-        #: Identity of this trace — carried into pool workers by
-        #: :class:`~repro.obs.context.TraceContext` so merged snapshots can
-        #: be matched back to the trace that spawned them.
-        self.trace_id = uuid.uuid4().hex
         self._local = threading.local()
 
     # ------------------------------------------------------------------
@@ -200,29 +191,6 @@ class Tracer:
         ts = self._now_ns()
         for sink in self.sinks:
             sink.on_event(name, ts, attrs)
-
-    def current_span_name(self) -> Optional[str]:
-        """Name of the innermost open span on this thread (None at top)."""
-        stack = self._stack()
-        return stack[-1].name if stack else None
-
-    def merge_snapshot(self, snapshot: "TracerSnapshot") -> None:
-        """Fold a worker's :class:`~repro.obs.context.TracerSnapshot` in.
-
-        Every sink receives ``on_snapshot`` (exact merges where the sink
-        supports them, replay otherwise), and the merge itself is counted:
-        ``obs.snapshots_merged`` and ``obs.spans_merged`` make dropped
-        child spans visible as a counter mismatch rather than a silently
-        thinner trace.  Deterministic given a deterministic merge order —
-        callers fold snapshots in submission order.
-        """
-        if not self.enabled:
-            return
-        for sink in self.sinks:
-            sink.on_snapshot(snapshot)
-        self.count("obs.snapshots_merged")
-        if snapshot.spans:
-            self.count("obs.spans_merged", len(snapshot.spans))
 
     def close(self) -> None:
         """Flush and close every sink (idempotent sinks required)."""

@@ -7,7 +7,7 @@ from .backtrack import (
     select_order_variants,
     select_variant,
 )
-from .order import OrderOptimizer, OrderResult, Step, TreeOrderOptimizer
+from .order import OrderOptimizer, OrderResult, Step
 from .prefix_tree import PrefixTree
 from .rating import Rating
 
@@ -22,6 +22,5 @@ __all__ = [
     "OrderResult",
     "PrefixTree",
     "Step",
-    "TreeOrderOptimizer",
     "Rating",
 ]

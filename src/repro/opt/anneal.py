@@ -7,7 +7,10 @@ order permutations is the classic middle ground — included here as the
 third search strategy and as an ablation subject.
 
 The random source is injected (a seeded ``random.Random``) so results are
-reproducible.
+reproducible.  Trials are compacted through a shared :class:`PrefixTree`
+whose prefixes up to :data:`CACHED_DEPTH` steps stay cached across moves:
+a swap of positions (i, j) preserves the prefix before min(i, j), so those
+compaction steps are reused instead of replayed.
 """
 
 from __future__ import annotations
@@ -15,14 +18,16 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..compact import Compactor
-from ..db import LayoutObject
 from ..tech import Technology
 from .order import OrderResult, Step
 from .prefix_tree import PrefixTree
 from .rating import Rating
+
+#: Order prefixes up to this many steps stay cached between annealing moves.
+CACHED_DEPTH = 2
 
 
 @dataclass
@@ -50,19 +55,11 @@ class AnnealingOrderOptimizer:
         rating: Optional[Rating] = None,
         schedule: Optional[AnnealSchedule] = None,
         seed: int = 1996,
-        prefix_cache_depth: Optional[int] = None,
     ) -> None:
         self.compactor = compactor if compactor is not None else Compactor()
         self.rating = rating if rating is not None else Rating()
         self.schedule = schedule if schedule is not None else AnnealSchedule()
         self.seed = seed
-        #: When set, trials run through a shared :class:`PrefixTree` whose
-        #: prefixes up to this depth stay cached across moves — a swap of
-        #: positions (i, j) preserves the prefix before min(i, j), so those
-        #: compaction steps are reused instead of replayed.  ``None`` keeps
-        #: the classic replay evaluation.  Scores are identical either way.
-        self.prefix_cache_depth = prefix_cache_depth
-        self._tree: Optional[PrefixTree] = None
 
     def optimize(
         self, name: str, tech: Technology, steps: Sequence[Step]
@@ -72,14 +69,10 @@ class AnnealingOrderOptimizer:
         if not steps:
             raise ValueError("no compaction steps to optimize")
         rng = random.Random(self.seed)
-        self._tree = (
-            PrefixTree(name, tech, steps, self.compactor)
-            if self.prefix_cache_depth is not None
-            else None
-        )
+        tree = PrefixTree(name, tech, steps, self.compactor)
 
         order = tuple(range(len(steps)))
-        current = self._evaluate(name, tech, steps, order)
+        current = self._evaluate(tree, order)
         best_order, best_score = order, current
         evaluated = 1
         scores = {order: current}
@@ -94,7 +87,7 @@ class AnnealingOrderOptimizer:
                 candidate_order = tuple(candidate)
                 score = scores.get(candidate_order)
                 if score is None:
-                    score = self._evaluate(name, tech, steps, candidate_order)
+                    score = self._evaluate(tree, candidate_order)
                     scores[candidate_order] = score
                     evaluated += 1
                 delta = score - current
@@ -104,33 +97,11 @@ class AnnealingOrderOptimizer:
                         best_order, best_score = order, current
             temperature *= self.schedule.cooling
 
-        best = self._run(name, tech, steps, best_order)
+        best = tree.layout(best_order)
         return OrderResult(best, best_order, best_score, evaluated, scores)
 
-    # ------------------------------------------------------------------
-    def _run(
-        self,
-        name: str,
-        tech: Technology,
-        steps: Sequence[Step],
-        order: Tuple[int, ...],
-    ) -> LayoutObject:
-        main = LayoutObject(name, tech)
-        for index in order:
-            step = steps[index].fresh()
-            self.compactor.compact(main, step.obj, step.direction, step.ignore)
-        return main
-
-    def _evaluate(
-        self,
-        name: str,
-        tech: Technology,
-        steps: Sequence[Step],
-        order: Tuple[int, ...],
-    ) -> float:
-        if self._tree is not None:
-            score = self.rating.evaluate(self._tree.layout(order))
-            # Keep shallow prefixes shared across moves, bound the memory.
-            self._tree.prune_depth(self.prefix_cache_depth)
-            return score
-        return self.rating.evaluate(self._run(name, tech, steps, order))
+    def _evaluate(self, tree: PrefixTree, order: Tuple[int, ...]) -> float:
+        """Rate *order*, keeping shallow prefixes shared across moves."""
+        score = self.rating.evaluate(tree.layout(order))
+        tree.prune_depth(CACHED_DEPTH)
+        return score

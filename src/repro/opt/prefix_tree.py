@@ -12,12 +12,13 @@ placement.
 
 The tree serves three clients:
 
-* :class:`~repro.opt.order.TreeOrderOptimizer` walks it depth-first,
-  evicting finished subtrees so memory stays O(n);
+* :class:`~repro.opt.order.OrderOptimizer` walks it depth-first with
+  branch and bound, evicting finished subtrees so memory stays O(n), or
+  as a width-limited beam frontier above its exhaustive limit;
 * :func:`~repro.opt.backtrack.select_order_variants` keeps the cache alive
   across topology variants so variants sharing a step prefix share the
   compaction work;
-* :class:`~repro.opt.anneal.AnnealingOrderOptimizer` (opt-in) keeps shallow
+* :class:`~repro.opt.anneal.AnnealingOrderOptimizer` keeps shallow
   prefixes cached across annealing moves.
 """
 

@@ -4,7 +4,8 @@ import pytest
 
 from repro.db import LayoutObject
 from repro.geometry import Direction, Rect
-from repro.opt import AnnealSchedule, AnnealingOrderOptimizer, OrderOptimizer, Step
+from repro.opt import AnnealSchedule, AnnealingOrderOptimizer, Rating, Step
+from repro.verify.reference import ReplayOrderOptimizer, replay
 
 
 def make_steps(tech, count):
@@ -46,7 +47,7 @@ def test_deterministic_with_seed(tech):
 
 def test_matches_exhaustive_on_small_instance(tech):
     steps = make_steps(tech, 4)
-    exhaustive = OrderOptimizer().optimize("m", tech, steps)
+    exhaustive = ReplayOrderOptimizer().optimize("m", tech, steps)
     annealed = AnnealingOrderOptimizer().optimize("m", tech, steps)
     # Annealing finds the global optimum on this tiny instance.
     assert annealed.best_score == pytest.approx(exhaustive.best_score, rel=0.02)
@@ -54,11 +55,10 @@ def test_matches_exhaustive_on_small_instance(tech):
 
 def test_improves_on_identity_order(tech):
     steps = make_steps(tech, 6)
-    optimizer = AnnealingOrderOptimizer()
-    identity_score = optimizer._evaluate(
-        "m", tech, steps, tuple(range(len(steps)))
+    identity_score = Rating().evaluate(
+        replay("m", tech, steps, range(len(steps)))
     )
-    result = optimizer.optimize("m", tech, steps)
+    result = AnnealingOrderOptimizer().optimize("m", tech, steps)
     assert result.best_score <= identity_score
 
 

@@ -77,6 +77,7 @@ def test_cif_text_is_deterministic(tech):
 def test_order_optimizer_is_deterministic(tech):
     from repro.geometry import Direction
     from repro.opt import OrderOptimizer, Step
+    from repro.verify.reference import ReplayOrderOptimizer
 
     def steps():
         return [
@@ -89,3 +90,8 @@ def test_order_optimizer_is_deterministic(tech):
     b = OrderOptimizer().optimize("m", tech, steps())
     assert a.best_order == b.best_order
     assert a.best_score == b.best_score
+    assert a.scores == b.scores
+    reference = ReplayOrderOptimizer().optimize("m", tech, steps())
+    assert (a.best_order, a.best_score) == (
+        reference.best_order, reference.best_score
+    )

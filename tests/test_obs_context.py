@@ -1,21 +1,12 @@
-"""Cross-process observability: histograms, context propagation, merging.
-
-Three layers of guarantees:
+"""Span distributions and the run ledger's failure records.
 
 * :class:`LogHistogram` — the fixed bucket grid is deterministic, merging
   is exactly equal to single-process recording, and percentile estimates
   stay within the bucket-width error bound;
-* :class:`TraceContext` / :class:`TracerSnapshot` — capture is free when
-  tracing is off, the worker bootstrap records under a fresh tracer, and
-  snapshots survive pickling (the process-pool transport);
-* the parallel optimizer — with ``workers>=2`` a traced run returns
-  byte-identical output to an untraced one, parent counters exactly equal
-  the fold of the merged worker snapshots, and the merged Chrome trace is
-  schema-valid with per-worker pid lanes and no dropped child spans.
+* a traced order search returns byte-identical output to an untraced one,
+  and every span's histogram counts exactly its recorded calls;
+* the CLI records failed and errored runs in the ledger.
 """
-
-import json
-import pickle
 
 import pytest
 from hypothesis import given
@@ -29,13 +20,11 @@ from repro.obs import (
     ChromeTraceSink,
     LogHistogram,
     StatsSink,
-    TraceContext,
     Tracer,
-    TracerSnapshot,
     validate_chrome_trace,
 )
 from repro.obs.ledger import snapshot_metrics
-from repro.opt import Step, TreeOrderOptimizer
+from repro.opt import OrderOptimizer, Step
 from repro.tech import generic_bicmos_1u
 
 TECH = generic_bicmos_1u()
@@ -149,142 +138,7 @@ def test_snapshot_metrics_include_percentiles():
 
 
 # ---------------------------------------------------------------------------
-# TraceContext / TracerSnapshot
-# ---------------------------------------------------------------------------
-def test_capture_returns_none_when_disabled():
-    assert TraceContext.capture(Tracer(enabled=False)) is None
-
-
-def test_capture_carries_trace_id_and_open_span():
-    tracer = Tracer(enabled=True)
-    with obs.activate(tracer):
-        with tracer.span("opt.search"):
-            context = TraceContext.capture()
-    assert context is not None
-    assert context.trace_id == tracer.trace_id
-    assert context.parent_span == "opt.search"
-
-
-def test_worker_scope_records_and_restores_the_tracer():
-    tracer = Tracer(enabled=True)
-    stats = tracer.add_sink(StatsSink())
-    with obs.activate(tracer):
-        with tracer.span("parent.fanout"):
-            context = TraceContext.capture()
-        before = obs.get_tracer()
-        with context.worker() as scope:
-            inner = obs.get_tracer()
-            assert inner is scope.tracer
-            assert inner is not before
-            with inner.span("opt.rate"):
-                pass
-            inner.count("opt.trials", 2)
-            inner.gauge("opt.best", 7.5)
-            inner.event("opt.tick", step=1)
-        assert obs.get_tracer() is before
-    snapshot = scope.snapshot()
-    assert snapshot.trace_id == tracer.trace_id
-    assert snapshot.parent_span == "parent.fanout"
-    assert snapshot.counters == {"opt.trials": 2}
-    assert snapshot.gauges == {"opt.best": 7.5}
-    assert [name for name, _, _ in snapshot.events] == ["opt.tick"]
-    names = [span[0] for span in snapshot.spans]
-    assert "opt.rate" in names and "obs.worker" in names
-    root = next(s for s in snapshot.spans if s[0] == "obs.worker")
-    assert root[4]["parent"] == "parent.fanout"
-    assert root[4]["trace"] == tracer.trace_id
-    # worker spans never reached the parent's sinks directly
-    assert "opt.rate" not in stats.spans
-
-
-def test_snapshot_histograms_match_span_durations():
-    tracer = Tracer(enabled=True)
-    with obs.activate(tracer):
-        context = TraceContext.capture()
-        with context.worker() as scope:
-            worker = obs.get_tracer()
-            for _ in range(5):
-                with worker.span("compact.step"):
-                    pass
-    snapshot = scope.snapshot()
-    hist = LogHistogram(snapshot.histograms["compact.step"])
-    assert hist.count == 5
-    expected = LogHistogram()
-    for name, _start, dur, _depth, _attrs, _tid in snapshot.spans:
-        if name == "compact.step":
-            expected.add(dur)
-    assert hist == expected
-
-
-def test_context_and_snapshot_pickle_round_trip():
-    tracer = Tracer(enabled=True)
-    with obs.activate(tracer):
-        context = TraceContext.capture()
-        with pickle.loads(pickle.dumps(context)).worker() as scope:
-            obs.get_tracer().count("opt.trials")
-    snapshot = pickle.loads(pickle.dumps(scope.snapshot()))
-    assert snapshot.trace_id == tracer.trace_id
-    assert snapshot.counters == {"opt.trials": 1}
-
-
-def test_merge_snapshot_folds_exactly_and_counts_itself():
-    tracer = Tracer(enabled=True)
-    stats = tracer.add_sink(StatsSink())
-    with obs.activate(tracer):
-        context = TraceContext.capture()
-        snapshots = []
-        for _ in range(3):
-            with context.worker() as scope:
-                worker = obs.get_tracer()
-                with worker.span("opt.rate"):
-                    pass
-                worker.count("opt.trials", 4)
-                worker.count("opt.trials", 1)
-            snapshots.append(scope.snapshot())
-        for snapshot in snapshots:
-            tracer.merge_snapshot(snapshot)
-    fold = TracerSnapshot.fold(snapshots)
-    assert fold == {"opt.trials": 15}
-    assert stats.counter("opt.trials") == 15
-    # call counts merge from the snapshot tally, not one-per-counter
-    assert stats.counter_calls["opt.trials"] == 6
-    assert stats.counter("obs.snapshots_merged") == 3
-    assert stats.counter("obs.spans_merged") == sum(
-        len(s.spans) for s in snapshots
-    )
-    assert stats.spans["opt.rate"].calls == 3
-
-
-def test_disabled_tracer_ignores_merge():
-    tracer = Tracer(enabled=False, sinks=[StatsSink()])
-    tracer.merge_snapshot(TracerSnapshot(counters={"x": 1}))
-    assert tracer.sinks[0].counters == {}
-
-
-def test_chrome_sink_gives_workers_their_own_lane():
-    sink = ChromeTraceSink()
-    snapshot = TracerSnapshot(
-        pid=99999,
-        offset_ns=1_000,
-        duration_ns=5_000,
-        spans=[("opt.subtree", 1_500, 2_000, 0, {"first": 0}, 7)],
-        counters={"opt.trials": 2},
-        events=[("opt.tick", 2_000, {})],
-    )
-    sink.on_snapshot(snapshot)
-    trace = sink.to_json()
-    assert validate_chrome_trace(trace) == []
-    metas = [e for e in trace["traceEvents"] if e["ph"] == "M"]
-    assert len(metas) == 1 and metas[0]["pid"] == 99999
-    sink.on_snapshot(snapshot)  # same pid: no second metadata record
-    assert sum(1 for e in sink.to_json()["traceEvents"] if e["ph"] == "M") == 1
-    spans = [e for e in trace["traceEvents"] if e["ph"] == "X"]
-    assert spans[0]["pid"] == 99999 and spans[0]["tid"] == 7
-    assert sink.unbalanced_spans == 0
-
-
-# ---------------------------------------------------------------------------
-# the parallel optimizer end to end
+# a traced order search
 # ---------------------------------------------------------------------------
 def _contact_row_steps():
     return [
@@ -298,93 +152,48 @@ def _contact_row_steps():
 
 
 @pytest.fixture(scope="module")
-def traced_parallel_run():
-    """One workers=2 search, untraced and traced, shared by the asserts."""
-    untraced = TreeOrderOptimizer(workers=2)
-    result_untraced = untraced.optimize("order_demo", TECH, _contact_row_steps())
-
+def traced_run():
+    """One order search, untraced and traced, shared by the asserts."""
+    result_untraced = OrderOptimizer().optimize(
+        "order_demo", TECH, _contact_row_steps()
+    )
     tracer = Tracer(enabled=True)
     stats = tracer.add_sink(StatsSink())
     chrome = tracer.add_sink(ChromeTraceSink())
     with obs.activate(tracer):
-        traced = TreeOrderOptimizer(workers=2)
-        result_traced = traced.optimize("order_demo", TECH, _contact_row_steps())
+        result_traced = OrderOptimizer().optimize(
+            "order_demo", TECH, _contact_row_steps()
+        )
     tracer.close()
-    return untraced, result_untraced, traced, result_traced, stats, chrome
+    return result_untraced, result_traced, stats, chrome
 
 
-def test_traced_and_untraced_parallel_output_identical(traced_parallel_run):
-    untraced, result_untraced, _, result_traced, _, _ = traced_parallel_run
-    assert untraced.last_snapshots == []
+def test_traced_and_untraced_output_identical(traced_run):
+    result_untraced, result_traced, stats, _ = traced_run
     assert result_traced.best_order == result_untraced.best_order
     assert result_traced.best_score == result_untraced.best_score
     assert dumps_cif([result_traced.best]) == dumps_cif([result_untraced.best])
+    assert stats.counter("opt.trials") == result_traced.evaluated
 
 
-def test_parent_counters_equal_snapshot_fold(traced_parallel_run):
-    _, _, traced, result, stats, _ = traced_parallel_run
-    snapshots = traced.last_snapshots
-    assert len(snapshots) == 3  # one per first step, submission order
-    fold = TracerSnapshot.fold(snapshots)
-    assert stats.counter("opt.trials") == fold["opt.trials"] == result.evaluated
-    # Search-side counters happen only inside workers, so the parent totals
-    # must equal the fold exactly.  (compact.* counters also accrue in the
-    # parent when it replays the winning order, so they are fold + local.)
-    for name, total in fold.items():
-        if name.startswith("opt."):
-            assert stats.counter(name) == total, name
-        else:
-            assert stats.counter(name) >= total, name
-    assert stats.counter("obs.snapshots_merged") == len(snapshots)
-    assert stats.counter("obs.spans_merged") == sum(
-        len(s.spans) for s in snapshots
-    )
-
-
-def test_merged_chrome_trace_has_worker_lanes_and_all_spans(
-    traced_parallel_run,
-):
-    _, _, traced, _, _, chrome = traced_parallel_run
-    snapshots = traced.last_snapshots
+def test_span_histograms_match_span_durations(traced_run):
+    _, _, stats, chrome = traced_run
     trace = chrome.to_json()
     assert validate_chrome_trace(trace) == []
-    assert chrome.unbalanced_spans == 0
-    span_events = [e for e in trace["traceEvents"] if e["ph"] == "X"]
-    pids = {e["pid"] for e in span_events}
-    # parent + at least one worker lane; usually parent + two workers (a
-    # 2-worker pool may legally schedule all three subtrees on one pid)
-    assert len(pids) >= 2
-    worker_pids = {s.pid for s in snapshots}
-    assert worker_pids <= pids and chrome._pid in pids
-    # no dropped child spans: every snapshot span became an X event
-    worker_span_count = sum(len(s.spans) for s in snapshots)
-    merged = [e for e in span_events if e["pid"] in worker_pids]
-    assert len(merged) == worker_span_count
-    # every worker lane is announced to Perfetto
-    named = {
-        e["pid"] for e in trace["traceEvents"]
-        if e["ph"] == "M" and e.get("name") == "process_name"
-    }
-    assert worker_pids <= named
-    # the whole thing survives a JSON round trip (what the CLI writes)
-    assert validate_chrome_trace(json.loads(json.dumps(trace))) == []
+    expected = LogHistogram()
+    for event in trace["traceEvents"]:
+        if event["ph"] == "X" and event["name"] == "compact.step":
+            expected.add(round(event["dur"] * 1000))
+    hist = stats.spans["compact.step"].hist
+    assert expected.count > 0
+    assert hist == expected
 
 
-def test_worker_roots_are_parented_under_the_submitting_span(
-    traced_parallel_run,
-):
-    _, _, traced, _, _, _ = traced_parallel_run
-    for snapshot in traced.last_snapshots:
-        assert snapshot.parent_span == "opt.search"
-        root = next(s for s in snapshot.spans if s[0] == "obs.worker")
-        assert root[4]["parent"] == "opt.search"
-
-
-def test_stats_table_shows_percentiles_for_hot_spans(traced_parallel_run):
-    _, _, _, _, stats, _ = traced_parallel_run
+def test_stats_table_shows_percentiles_for_hot_spans(traced_run):
+    _, _, stats, _ = traced_run
     table = stats.format_table()
     assert "p50 ms" in table and "p99 ms" in table
-    for span in ("compact.step", "compact.solve", "opt.rate", "opt.subtree"):
+    for span in ("compact.step", "compact.solve", "opt.rate", "opt.search"):
         assert span in stats.spans, span
         assert stats.spans[span].hist.count == stats.spans[span].calls
 

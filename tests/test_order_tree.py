@@ -1,14 +1,18 @@
-"""Shared-prefix tree order search: equivalence, pruning, parallel mode.
+"""Shared-prefix tree order search: equivalence with the replay oracle.
 
-The tree engine must be a drop-in replacement for the replay-based
-exhaustive sweep of Sec. 2.4: identical ``best_order`` and ``best_score``
-(including lexicographic tie-breaking), with at most one compaction step per
-distinct order prefix, whether pruning or process parallelism is on.
+:class:`OrderOptimizer` must be a drop-in replacement for the replay-based
+order search of Sec. 2.4 (:mod:`repro.verify.reference`): identical
+``best_order`` and ``best_score`` (including lexicographic tie-breaking),
+identical geometry, and every recorded score equal to the oracle's — with
+at most one compaction step per distinct order prefix, in both the
+exhaustive branch-and-bound mode and the beam mode.
 """
 
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.compact import Compactor
 from repro.db import LayoutObject
@@ -20,11 +24,22 @@ from repro.opt import (
     PrefixTree,
     Rating,
     Step,
-    TreeOrderOptimizer,
     select_order_variants,
 )
+from repro.tech import generic_bicmos_1u
+from repro.verify.reference import ReplayOrderOptimizer, replay
 
 W, S, E, N = Direction.WEST, Direction.SOUTH, Direction.EAST, Direction.NORTH
+
+TECH = generic_bicmos_1u()
+
+#: Ratings the property tests run with: area only, coupling-weighted, and
+#: an unbounded one (a negative weight) under which nothing is pruned.
+RATINGS = {
+    "area": Rating(),
+    "coupling": Rating(area_weight=1.0, coupling_weight=2.0),
+    "unbounded": Rating(area_weight=1.0, coupling_weight=-0.5),
+}
 
 
 def rect_steps(tech, shapes):
@@ -63,72 +78,122 @@ def amplifier_style_steps(tech):
     ]
 
 
-def assert_engines_agree(tech, steps, rating=None):
-    """All four engines return the identical optimum on *steps*."""
-    n = len(steps)
-    exhaustive = OrderOptimizer(
-        compactor=Compactor(), rating=rating, exhaustive_limit=n
+def rect_set(obj):
+    return sorted((r.layer, r.net or "", r.x1, r.y1, r.x2, r.y2) for r in obj.rects)
+
+
+def assert_agrees_with_reference(tech, steps, rating=None, **limits):
+    """OrderOptimizer and the replay oracle agree; returns both results."""
+    reference = ReplayOrderOptimizer(
+        compactor=Compactor(), rating=rating, **limits
     ).optimize("m", tech, steps)
-    outcomes = {"exhaustive": exhaustive}
-    for label, optimizer in (
-        ("tree", TreeOrderOptimizer(compactor=Compactor(), rating=rating,
-                                    prune=False)),
-        ("pruned", TreeOrderOptimizer(compactor=Compactor(), rating=rating,
-                                      prune=True)),
-        ("parallel", TreeOrderOptimizer(compactor=Compactor(), rating=rating,
-                                        prune=True, workers=2)),
-    ):
-        result = optimizer.optimize("m", tech, steps)
-        assert result.best_order == exhaustive.best_order, label
-        assert result.best_score == pytest.approx(exhaustive.best_score), label
-        assert result.scores[result.best_order] == pytest.approx(
-            result.best_score
-        ), label
-        assert result.best.bbox() == exhaustive.best.bbox(), label
-        outcomes[label] = result
-    return outcomes
+    result = OrderOptimizer(
+        compactor=Compactor(), rating=rating, **limits
+    ).optimize("m", tech, steps)
+    assert result.best_order == reference.best_order
+    assert result.best_score == reference.best_score
+    assert rect_set(result.best) == rect_set(reference.best)
+    assert result.scores[result.best_order] == result.best_score
+    for order, score in result.scores.items():
+        assert reference.scores[order] == score, order
+    return result, reference
 
 
 # ----------------------------------------------------------------------
 # equivalence with the replay-based exhaustive sweep
 # ----------------------------------------------------------------------
 def test_tree_matches_exhaustive_on_rect_module(tech):
-    assert_engines_agree(tech, heterogeneous_steps(tech))
+    assert_agrees_with_reference(tech, heterogeneous_steps(tech))
 
 
 def test_tree_matches_exhaustive_on_contact_rows(tech):
-    assert_engines_agree(tech, contact_row_steps(tech))
+    assert_agrees_with_reference(tech, contact_row_steps(tech))
 
 
 def test_tree_matches_exhaustive_on_amplifier_style_steps(tech):
-    assert_engines_agree(tech, amplifier_style_steps(tech))
+    assert_agrees_with_reference(tech, amplifier_style_steps(tech))
 
 
 def test_tree_matches_exhaustive_with_electrical_rating(tech):
     rating = Rating(area_weight=1.0, capacitance_weights={"n0": 0.002},
                     coupling_weight=0.5)
-    assert_engines_agree(tech, heterogeneous_steps(tech), rating=rating)
+    assert_agrees_with_reference(tech, heterogeneous_steps(tech), rating=rating)
 
 
 def test_unpruned_tree_scores_identical_to_exhaustive(tech):
+    # An unbounded rating disables pruning: the tree then visits every
+    # permutation and its scores map must match the replay sweep's, key for
+    # key and value for value.
     steps = heterogeneous_steps(tech)
-    outcomes = assert_engines_agree(tech, steps)
-    # The un-pruned tree visits every permutation: the full scores map must
-    # match the replay sweep's, key for key and value for value.
-    exhaustive, tree = outcomes["exhaustive"], outcomes["tree"]
-    assert tree.scores.keys() == exhaustive.scores.keys()
-    for order, score in exhaustive.scores.items():
-        assert tree.scores[order] == pytest.approx(score)
+    tree, exhaustive = assert_agrees_with_reference(
+        tech, steps, rating=RATINGS["unbounded"]
+    )
+    assert tree.scores == exhaustive.scores
     assert tree.evaluated == math.factorial(len(steps))
 
 
 def test_tie_breaking_is_lexicographic(tech):
-    # Four identical squares: every order scores the same, so all engines
+    # Four identical squares: every order scores the same, so both engines
     # must return the lexicographically smallest order — the replay
     # semantics ("first strictly better wins" keeps the first-seen order).
     steps = rect_steps(tech, [(5000, 5000, W)] * 4)
-    outcomes = assert_engines_agree(tech, steps)
-    assert outcomes["exhaustive"].best_order == (0, 1, 2, 3)
+    result, _ = assert_agrees_with_reference(tech, steps)
+    assert result.best_order == (0, 1, 2, 3)
+
+
+# ----------------------------------------------------------------------
+# property: random rect step sets, three ratings, both modes
+# ----------------------------------------------------------------------
+step_shapes = st.lists(
+    st.tuples(
+        st.integers(10, 200).map(lambda v: v * 100),
+        st.integers(10, 200).map(lambda v: v * 100),
+        st.sampled_from(list(Direction)),
+        st.sampled_from(["metal1", "metal2", "poly"]),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+def random_steps(shapes):
+    steps = []
+    for i, (w, h, direction, layer) in enumerate(shapes):
+        obj = LayoutObject(f"s{i}", TECH)
+        obj.add_rect(Rect(0, 0, w, h, layer, f"n{i}"))
+        steps.append(Step(obj, direction))
+    return steps
+
+
+@pytest.mark.parametrize("rating", sorted(RATINGS))
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(shapes=step_shapes)
+def test_exhaustive_matches_reference_property(rating, shapes):
+    steps = random_steps(shapes)
+    result, reference = assert_agrees_with_reference(
+        TECH, steps, rating=RATINGS[rating]
+    )
+    assert result.evaluated + result.pruned == reference.evaluated
+    if not RATINGS[rating].bounded():
+        assert result.scores == reference.scores
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3])
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(shapes=step_shapes, width=st.integers(1, 4),
+       rating=st.sampled_from(sorted(RATINGS)))
+def test_beam_matches_reference_property(limit, shapes, width, rating):
+    steps = random_steps(shapes)
+    result, reference = assert_agrees_with_reference(
+        TECH, steps, rating=RATINGS[rating],
+        exhaustive_limit=limit, beam_width=width,
+    )
+    if len(steps) > limit:
+        assert result.scores == reference.scores
+        assert result.evaluated == reference.evaluated
+        assert result.compact_calls == result.evaluated
 
 
 # ----------------------------------------------------------------------
@@ -138,9 +203,9 @@ def test_one_compact_per_distinct_prefix(tech):
     steps = heterogeneous_steps(tech)
     n = len(steps)
     compactor = Compactor()
-    result = TreeOrderOptimizer(compactor=compactor, prune=False).optimize(
-        "m", tech, steps
-    )
+    result = OrderOptimizer(
+        compactor=compactor, rating=RATINGS["unbounded"]
+    ).optimize("m", tech, steps)
     # Distinct non-empty prefixes of an n-step permutation space:
     # sum over k of n!/(n-k)!  (n=4 -> 4 + 12 + 24 + 24 = 64), versus
     # n!*n = 96 replayed steps for the baseline.
@@ -155,9 +220,7 @@ def test_one_compact_per_distinct_prefix(tech):
 def test_pruned_search_accounting(tech):
     steps = heterogeneous_steps(tech)
     n = len(steps)
-    result = TreeOrderOptimizer(compactor=Compactor(), prune=True).optimize(
-        "m", tech, steps
-    )
+    result = OrderOptimizer(compactor=Compactor()).optimize("m", tech, steps)
     # Every permutation is either evaluated or pruned, never both.
     assert result.evaluated + result.pruned == math.factorial(n)
     assert result.pruned > 0  # this module does prune
@@ -169,22 +232,15 @@ def test_pruned_search_accounting(tech):
 def test_negative_weight_disables_pruning_not_correctness(tech):
     # A negative weight rewards larger layouts, so the area bound is no
     # longer a lower bound; the rating reports itself unbounded and the
-    # pruned engine must silently degrade to the full sweep.
+    # search must silently degrade to the full sweep.
     rating = Rating(area_weight=-1.0)
     assert not rating.bounded()
     obj = LayoutObject("m", tech)
     assert rating.lower_bound(obj) == float("-inf")
     steps = heterogeneous_steps(tech)
-    exhaustive = OrderOptimizer(
-        compactor=Compactor(), rating=rating, exhaustive_limit=4
-    ).optimize("m", tech, steps)
-    pruned = TreeOrderOptimizer(
-        compactor=Compactor(), rating=rating, prune=True
-    ).optimize("m", tech, steps)
-    assert pruned.best_order == exhaustive.best_order
-    assert pruned.best_score == pytest.approx(exhaustive.best_score)
-    assert pruned.pruned == 0
-    assert pruned.evaluated == math.factorial(len(steps))
+    result, _ = assert_agrees_with_reference(tech, steps, rating=rating)
+    assert result.pruned == 0
+    assert result.evaluated == math.factorial(len(steps))
 
 
 # ----------------------------------------------------------------------
@@ -192,16 +248,15 @@ def test_negative_weight_disables_pruning_not_correctness(tech):
 # ----------------------------------------------------------------------
 def test_beam_records_every_terminal_order(tech):
     steps = heterogeneous_steps(tech)
-    optimizer = OrderOptimizer(
-        compactor=Compactor(), exhaustive_limit=1, beam_width=2
+    result, _ = assert_agrees_with_reference(
+        tech, steps, exhaustive_limit=1, beam_width=2
     )
-    result = optimizer.optimize("m", tech, steps)
     # scores holds every evaluated *complete* order — the final-round
     # expansions of the surviving beam — and never a partial prefix.
     assert result.scores
     assert all(len(order) == len(steps) for order in result.scores)
     assert result.best_order in result.scores
-    assert result.scores[result.best_order] == pytest.approx(result.best_score)
+    assert result.scores[result.best_order] == result.best_score
 
 
 # ----------------------------------------------------------------------
@@ -284,13 +339,16 @@ def test_select_order_variants_shares_prefixes(tech):
 
 
 def test_anneal_prefix_cache_matches_replay_evaluation(tech):
+    # The annealer rates orders through its prefix cache; every score it
+    # records must equal the rating of a full replay of that order.
     steps = heterogeneous_steps(tech)
-    classic = AnnealingOrderOptimizer(
-        compactor=Compactor(), seed=7
+    rating = Rating()
+    result = AnnealingOrderOptimizer(
+        compactor=Compactor(), rating=rating, seed=7
     ).optimize("m", tech, steps)
-    cached = AnnealingOrderOptimizer(
-        compactor=Compactor(), seed=7, prefix_cache_depth=2
-    ).optimize("m", tech, steps)
-    assert cached.best_order == classic.best_order
-    assert cached.best_score == pytest.approx(classic.best_score)
-    assert cached.scores.keys() == classic.scores.keys()
+    assert len(result.scores) > 1
+    for order, score in result.scores.items():
+        assert rating.evaluate(replay("m", tech, steps, order)) == score, order
+    assert rect_set(result.best) == rect_set(
+        replay("m", tech, steps, result.best_order)
+    )

@@ -171,7 +171,7 @@ def test_drc_index_speedup(tech, record, benchmark, ledger_append):
     # -------------------------------------------------------- stretched row
     # The packed row is the adversarial shape for a sweep: every cell abuts
     # its neighbours, so far more rects sit within rule radius than in the
-    # amplifier.  The ratio plateaus near 8x — gate the deterministic floor.
+    # amplifier — gate a deterministic floor on the ratio.
     row = _packed_row(tech, ROW_CELLS)
     row_entry = _race("packed_row", row, lines, report)
     assert row_entry["pairs_ratio"] >= 5.0, row_entry

@@ -13,9 +13,10 @@ swept :class:`~repro.db.netindex.ConnectivityIndex` — must stay OUT of the
 top-5 frames by self weight.  A reappearance means the index stopped being
 shared or its sweeps regressed to quadratic.  Likewise the DRC checker's
 ``check_spacing`` / ``_Components`` (the post-netindex dominant hotspot,
-now served by :class:`~repro.drc.index.DrcIndex`) must stay out of the
-top-5 — its reappearance means ``run_drc`` fell back to the all-pairs
-reference path.
+now served by :class:`~repro.drc.index.DrcIndex`) and the per-cut
+enclosure layer scan ``_enclosed_by_any`` (now served by the index's
+enclosure sweep) must stay out of the top-5 — their reappearance means
+``run_drc`` fell back to the all-pairs reference path.
 
 Run ``BENCH_SMOKE=1 pytest benchmarks/bench_profile_amplifier.py`` for the
 CI variant (identical workload; one build is already only a few seconds).
@@ -56,7 +57,10 @@ def test_profile_amplifier(tech, record, ledger_append):
         "extract_connectivity" in name or "netindex" in name for name in top5
     ), f"connectivity extraction is a top-5 hotspot again: {top5}"
     assert not any(
-        "check_spacing" in name or "_Components" in name for name in top5
+        "check_spacing" in name
+        or "_Components" in name
+        or "_enclosed_by_any" in name
+        for name in top5
     ), f"the all-pairs DRC path is a top-5 hotspot again: {top5}"
 
     RESULTS_DIR.mkdir(exist_ok=True)

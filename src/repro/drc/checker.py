@@ -303,7 +303,19 @@ def check_enclosures_brute(obj: LayoutObject) -> List[Violation]:
     """Cut-enclosure check — reference path (scans the full rect list)."""
     rects = obj.nonempty_rects
     _Components(rects)  # kept: the reference path pays the component build
-    return _check_enclosures(obj, rects, obj.rects_on)
+    violations: List[Violation] = []
+    scanned = 0
+    for cut in rects:
+        roles = _cut_roles(obj.tech, cut.layer)
+        if not roles:
+            continue
+        for role, candidates in roles:
+            enclosed, tested = _enclosed_by_any(obj, obj.rects_on, cut, candidates)
+            scanned += tested
+            if not enclosed:
+                violations.append(_enclosure_violation(cut, role, candidates))
+    get_tracer().count("drc.pairs_scanned", scanned)
+    return violations
 
 
 def check_enclosures(
@@ -313,39 +325,74 @@ def check_enclosures(
 
     Enclosure is evaluated against merged shapes: the margin-grown cut must
     be covered by the union of one component's rects, not necessarily by a
-    single rect.  Conductor rects are served from the index's layer
-    buckets.
+    single rect.  Each cut's candidate conductors come from the index's
+    swept :meth:`DrcIndex.enclosure_candidates` instead of a full layer
+    scan; cuts are visited in source order and conductor layers in sorted
+    order with the same early exit, so the violation list is identical to
+    the reference's.
     """
+    from ..geometry import covered_by
+
     index = _ensure_index(obj, index)
-    return _check_enclosures(obj, index.rects, index.rects_on)
-
-
-def _check_enclosures(obj: LayoutObject, rects, rects_on) -> List[Violation]:
-    violations: List[Violation] = []
-    scanned = 0
-    for cut in rects:
-        if obj.tech.rules.cut_size(cut.layer) is None:
+    tech = obj.tech
+    rects = index.rects
+    # cut layer -> [(role, role layers, [(margin, cut -> candidates)])],
+    # conductor layers sorted as _enclosed_by_any visits them.
+    plans = {}
+    for cut_layer in index.layers():
+        roles = _cut_roles(tech, cut_layer)
+        if not roles:
             continue
-        pairs = obj.tech.connected_layers(cut.layer)
-        if not pairs:
-            continue
-        bottoms = {bottom for bottom, _ in pairs}
-        tops = {top for _, top in pairs}
-        for role, candidates in (("bottom", bottoms), ("top", tops)):
-            enclosed, tested = _enclosed_by_any(obj, rects_on, cut, candidates)
-            scanned += tested
-            if not enclosed:
-                violations.append(
-                    Violation(
-                        "enclosure",
-                        f"cut on {cut.layer!r} lacks a {role} conductor"
-                        f" ({'/'.join(sorted(candidates))}) with rule enclosure",
-                        cut.center,
-                        (cut,),
-                    )
+        plan = []
+        for role, layers in roles:
+            conductors = []
+            for conductor in sorted(layers):
+                margin = tech.enclosure_or_zero(conductor, cut_layer)
+                conductors.append(
+                    (margin, index.enclosure_candidates(cut_layer, conductor, margin))
                 )
-    get_tracer().count("drc.pairs_scanned", scanned)
+            plan.append((role, layers, conductors))
+        plans[cut_layer] = plan
+    violations: List[Violation] = []
+    cuts = sorted(i for cut_layer in plans for i in index.indices_on(cut_layer))
+    for i in cuts:
+        cut = rects[i]
+        for role, layers, conductors in plans[cut.layer]:
+            for margin, candidates_of in conductors:
+                candidates = candidates_of.get(i)
+                if candidates and covered_by(
+                    [cut.grown(margin)], [rects[j] for j in candidates]
+                ):
+                    break
+            else:
+                violations.append(_enclosure_violation(cut, role, layers))
     return violations
+
+
+def _cut_roles(
+    tech: Technology, cut_layer: str
+) -> Optional[List[Tuple[str, Set[str]]]]:
+    """``[("bottom", layers), ("top", layers)]`` a cut on *cut_layer* must
+    be enclosed by, or ``None`` for a non-cut or unconnected layer."""
+    if tech.rules.cut_size(cut_layer) is None:
+        return None
+    pairs = tech.connected_layers(cut_layer)
+    if not pairs:
+        return None
+    return [
+        ("bottom", {bottom for bottom, _ in pairs}),
+        ("top", {top for _, top in pairs}),
+    ]
+
+
+def _enclosure_violation(cut: Rect, role: str, layers: Set[str]) -> Violation:
+    return Violation(
+        "enclosure",
+        f"cut on {cut.layer!r} lacks a {role} conductor"
+        f" ({'/'.join(sorted(layers))}) with rule enclosure",
+        cut.center,
+        (cut,),
+    )
 
 
 def _enclosed_by_any(
@@ -614,12 +661,7 @@ def run_drc(
     """
     tracer = get_tracer()
     violations: List[Violation] = []
-    with tracer.span(
-        "drc.run",
-        obj=obj.name,
-        rects=len(obj.nonempty_rects),
-        indexed=use_index,
-    ):
+    with tracer.span("drc.run", obj=obj.name, indexed=use_index) as span:
         index = DrcIndex(obj) if use_index else None
         checks = CHECKS if use_index else CHECKS_BRUTE
         for rule_class, check in checks:
@@ -634,9 +676,12 @@ def run_drc(
             tracer.count("drc.rules_checked")
             tracer.count("drc.violations.latchup", len(found))
             violations.extend(found)
+        # The index already holds the non-empty rect list; only the brute
+        # path builds it here.
+        rect_count = len(index.rects if use_index else obj.nonempty_rects)
+        span.set(rects=rect_count)
     tracer.count("drc.violations.total", len(violations))
     log.debug(
-        "DRC of %s: %d rects, %d violations", obj.name,
-        len(obj.nonempty_rects), len(violations),
+        "DRC of %s: %d rects, %d violations", obj.name, rect_count, len(violations)
     )
     return violations

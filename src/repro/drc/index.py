@@ -9,8 +9,8 @@ every same-layer pair — on the profiled amplifier build the checker was
 :class:`repro.db.netindex.ConnectivityIndex`:
 
 * **seq-ordered layer buckets** — every non-empty rect is bucketed by
-  layer in source order; ``rects_on`` queries and the enclosure scans are
-  served per bucket instead of filtering the whole rect list;
+  layer in source order; ``check_enclosures`` visits the cut buckets
+  instead of filtering the whole rect list;
 * **sweep-fed connected components** — per-layer closed-interval x-sweeps
   union touching rects into a union-by-size :class:`~repro.db.nets.
   DisjointSet`, replacing ``_Components``' quadratic same-layer loop while
@@ -23,10 +23,14 @@ every same-layer pair — on the profiled amplifier build the checker was
   are inside the rule, instead of all O(n²) pairs; the cross-layer sweeps
   double as the source of the component-touch sets that answer the
   gate-attachment exemption queries;
-* **gate/body overlap sweeps** — for every (POLY layer, DIFFUSION layer)
-  pair with EXTEND rules, a strict-interval sweep finds which gates
-  overlap which diffusion components, replacing ``check_extensions``'
-  gate × component member loops.
+* **two-bucket strict-overlap sweeps** — one strict-interval x-sweep
+  between two layer buckets, with side A optionally grown by a margin,
+  serves two checks: for every (POLY layer, DIFFUSION layer) pair with
+  EXTEND rules it finds which gates overlap which diffusion components,
+  replacing ``check_extensions``' gate × component member loops; for
+  every (cut layer, conductor layer) pair it finds the conductors whose
+  interiors overlap each enclosure-grown cut, replacing the full
+  conductor-layer scan per cut of ``_enclosed_by_any``.
 
 Exactness contract: every indexed check in :mod:`repro.drc.checker`
 returns *the identical violation list* (kind, message, location, rect
@@ -68,7 +72,8 @@ class DrcIndex:
     __slots__ = (
         "obj", "tech", "rects", "_tracked", "_built", "_buckets",
         "_sorted_buckets", "_dsu", "_roots", "_members", "_touchers",
-        "_spacing_candidates", "_cross_touch", "_gate_overlaps", "builds",
+        "_spacing_candidates", "_cross_touch", "_gate_overlaps",
+        "_enclosures", "builds",
     )
 
     def __init__(self, obj) -> None:
@@ -94,6 +99,9 @@ class DrcIndex:
         #: (complete for every layer pair with a positive SPACE rule).
         self._cross_touch: Dict[int, Set[int]] = {}
         self._gate_overlaps: Optional[Set[Tuple[int, int]]] = None
+        #: (cut layer, conductor layer, margin) -> cut index -> conductor
+        #: indices whose interiors overlap the margin-grown cut.
+        self._enclosures: Dict[Tuple[str, str, int], Dict[int, List[int]]] = {}
         self.builds = 0
 
     # ------------------------------------------------------------------
@@ -135,11 +143,15 @@ class DrcIndex:
         """Nets present in a component."""
         return {member.net for member in self.members(comp)}
 
-    def rects_on(self, layer: str) -> List[Rect]:
-        """Non-empty rects on *layer* in source order (bucket-served)."""
+    def layers(self) -> List[str]:
+        """Layers carrying at least one non-empty rect."""
         self.sync()
-        rects = self.rects
-        return [rects[i] for i in self._buckets.get(layer, ())]
+        return list(self._buckets)
+
+    def indices_on(self, layer: str) -> Sequence[int]:
+        """Indices of the non-empty rects on *layer*, in source order."""
+        self.sync()
+        return self._buckets.get(layer, ())
 
     def same_layer_touchers(self, index: int) -> Sequence[int]:
         """Indices of same-layer rects touching/overlapping rect *index*.
@@ -191,6 +203,30 @@ class DrcIndex:
             self._build_gate_overlaps()
         return (gate, comp) in self._gate_overlaps
 
+    # ------------------------------------------------------------------
+    # queries (enclosure layer)
+    # ------------------------------------------------------------------
+    def enclosure_candidates(
+        self, cut_layer: str, layer: str, margin: int
+    ) -> Dict[int, List[int]]:
+        """Cut index -> *layer* conductors overlapping the grown cut.
+
+        For every rect on *cut_layer* grown by *margin* (as
+        :meth:`Rect.grown` grows it), the indices of the *layer* rects
+        whose interiors overlap it, in source order — exactly the
+        candidates ``_enclosed_by_any`` filters out of a full layer scan.
+        Cuts without any overlapping conductor are absent.  Computed by one
+        strict-overlap sweep on first use and cached for the index's
+        lifetime.
+        """
+        self.sync()
+        key = (cut_layer, layer, margin)
+        found = self._enclosures.get(key)
+        if found is None:
+            found = self._build_enclosures(cut_layer, layer, margin)
+            self._enclosures[key] = found
+        return found
+
     def diffusion_groups(self) -> Dict[Tuple[str, int], List[Rect]]:
         """(diffusion layer, component) -> member rects, in first-member
         order — the grouping ``check_extensions`` iterates."""
@@ -220,6 +256,7 @@ class DrcIndex:
         self._spacing_candidates = None
         self._cross_touch = {}
         self._gate_overlaps = None
+        self._enclosures = {}
 
         buckets = self._buckets
         for index, rect in enumerate(rects):
@@ -380,11 +417,12 @@ class DrcIndex:
         return scanned
 
     # ------------------------------------------------------------------
-    # gate/body overlaps (lazy)
+    # gate/body overlaps and cut enclosures (lazy)
     # ------------------------------------------------------------------
     def _build_gate_overlaps(self) -> None:
         tracer = get_tracer()
         rules = self.tech.rules
+        roots = self._roots
         overlaps: Set[Tuple[int, int]] = set()
         scanned = 0
         poly_layers = [
@@ -407,41 +445,70 @@ class DrcIndex:
                     continue
                 body_bucket = self._sorted_buckets.get(body_layer)
                 if body_bucket:
-                    scanned += self._sweep_overlaps(
-                        gate_bucket, body_bucket, overlaps
-                    )
+                    pairs: List[Tuple[int, int]] = []
+                    scanned += self._sweep_overlaps(gate_bucket, body_bucket, pairs)
+                    overlaps.update((gate, roots[body]) for gate, body in pairs)
         self._gate_overlaps = overlaps
         tracer.count("drc.pairs_scanned", scanned)
 
+    def _build_enclosures(
+        self, cut_layer: str, layer: str, margin: int
+    ) -> Dict[int, List[int]]:
+        found: Dict[int, List[int]] = {}
+        cut_bucket = self._sorted_buckets.get(cut_layer)
+        conductor_bucket = self._sorted_buckets.get(layer)
+        if not cut_bucket or not conductor_bucket:
+            return found
+        pairs: List[Tuple[int, int]] = []
+        scanned = self._sweep_overlaps(cut_bucket, conductor_bucket, pairs, margin)
+        for cut, conductor in pairs:
+            found.setdefault(cut, []).append(conductor)
+        for conductors in found.values():
+            conductors.sort()
+        get_tracer().count("drc.pairs_scanned", scanned)
+        return found
+
     def _sweep_overlaps(
         self,
-        gate_bucket: List[int],
-        body_bucket: List[int],
-        out: Set[Tuple[int, int]],
+        a_bucket: List[int],
+        b_bucket: List[int],
+        out: List[Tuple[int, int]],
+        margin: int = 0,
     ) -> int:
-        """Strict-interval sweep: (gate, body component) interior overlaps."""
+        """Strict-interval two-bucket sweep; returns pairs tested.
+
+        Appends ``(a, b)`` to *out* for every A rect, grown by *margin*,
+        whose interior overlaps a B rect's.  At equal left edges A events
+        come first, which keeps the strict test exact even for a
+        zero-width grown box.
+        """
         rects = self.rects
-        roots = self._roots
-        events = sorted(
-            [(rects[i].x1, 0, i) for i in gate_bucket]
-            + [(rects[i].x1, 1, i) for i in body_bucket]
-        )
-        actives: List[List[int]] = [[], []]
-        scanned = 0
-        for x1, side, i in events:
+        events = []
+        for i in a_bucket:
             rect = rects[i]
-            y1 = rect.y1
-            y2 = rect.y2
-            keep: List[int] = []
-            for j in actives[1 - side]:
-                other = rects[j]
-                if other.x2 <= x1:
+            x1, x2 = rect.x1 - margin, rect.x2 + margin
+            y1, y2 = rect.y1 - margin, rect.y2 + margin
+            if margin < 0:  # normalised the way Rect.grown normalises
+                x1, x2 = min(x1, x2), max(x1, x2)
+                y1, y2 = min(y1, y2), max(y1, y2)
+            events.append((x1, 0, i, x2, y1, y2))
+        for i in b_bucket:
+            rect = rects[i]
+            events.append((rect.x1, 1, i, rect.x2, rect.y1, rect.y2))
+        events.sort()
+        # Per side, the (x1, side, index, x2, y1, y2) events still open.
+        actives: List[List[Tuple[int, ...]]] = [[], []]
+        scanned = 0
+        for event in events:
+            x1, side, i, _, y1, y2 = event
+            keep = []
+            for other in actives[1 - side]:
+                if other[3] <= x1:
                     continue
-                keep.append(j)
+                keep.append(other)
                 scanned += 1
-                if other.y1 < y2 and y1 < other.y2:
-                    gate, body = (i, j) if side == 0 else (j, i)
-                    out.add((gate, roots[body]))
+                if other[4] < y2 and y1 < other[5]:
+                    out.append((i, other[2]) if side == 0 else (other[2], i))
             actives[1 - side] = keep
-            actives[side].append(i)
+            actives[side].append(event)
         return scanned

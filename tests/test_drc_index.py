@@ -16,7 +16,14 @@ from hypothesis import strategies as st
 
 from repro.db import LayoutObject
 from repro.drc import run_drc
-from repro.drc.checker import CHECKS, CHECKS_BRUTE, check_widths, check_widths_brute
+from repro.drc.checker import (
+    CHECKS,
+    CHECKS_BRUTE,
+    check_enclosures,
+    check_enclosures_brute,
+    check_widths,
+    check_widths_brute,
+)
 from repro.drc.index import DrcIndex
 from repro.geometry import Rect
 from repro.library import GOLDEN_CELLS
@@ -138,6 +145,139 @@ def test_invalidate_after_mutation_equals_scratch(tech_name, spec_list, moves, a
 
 
 # ----------------------------------------------------------------------
+# Hypothesis: swept enclosure candidates on cut-heavy soups
+# ----------------------------------------------------------------------
+def _split(box, pieces, vertical, gap, draw):
+    """*box* cut into *pieces* abutting parts (or parts *gap* dbu apart)."""
+    x1, y1, x2, y2 = box
+    lo, hi = (x1, x2) if vertical else (y1, y2)
+    if hi - lo < 2 * pieces:
+        return [box]
+    cuts = sorted(
+        draw(
+            st.lists(
+                st.integers(min_value=lo + 1, max_value=hi - 1),
+                min_size=pieces - 1,
+                max_size=pieces - 1,
+                unique=True,
+            )
+        )
+    )
+    edges = [lo, *cuts, hi]
+    parts = []
+    for a, b in zip(edges, edges[1:]):
+        a = a + gap if a != lo else a
+        if a < b:
+            parts.append((a, y1, b, y2) if vertical else (x1, a, x2, b))
+    return parts
+
+
+@st.composite
+def cut_soups(draw, tech):
+    """Vias and contacts on, beside and half off their conductors, whose
+    conductors are often split into 2–3 pieces that only enclose the cut
+    as a merged shape; sites share a small grid so cuts and conductors of
+    neighbouring sites overlap."""
+    rects = []
+    for _ in range(draw(st.integers(min_value=1, max_value=10))):
+        cut_layer = draw(st.sampled_from(["contact", "via"]))
+        size = tech.rules.cut_size(cut_layer)
+        x = draw(st.integers(min_value=0, max_value=6)) * 2 * size
+        y = draw(st.integers(min_value=0, max_value=6)) * 2 * size
+        net = draw(st.sampled_from(["a", "b", None]))
+        rects.append(Rect(x, y, x + size, y + size, cut_layer, net))
+        pairs = tech.connected_layers(cut_layer)
+        for role in (0, 1):
+            if not draw(st.sampled_from([True] * 8 + [False])):
+                continue  # a missing conductor
+            layer = draw(st.sampled_from(sorted({pair[role] for pair in pairs})))
+            grow = tech.enclosure_or_zero(layer, cut_layer) + draw(
+                st.sampled_from([0, 0, 0, 0, 0, -1, 1, size])
+            )
+            offset = draw(st.sampled_from([0, 0, 0, 0, 0, 0, size // 2, size + grow]))
+            dx, dy = draw(
+                st.sampled_from([(offset, 0), (-offset, 0), (0, offset), (0, -offset)])
+            )
+            box = (x - grow + dx, y - grow + dy, x + size + grow + dx, y + size + grow + dy)
+            pieces = draw(st.integers(min_value=1, max_value=3))
+            gap = draw(st.sampled_from([0, 0, 0, 0, 0, 0, 0, 1]))
+            for part in _split(box, pieces, draw(st.booleans()), gap, draw):
+                rects.append(Rect(*part, layer, net))
+    order = draw(st.permutations(range(len(rects))))
+    obj = LayoutObject("cuts", tech)
+    for position in order:
+        obj.add_rect(rects[position])
+    return obj
+
+
+@pytest.mark.parametrize("tech_name", TECH_NAMES)
+@settings(
+    max_examples=80,
+    suppress_health_check=[HealthCheck.too_slow],
+    deadline=None,
+)
+@given(st.data())
+def test_swept_enclosures_equal_brute_on_cut_soups(tech_name, data):
+    obj = data.draw(cut_soups(TECHS[tech_name]))
+    assert _ids(obj, check_enclosures(obj, DrcIndex(obj))) == _ids(
+        obj, check_enclosures_brute(obj)
+    )
+
+
+@pytest.mark.parametrize("tech_name", TECH_NAMES)
+@settings(
+    max_examples=30,
+    suppress_health_check=[HealthCheck.too_slow],
+    deadline=None,
+)
+@given(st.data())
+def test_swept_enclosures_equal_brute_with_negative_margins(tech_name, data):
+    """Technology files may declare negative ENCLOSE values; the sweep must
+    shrink (or flip, then normalise) each cut exactly as ``Rect.grown``."""
+    tech = BUILTIN_TECHNOLOGIES[tech_name]()
+    for cut_layer in ("contact", "via"):
+        size = tech.rules.cut_size(cut_layer)
+        conductors = {layer for pair in tech.connected_layers(cut_layer) for layer in pair}
+        for layer in sorted(conductors):
+            margin = data.draw(st.integers(min_value=-size, max_value=0))
+            tech.rules.set_enclose(layer, cut_layer, margin)
+    obj = data.draw(cut_soups(tech))
+    assert _ids(obj, check_enclosures(obj, DrcIndex(obj))) == _ids(
+        obj, check_enclosures_brute(obj)
+    )
+
+
+def test_split_conductor_encloses_only_when_merged(tech):
+    """A via pad split in two abutting halves encloses the via; a 1-dbu
+    slit between the halves does not."""
+    margin = tech.enclosure_or_zero("metal1", "via")
+    size = tech.rules.cut_size("via")
+
+    def layout(slit):
+        obj = LayoutObject("split", tech)
+        obj.add_rect(Rect(0, 0, size, size, "via", "n"))
+        half = size // 2
+        obj.add_rect(Rect(-margin, -margin, half, size + margin, "metal1", "n"))
+        obj.add_rect(
+            Rect(half + slit, -margin, size + margin, size + margin, "metal1", "n")
+        )
+        obj.add_rect(
+            Rect(-margin, -margin, size + margin, size + margin, "metal2", "n")
+        )
+        return obj
+
+    clean = layout(0)
+    assert check_enclosures(clean, DrcIndex(clean)) == []
+    assert check_enclosures_brute(clean) == []
+    slit = layout(1)
+    found = check_enclosures(slit, DrcIndex(slit))
+    assert [v.message for v in found] == [
+        "cut on 'via' lacks a bottom conductor (metal1) with rule enclosure"
+    ]
+    assert _ids(slit, found) == _ids(slit, check_enclosures_brute(slit))
+
+
+# ----------------------------------------------------------------------
 # acceptance: the golden-cell matrix, all builtin technologies
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("tech_name", TECH_NAMES)
@@ -238,3 +378,31 @@ def test_candidates_counter_reports_emitted_pairs(tech):
     )
     assert [v.kind for v in violations] == ["spacing"]
     assert stats.counter("drc.candidates") == 1
+
+
+def test_enclosure_sweep_scans_fewer_pairs(tech):
+    """On a 10x10 via grid the swept enclosure pass tests each via only
+    against the pads its x-interval reaches, not every pad on the layer."""
+    grid = LayoutObject("vias", tech)
+    size = tech.rules.cut_size("via")
+    margin = max(
+        tech.enclosure_or_zero("metal1", "via"), tech.enclosure_or_zero("metal2", "via")
+    )
+    pitch = 4 * (size + 2 * margin)
+    for x in range(10):
+        for y in range(10):
+            x1, y1 = x * pitch, y * pitch
+            grid.add_rect(Rect(x1, y1, x1 + size, y1 + size, "via", "n"))
+            for layer in ("metal1", "metal2"):
+                grid.add_rect(
+                    Rect(x1 - margin, y1 - margin, x1 + size + margin,
+                         y1 + size + margin, layer, "n")
+                )
+    index = DrcIndex(grid)
+    index.sync()  # build outside the counted region
+    indexed, indexed_stats = _counted(lambda: check_enclosures(grid, index))
+    brute, brute_stats = _counted(lambda: check_enclosures_brute(grid))
+    assert indexed == brute == []
+    assert indexed_stats.counter("drc.pairs_scanned") * 10 <= brute_stats.counter(
+        "drc.pairs_scanned"
+    )

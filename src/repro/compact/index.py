@@ -228,8 +228,8 @@ class FrontierIndex:
 
     def note_changed_ids(self, rect_ids: Iterable[int]) -> None:
         """Coordinates of the given member rects changed (shrink/stretch/
-        link rebuild).  Unknown ids — e.g. link-private array cuts that
-        never entered the owner's rect list — are ignored."""
+        link rebuild).  Unknown ids — e.g. cuts a grown array appended
+        since the last :meth:`sync`, which folds them in — are ignored."""
         if self._dirty:
             return
         # Members may have shrunk, so the exact bbox can only be recomputed.

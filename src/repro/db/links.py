@@ -14,7 +14,12 @@ Primitives register a link for every geometric dependency they create:
 
 When the compactor moves an edge, the owning :class:`~repro.db.object.
 LayoutObject` re-solves the affected links, clamping inner rectangles and
-re-placing arrays.
+re-placing arrays.  The solve is seeded: it starts from the moved rect's
+links plus the object's *pending* links (appended, mirrored, or restored
+by an ALT rollback) and follows a rect-id -> link adjacency from there,
+rebuilding links in the index order and passes of a full fixpoint over all
+links — so a rebuild must depend only on the link's own rects.  Cuts a
+growing array creates are added to the owner's rects by the solver.
 """
 
 from __future__ import annotations
@@ -152,6 +157,8 @@ class ArrayLink(Link):
 
         Existing rect objects are reused where possible so identity held by
         the owning object's rect list stays valid; surplus rects are emptied.
+        Extra cuts are appended; the owner's link solver adds them to its
+        rect list.
         """
         region = self.region()
         placements: List[Tuple[int, int]] = []

@@ -12,9 +12,10 @@ The :class:`ConnectivityIndex` removes both multipliers:
 * **per-layer sweep candidate generation** — rects are bucketed by layer
   (seq-ordered, the same idiom as :class:`repro.compact.index.
   FrontierIndex`); each interaction (same-layer touching, each declared
-  overlap junction, each cut↔plate pair) runs a sort-by-``x1`` interval
-  sweep that only tests pairs whose x-ranges can interact, instead of all
-  pairs;
+  overlap junction, each cut↔plate layer pair — once, though a cut layer
+  may reach one plate through several connections) runs a sort-by-``x1``
+  interval sweep that only tests pairs whose x-ranges can interact,
+  instead of all pairs;
 * **a cached-components layer** — one index owns one union-find over one
   rect list; :meth:`components`, :meth:`net_is_connected` and
   :meth:`connected_components_by_net` all answer from the same cached
@@ -53,6 +54,16 @@ from ..tech import Technology
 from ..tech.layer import LayerKind
 
 __all__ = ["ConnectivityIndex"]
+
+
+def _plate_layers(tech: Technology, cut_layer: str) -> List[str]:
+    """Distinct layers a cut layer joins, first-seen order (``contact``
+    lists ``metal1`` once per diffusion it lands on; one sweep suffices)."""
+    plates = dict.fromkeys(
+        plate for bottom, top in tech.connected_layers(cut_layer)
+        for plate in (bottom, top)
+    )
+    return list(plates)
 
 
 class ConnectivityIndex:
@@ -238,11 +249,10 @@ class ConnectivityIndex:
         # Cross-layer through cuts: a cut rect joins everything it overlaps
         # on the layer pair(s) it connects.
         for layer, indices in buckets.items():
-            for bottom, top in self.tech.connected_layers(layer):
-                for plate_layer in (bottom, top):
-                    plate_bucket = buckets.get(plate_layer)
-                    if plate_bucket:
-                        scanned += self._sweep_intersecting(indices, plate_bucket)
+            for plate_layer in _plate_layers(self.tech, layer):
+                plate_bucket = buckets.get(plate_layer)
+                if plate_bucket:
+                    scanned += self._sweep_intersecting(indices, plate_bucket)
 
         self._built = True
         self._tracked = len(rects)
@@ -377,11 +387,7 @@ class ConnectivityIndex:
                         dsu.union(index, j)
 
             # This rect as a cut over its plate layers...
-            plate_layers = [
-                plate
-                for bottom, top in tech.connected_layers(rect.layer)
-                for plate in (bottom, top)
-            ]
+            plate_layers = _plate_layers(tech, rect.layer)
             # ... and as a plate under existing cut rects.
             cut_layers = [
                 cut_layer

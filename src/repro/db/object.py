@@ -6,13 +6,26 @@ are constructed stand-alone and then *compacted into* a parent object
 (Sec. 2.3); merging flattens the child's geometry into the parent, which is
 why "only outer edges of the main object have to be kept in the data
 structure".
+
+Link solving is incremental.  "The objects affected by the movement are
+rebuilt automatically" (Sec. 2.3): after an edge move the object rebuilds
+only the links reachable from the moved rect, through a rect-id -> link
+adjacency, plus its *pending* links — those that may be unsatisfied
+because they were appended (``add_link``, ``merge``), mirrored
+(``apply_transform``; array placement rounds, so it is not mirror
+invariant) or arrived in a replaced ``links`` list (the ALT rollback).
+Links are taken in the same index order and pass structure as a full
+fixpoint over every link, so the result is identical to that fixpoint
+(kept as :func:`repro.verify.reference.solve_links_fixpoint`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+import heapq
+from typing import Dict, List, Optional, Set
 
 from ..geometry import Direction, Rect, Transform, bounding_box, union_area
+from ..obs import get_tracer
 from ..obs.provenance import get_recorder
 from ..tech import Technology
 from ..tech.layer import LayerKind
@@ -48,6 +61,13 @@ class LayoutObject:
         #: Lazily built incremental spatial index (compact.index).  Never
         #: affects results — only how fast the compactor finds them.
         self._index = None
+        #: Link-solver state, valid for the ``links`` list in _links_ref:
+        #: how many of its links it covers, the indices that may be
+        #: unsatisfied, and a lazily built rect id -> link indices map.
+        self._links_ref: Optional[List[Link]] = None
+        self._links_known = 0
+        self._pending: Set[int] = set()
+        self._adjacency: Optional[Dict[int, List[int]]] = None
 
     # ------------------------------------------------------------------
     # spatial index
@@ -145,6 +165,12 @@ class LayoutObject:
         clone.rects = rects
         clone.links = [link.remapped(mapping) for link in self.links]
         clone.labels = [label.copy() for label in self.labels]
+        # Same links in the same order: the pending indices carry over; the
+        # id-keyed adjacency is rebuilt lazily for the new rects.
+        clone._links_ref = clone.links
+        clone._links_known = self._links_known if self._links_ref is self.links else 0
+        clone._pending = set(self._pending)
+        clone._adjacency = None
         # Carry the spatial index (with its warm frontier caches) across the
         # snapshot: rect positions are preserved, so the clone's index is
         # this one with every rect reference remapped.  The search-tree
@@ -252,6 +278,8 @@ class LayoutObject:
             rect._edges = image._edges
         for label in self.labels:
             label.x, label.y = transform.apply_point(label.x, label.y)
+        # Array placement rounds, so a mirrored array is off its fixpoint.
+        self._pending.update(range(self._links_known))
         self.invalidate_index()
         return self
 
@@ -392,45 +420,117 @@ class LayoutObject:
         self._rebuild_links_tracked(rect)
 
     def rebuild_links(self) -> None:
-        """Re-solve every link to a fixpoint (bounded passes).
+        """Re-solve every link (the seeded solver, seeded with all of them).
 
         Callers typically mutated rect coordinates directly beforehand
         (primitive construction), so any live index is conservatively
         invalidated; the compactor's edge moves go through the tracked
         variant instead, which updates the index precisely.
         """
-        self._solve_links()
+        self._solve_links(None)
         self.invalidate_index()
 
     def _rebuild_links_tracked(self, moved: Rect) -> None:
-        """Re-solve links after an edge move, keeping the index current."""
-        if self._index is None:
-            self._solve_links()
-            return
-        changed = self._solve_links(collect=True)
-        changed.add(id(moved))
-        self._index.note_changed_ids(changed)
+        """Re-solve the links an edge move reaches, keeping the index current."""
+        changed = self._solve_links(moved)
+        if self._index is not None:
+            changed.add(id(moved))
+            self._index.note_changed_ids(changed)
 
-    def _solve_links(self, collect: bool = False) -> Optional[Set[int]]:
-        """Fixpoint link solve; optionally return ids of rects that moved."""
-        changed: Optional[Set[int]] = set() if collect else None
-        for _ in range(len(self.links) + 2):
-            before = {}
-            for link in self.links:
-                for r in link.involved_rects():
-                    before[id(r)] = r.as_tuple()
-            for link in self.links:
+    def _link_adjacency(self) -> Dict[int, List[int]]:
+        """Sync the solver state with ``self.links``; return the adjacency.
+
+        A replaced or shortened list makes every link pending; links
+        appended since the last sync become pending and join the map.
+        """
+        links = self.links
+        if self._links_ref is not links or self._links_known > len(links):
+            self._links_ref = links
+            self._links_known = 0
+            self._pending = set()
+            self._adjacency = None
+        known = self._links_known
+        adjacency = self._adjacency
+        if adjacency is None:
+            adjacency = self._adjacency = {}
+            start = 0
+        else:
+            start = known
+        for index in range(start, len(links)):
+            for rect in links[index].involved_rects():
+                adjacency.setdefault(id(rect), []).append(index)
+        self._pending.update(range(known, len(links)))
+        self._links_known = len(links)
+        return adjacency
+
+    def _solve_links(self, moved: Optional[Rect]) -> Set[int]:
+        """Seeded worklist solve; returns the ids of every rect it changed.
+
+        Seeds are the pending links plus the links on *moved* (every link
+        when *moved* is None).  Indices pop from a heap in passes: when
+        link *i* changes a rect, each link *j* on it is queued in this pass
+        if ``j > i`` and for the next pass otherwise.  That is exactly the
+        non-no-op subset of a full fixpoint's rebuilds, with its
+        ``len(links) + 2`` pass cap and its stop on a pass that leaves
+        every rect as it found it.  Array cuts a rebuild creates join
+        ``self.rects``.
+        """
+        links = self.links
+        adjacency = self._link_adjacency()
+        pending = self._pending
+        if moved is None:
+            seeds = set(range(len(links)))
+        else:
+            seeds = pending | set(adjacency.get(id(moved), ()))
+        pending.clear()
+        changed: Set[int] = set()
+        if not seeds:
+            return changed
+        queue = sorted(seeds)
+        rebuilds = 0
+        for _ in range(len(links) + 2):
+            queued = set(queue)
+            following: Set[int] = set()
+            first: Dict[int, tuple] = {}  # pass-start tuple per changed rect
+            while queue:
+                i = heapq.heappop(queue)
+                link = links[i]
+                involved = link.involved_rects()
+                before = [rect.as_tuple() for rect in involved]
+                cuts = len(link.rects) if isinstance(link, ArrayLink) else None
                 link.rebuild()
-            stable = True
-            for link in self.links:
-                for r in link.involved_rects():
-                    rid = id(r)
-                    if before.get(rid) != r.as_tuple():
-                        stable = False
-                        if changed is not None:
-                            changed.add(rid)
-            if stable:
+                rebuilds += 1
+                for rect, old in zip(involved, before):
+                    if rect.as_tuple() == old:
+                        continue
+                    rid = id(rect)
+                    changed.add(rid)
+                    if rid not in first:
+                        first[rid] = (rect, old)
+                    for j in adjacency.get(rid, (i,)):
+                        if j <= i:
+                            following.add(j)
+                        elif j not in queued:
+                            queued.add(j)
+                            heapq.heappush(queue, j)
+                if cuts is not None and len(link.rects) > cuts:
+                    # A grown array: its new cuts join the layout.
+                    for rect in link.rects[cuts:]:
+                        rid = id(rect)
+                        self.rects.append(rect)
+                        adjacency[rid] = [i]
+                        changed.add(rid)
+                        first[rid] = (rect, None)
+                    following.add(i)
+            if all(rect.as_tuple() == old for rect, old in first.values()):
+                pending.update(following)
                 break
+            queue = sorted(following)
+            if not queue:
+                break
+        else:
+            pending.update(queue)
+        get_tracer().count("links.rebuild_calls", rebuilds)
         return changed
 
     # ------------------------------------------------------------------

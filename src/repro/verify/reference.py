@@ -11,20 +11,54 @@ The equivalence suites and the benchmarks race the two; nothing under
   :class:`repro.opt.OrderOptimizer` must return the same ``best_order``,
   ``best_score`` and geometry, and every score it records must equal the
   score recorded here.
+* :func:`solve_links_fixpoint` — the Sec. 2.3 link rebuild as a fixpoint:
+  every link of the object is rebuilt, in index order, pass after pass.
+  :class:`repro.db.LayoutObject`'s seeded solver, which rebuilds only the
+  links an edge move reaches, must leave every rect where this leaves it.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..compact import Compactor
-from ..db import LayoutObject
+from ..db import ArrayLink, LayoutObject
 from ..obs import get_tracer
 from ..opt import OrderResult, Rating, Step
 from ..tech import Technology
 
-__all__ = ["ReplayOrderOptimizer", "replay"]
+__all__ = ["ReplayOrderOptimizer", "replay", "solve_links_fixpoint"]
+
+
+def solve_links_fixpoint(obj: LayoutObject) -> Set[int]:
+    """Rebuild every link of *obj* until a pass changes nothing.
+
+    At most ``len(obj.links) + 2`` passes; array cuts a rebuild creates
+    join ``obj.rects``.  Returns the ids of the rects whose tuple differs
+    across some pass.
+    """
+    changed: Set[int] = set()
+    for _ in range(len(obj.links) + 2):
+        before = {}
+        for link in obj.links:
+            for rect in link.involved_rects():
+                before[id(rect)] = rect.as_tuple()
+        for link in obj.links:
+            cuts = len(link.rects) if isinstance(link, ArrayLink) else 0
+            link.rebuild()
+            if isinstance(link, ArrayLink):
+                obj.rects.extend(link.rects[cuts:])
+        stable = True
+        for link in obj.links:
+            for rect in link.involved_rects():
+                rid = id(rect)
+                if before.get(rid) != rect.as_tuple():
+                    stable = False
+                    changed.add(rid)
+        if stable:
+            break
+    return changed
 
 
 def replay(

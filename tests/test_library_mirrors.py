@@ -10,12 +10,27 @@ from repro.library import (
     simple_current_mirror,
     symmetric_current_mirror,
 )
+from repro.obs import ProvenanceRecorder, recording
 
 
 def test_simple_mirror(tech):
     mirror = simple_current_mirror(tech, 8.0, 1.0)
     assert run_drc(mirror, include_latchup=False) == []
     assert net_is_connected(mirror.rects, tech, "iref")  # gates + diode tie
+
+
+def test_simple_mirror_grown_cut_is_in_layout(tech05):
+    """Compaction stretches a contact row of the 0.5 um mirror, growing its
+    array by one cut; that cut is part of the layout (it is in the
+    ``generic_cmos_05u/simple_current_mirror`` golden hash)."""
+    with recording(ProvenanceRecorder(enabled=True)):
+        mirror = simple_current_mirror(tech05, w=8.0, length=2.0)
+    in_layout = {id(r) for r in mirror.rects}
+    cuts = [r for link in mirror.links if hasattr(link, "cut_layer")
+            for r in link.rects if not r.is_empty]
+    assert all(id(r) in in_layout for r in cuts)
+    grown = [r for r in cuts if any(kind == "rebuild" for kind, _ in r.prov.lineage)]
+    assert [r.as_tuple() for r in grown] == [(1400, 4900, 1900, 5400)]
 
 
 def test_symmetric_mirror_diode_in_middle(tech):

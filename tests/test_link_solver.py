@@ -1,0 +1,244 @@
+"""Property tests: the seeded link solver equals the full fixpoint.
+
+After an edge move a :class:`LayoutObject` rebuilds only the links the move
+reaches, plus its pending links (appended, mirrored or arrived in a
+replaced ``links`` list).  Its contract is that this changes nothing: a
+``snapshot()`` twin driven with the same returned coordinates and solved by
+:func:`repro.verify.reference.solve_links_fixpoint` must hold the same rect
+tuples after every step.  The id set handed to the frontier index must also
+cover every rect the solve moved or created.
+"""
+
+from contextlib import contextmanager
+from functools import lru_cache
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from repro.compact.index import FrontierIndex
+from repro.db import ArrayLink, InsideLink, LayoutObject
+from repro.geometry import Direction, Rect
+from repro.library import contact_row, interdigitated_transistor, mos_transistor, substrate_ring
+from repro.obs import StatsSink, Tracer, activate
+from repro.tech import get_technology
+from repro.verify.reference import solve_links_fixpoint
+
+TECHS = ("generic_bicmos_1u", "generic_cmos_05u")
+
+
+def _guarded(tech):
+    device = mos_transistor(tech, w=6.0, length=1.0, name="GuardedMOS")
+    substrate_ring(device)
+    return device
+
+
+def _nested(tech):
+    """A link chain the library never builds: each link reaches the next
+    only through a shared rect, and links are registered downstream first,
+    so a move propagates against index order (into the next pass).  It is
+    solved and then mirrored: array placement rounds, so its vias sit off
+    their fixpoint and every link starts out pending."""
+    obj = LayoutObject("Nested", tech)
+    diff = obj.add_rect(Rect(0, 0, 7_801, 4_000, "ndiff", "n"))
+    metal1 = obj.add_rect(Rect(0, 0, 7_801, 4_000, "metal1", "n"))
+    metal2 = obj.add_rect(Rect(-900, -700, 8_700, 4_700, "metal2", "n"))
+    vias = ArrayLink("via", 1_000, 1_200, [(metal1, 500), (metal2, 500)], "n")
+    vias.rebuild()
+    obj.rects.extend(vias.rects)
+    obj.add_link(vias)
+    obj.add_link(InsideLink(metal2, [(metal1, 400)]))
+    obj.add_link(InsideLink(metal1, [(diff, 300)]))
+    obj.rebuild_links()
+    return obj.mirror_y(0)
+
+
+BUILDERS = {
+    "nested": _nested,
+    "pdiff_row": lambda tech: contact_row(tech, "pdiff", w=4.0, length=6.0, net="a"),
+    "poly_row": lambda tech: contact_row(tech, "poly", w=2.0, length=12.0, net="g"),
+    "transistor": lambda tech: mos_transistor(tech, w=8.0, length=1.0),
+    "guarded": _guarded,
+    "interdigitated": lambda tech: interdigitated_transistor(
+        tech, w=12.0, length=1.0, fingers=3
+    ),
+}
+
+CELLS = [(tech, name) for tech in TECHS for name in BUILDERS]
+
+
+@lru_cache(maxsize=None)
+def _cell(key):
+    tech_name, name = key
+    cell = BUILDERS[name](get_technology(tech_name))
+    assert cell.links, f"{name} has no links"
+    return cell
+
+
+def _fresh(key):
+    return _cell(key).snapshot()
+
+
+selectors = st.integers(min_value=0, max_value=1023)
+directions = st.sampled_from(list(Direction))
+amounts = st.integers(min_value=50, max_value=12_000)
+
+operations = st.one_of(
+    st.tuples(st.just("shrink"), selectors, directions, amounts),
+    st.tuples(st.just("stretch"), selectors, directions, amounts),
+    st.tuples(st.just("mirror_x"), st.integers(-5_000, 5_000)),
+    st.tuples(st.just("mirror_y"), st.integers(-5_000, 5_000)),
+    st.tuples(
+        st.just("merge"),
+        st.sampled_from(CELLS),
+        st.integers(-30_000, 30_000),
+        st.integers(-30_000, 30_000),
+    ),
+    st.tuples(st.just("alt"), selectors, directions, amounts),
+    st.tuples(st.just("snapshot")),
+)
+
+
+def _pick(obj, selector):
+    """Index (into ``obj.rects``) of a non-empty rect chosen by *selector*."""
+    live = [i for i, rect in enumerate(obj.rects) if not rect.is_empty]
+    return live[selector % len(live)]
+
+
+def _tuples(obj):
+    return [rect.as_tuple() for rect in obj.rects]
+
+
+@contextmanager
+def _reported_ids():
+    """Collect every id handed to ``FrontierIndex.note_changed_ids``."""
+    reported = set()
+    original = FrontierIndex.note_changed_ids
+
+    def note(index, ids):
+        ids = set(ids)
+        reported.update(ids)
+        original(index, ids)
+
+    FrontierIndex.note_changed_ids = note
+    try:
+        yield reported
+    finally:
+        FrontierIndex.note_changed_ids = original
+
+
+def _move(obj, twin, kind, selector, direction, amount):
+    """Move one edge of *obj*; replay the outcome on *twin* by hand.
+
+    Returns the ids *obj* reported to its frontier index and its rect
+    tuples (by id) from before the move.
+    """
+    index = _pick(obj, selector)
+    rect, twin_rect = obj.rects[index], twin.rects[index]
+    obj.frontier_index()
+    before = {id(r): r.as_tuple() for r in obj.rects}
+    sign = 1 if direction.is_positive else -1
+    edge = rect.edge_coord(direction)
+    with _reported_ids() as reported:
+        if kind == "shrink":
+            coord = obj.move_edge(rect, direction, edge - sign * amount)
+        else:
+            coord = edge + sign * amount
+            obj.move_stretch(rect, direction, coord)
+    if kind == "stretch":
+        for link in twin.links:
+            if isinstance(link, InsideLink) and link.inner is twin_rect:
+                link.release(direction)
+    twin_rect.set_edge_coord(direction, coord)
+    solve_links_fixpoint(twin)
+    return reported, before
+
+
+def _restore(obj, saved):
+    """The ALT rollback: the object takes over a copy's lists."""
+    obj.rects = saved.rects
+    obj.links = saved.links
+    obj.labels = saved.labels
+
+
+def _apply(obj, twin, op):
+    """Apply *op* to both objects; returns the object to continue on."""
+    kind = op[0]
+    if kind in ("shrink", "stretch"):
+        reported, before = _move(obj, twin, *op)
+        for rect in obj.rects:
+            if before.get(id(rect)) != rect.as_tuple():
+                assert id(rect) in reported, (rect, before.get(id(rect)))
+    elif kind == "mirror_x":
+        obj.mirror_x(op[1])
+        twin.mirror_x(op[1])
+    elif kind == "mirror_y":
+        obj.mirror_y(op[1])
+        twin.mirror_y(op[1])
+    elif kind == "merge":
+        other = _fresh(op[1])
+        if other.tech is obj.tech:
+            other.translate(op[2], op[3])
+            obj.merge(other)
+            twin.merge(other)
+    elif kind == "snapshot":  # the order search continues on a snapshot
+        obj = obj.snapshot()
+    else:  # alt: a branch moves an edge, fails, and is rolled back
+        saved, twin_saved = obj.copy(), twin.copy()
+        _move(obj, twin, "shrink", *op[1:])
+        _restore(obj, saved)
+        _restore(twin, twin_saved)
+    return obj
+
+
+NESTED = ("generic_bicmos_1u", "nested")
+
+
+@settings(
+    max_examples=120,
+    suppress_health_check=[HealthCheck.too_slow],
+    deadline=None,
+)
+@given(st.sampled_from(CELLS), st.lists(operations, min_size=1, max_size=8))
+# A move that reaches only the diffusion: the vias are fixed only because
+# their links are pending (copied by snapshot, or re-marked by a mirror).
+@example(NESTED, [("stretch", 0, Direction.EAST, 1_000)])
+@example(NESTED, [("shrink", 3, Direction.NORTH, 50), ("mirror_y", 0),
+                  ("stretch", 0, Direction.EAST, 1_000)])
+def test_seeded_solver_equals_fixpoint(key, ops):
+    obj = _fresh(key)
+    twin = obj.snapshot()
+    for op in ops:
+        obj = _apply(obj, twin, op)
+        assert _tuples(obj) == _tuples(twin), op
+
+
+def test_rebuild_links_equals_fixpoint(tech):
+    """``rebuild_links`` is the same solver seeded with every link."""
+    row = contact_row(tech, "pdiff", w=4.0, length=6.0, net="a")
+    twin = row.snapshot()
+    for obj in (row, twin):
+        for link in obj.links:
+            for outer, _ in getattr(link, "outers", ()):
+                outer.x2 += 7_300
+                outer.y1 -= 1_100
+    row.rebuild_links()
+    solve_links_fixpoint(twin)
+    assert _tuples(row) == _tuples(twin)
+
+
+def test_edge_move_rebuilds_only_reached_links(tech):
+    """A settled object's edge move rebuilds the moved rect's links only."""
+    main = LayoutObject("main", tech)
+    rows = [contact_row(tech, "pdiff", w=4.0, length=6.0, net=f"n{i}") for i in range(4)]
+    for i, row in enumerate(rows):
+        main.merge(row.translate(i * 40_000, 0))
+    main.rebuild_links()
+    metal = next(r for r in main.rects if r.layer == "metal1")
+    reached = [link for link in main.links
+               if any(rect is metal for rect in link.involved_rects())]
+    sink = StatsSink()
+    with activate(Tracer(sinks=[sink])):
+        main.move_stretch(metal, Direction.EAST, metal.x2 + 20_000)
+    # Each reached link is rebuilt, and once more when it changed a rect.
+    assert 0 < sink.counters["links.rebuild_calls"] <= 2 * len(reached)
+    assert len(main.links) > 2 * len(reached)

@@ -245,6 +245,27 @@ def test_counters_report_fewer_pairs_than_brute():
     )
 
 
+def test_cut_sweeps_each_plate_layer_once():
+    """``contact`` lands ``metal1`` through six BiCMOS connections; the
+    build and an append each test the cut against ``metal1`` once."""
+    pad = Rect(0, 0, 2_000, 2_000, "metal1", "a")
+    cut = Rect(500, 500, 1_500, 1_500, "contact", "a")
+
+    def scanned(fn):
+        stats = StatsSink()
+        with activate(Tracer(sinks=[stats])):
+            fn()
+        return stats.counter("nets.pairs_scanned")
+
+    assert scanned(lambda: ConnectivityIndex([pad, cut], TECH).components()) == 1
+    source = [pad]
+    index = ConnectivityIndex(source, TECH)
+    index.components()
+    source.append(cut)
+    assert scanned(index.components) == 1
+    assert len(index.components()) == 1
+
+
 def test_cache_hits_are_counted():
     index = ConnectivityIndex([Rect(0, 0, 10, 10, "metal1", "a")], TECH)
     tracer = Tracer(enabled=True)

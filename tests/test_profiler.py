@@ -6,7 +6,10 @@ mean the sampler never ran.  Memory mode is deterministic via tracemalloc.
 """
 
 import re
+import sys
 import time
+
+import pytest
 
 from repro.cli import main
 from repro.obs.profiler import SamplingProfiler, _frame_label
@@ -45,6 +48,18 @@ def test_wall_mode_catches_the_hot_function():
     hot = [ln for ln in folded.splitlines() if "_spin" in ln]
     assert hot and all(ln.split()[0].split(";")[-1].endswith("._spin")
                        or "_spin" in ln.split()[0] for ln in hot)
+
+
+def test_fast_sampler_shortens_the_switch_interval():
+    """A sub-5 ms sampler lowers the GIL switch interval while it runs, so
+    it can wake at its own period; stop restores the interval."""
+    default = sys.getswitchinterval()
+    profiler = SamplingProfiler(interval_s=default / 10)
+    with profiler:
+        assert sys.getswitchinterval() == pytest.approx(profiler.interval_s)
+    assert sys.getswitchinterval() == default
+    with SamplingProfiler(interval_s=default * 2):
+        assert sys.getswitchinterval() == default
 
 
 def test_top_table_ranks_spin_first():

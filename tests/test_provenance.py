@@ -13,7 +13,7 @@ from repro.compact import Compactor
 from repro.db import LayoutObject
 from repro.drc import run_drc
 from repro.geometry import Direction, Rect
-from repro.io import dumps_cif, dumps_gds
+from repro.io import dumps_cif, dumps_gds, read_gds
 from repro.lang import Interpreter, Runtime, translate
 from repro.library import contact_row, diff_pair
 from repro.obs import ProvenanceRecorder, get_recorder, recording
@@ -82,8 +82,10 @@ def test_python_builder_decorator_records_stack(tech, recorder):
 # ---------------------------------------------------------------------------
 # lineage through compaction (Fig. 5a / 5b)
 # ---------------------------------------------------------------------------
-def test_array_rebuild_links_new_cuts_to_ancestor(tech, recorder):
-    """Fig. 5b: cuts added by a rebuild carry "rebuild" lineage."""
+def test_array_rebuild_links_new_cuts_to_ancestor(tech, recorder, tmp_path):
+    """Fig. 5b: cuts added by a rebuild carry "rebuild" lineage and join
+    the object, so DRC, nets and GDS see every cut and snapshots copy
+    them."""
     row = contact_row(tech, "pdiff", w=4.0, length=6.0, net="a")
     link = next(l for l in row.links if hasattr(l, "cut_layer"))
     creation = link.prov
@@ -99,6 +101,17 @@ def test_array_rebuild_links_new_cuts_to_ancestor(tech, recorder):
         assert rect.prov is not None
         assert ("rebuild", creation) in rect.prov.lineage
         assert rect.prov.entity_stack == creation.entity_stack
+    assert [r for r in row.rects if r.layer == "contact" and not r.is_empty] == grown
+    path = tmp_path / "row.gds"
+    path.write_bytes(dumps_gds(row))
+    (read,) = read_gds(path, tech)
+    written = sorted(r.as_tuple() for r in read.rects if r.layer == "contact")
+    assert written == sorted(r.as_tuple() for r in grown)
+    twin = row.snapshot()
+    twin_link = next(l for l in twin.links if hasattr(l, "cut_layer"))
+    twin_ids = {id(r) for r in twin.rects}
+    assert all(id(r) in twin_ids for r in twin_link.rects)
+    assert not {id(r) for r in twin_link.rects} & {id(r) for r in link.rects}
 
 
 def test_compacted_contact_row_keeps_ancestry(tech, compactor, recorder):

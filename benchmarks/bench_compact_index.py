@@ -5,7 +5,9 @@ candidate gathering, auto-connect resident lookup, bridge blocking) used to
 be rebuilt from ``main.rects`` on every step and every shrink round.  The
 :class:`~repro.compact.index.FrontierIndex` keeps that state persistent per
 layout object and updates it incrementally as rects merge, stretch and
-shrink.  This bench races ``Compactor(use_index=...)`` off vs on over
+shrink.  This bench races the from-scratch
+:class:`repro.verify.reference.ScanCompactor` ("unindexed") against
+``Compactor`` ("indexed") over
 
 * the full BiCMOS amplifier build (the paper's flagship module), and
 * a successive row packing stretched 10x past its tier-1 size, where the
@@ -30,6 +32,7 @@ from repro.db import LayoutObject
 from repro.geometry import Direction
 from repro.library import contact_row
 from repro.obs import StatsSink, Tracer, activate
+from repro.verify.reference import ScanCompactor
 
 RESULTS_DIR = Path(__file__).parent / "results"
 SMOKE = bool(int(os.environ.get("BENCH_SMOKE", "0")))
@@ -94,8 +97,7 @@ def _row_objects(tech, count):
     return objects
 
 
-def _pack_row(tech, objects, use_index):
-    compactor = Compactor(use_index=use_index)
+def _pack_row(tech, objects, compactor):
     main = LayoutObject("row", tech)
     for index, obj in enumerate(objects):
         compactor.compact(
@@ -113,10 +115,10 @@ def test_frontier_index_speedup(tech, record, benchmark, ledger_append):
     for count in ROW_SIZES:
         objects = _row_objects(tech, count)
         off, off_entry = _traced(
-            lambda: _pack_row(tech, [o.copy() for o in objects], False)
+            lambda: _pack_row(tech, [o.copy() for o in objects], ScanCompactor())
         )
         on, on_entry = _traced(
-            lambda: _pack_row(tech, [o.copy() for o in objects], True)
+            lambda: _pack_row(tech, [o.copy() for o in objects], Compactor())
         )
         assert _signature(off) == _signature(on)  # byte-identical packing
         entry = {
@@ -141,16 +143,16 @@ def test_frontier_index_speedup(tech, record, benchmark, ledger_append):
         assert entry["pairs_ratio"] >= floor, entry
     report["row"] = {"sizes": sizes}
 
-    benchmark(lambda: _pack_row(tech, _row_objects(tech, BASE_ROW), True))
+    benchmark(lambda: _pack_row(tech, _row_objects(tech, BASE_ROW), Compactor()))
 
     # ----------------------------------------------------------- amplifier
     amp_repeats = 1 if SMOKE else 3
     amp_off, off_entry = _traced(
-        lambda: build_amplifier(tech, compactor=Compactor(use_index=False)),
+        lambda: build_amplifier(tech, compactor=ScanCompactor()),
         repeats=amp_repeats,
     )
     amp_on, on_entry = _traced(
-        lambda: build_amplifier(tech, compactor=Compactor(use_index=True)),
+        lambda: build_amplifier(tech, compactor=Compactor()),
         repeats=amp_repeats,
     )
     assert _signature(amp_off) == _signature(amp_on)

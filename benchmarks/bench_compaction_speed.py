@@ -15,6 +15,7 @@ from repro.compact import Compactor
 from repro.db import LayoutObject
 from repro.geometry import Direction
 from repro.library import contact_row
+from repro.verify.reference import ScanCompactor
 
 SIZES = (4, 8, 16, 24)
 
@@ -86,7 +87,11 @@ def test_frontier_filter_ablation(tech, record, benchmark):
     objects = make_objects(tech, 12)
 
     def pack(use_frontier):
-        compactor = Compactor(variable_edges=False, use_frontier=use_frontier)
+        compactor = (
+            Compactor(variable_edges=False)
+            if use_frontier
+            else ScanCompactor(variable_edges=False, frontier=False)
+        )
         main = LayoutObject("row", tech)
         for obj in objects:
             compactor.compact(main, obj.copy(), Direction.WEST)

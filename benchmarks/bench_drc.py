@@ -5,9 +5,11 @@ dominant hotspot of the amplifier build (``check_spacing`` /
 ``_Components`` ≈ 60% of sampled time).  :class:`repro.drc.index.DrcIndex`
 replaces the quadratic component loop with sweep-fed union-find and the
 all-pairs spacing scan with rule-radius dilated candidate sweeps, behind
-``run_drc(obj, use_index=True)``.
+``run_drc``.
 
-This bench races brute vs indexed full DRC over
+This bench races the brute reference
+(:func:`repro.verify.reference.run_drc_brute`) against the indexed
+``run_drc`` over
 
 * the full BiCMOS amplifier layout (the paper's flagship module),
 * a compactor-packed contact row (the stretched tier-1 workload), and
@@ -34,6 +36,7 @@ from repro.drc import run_drc
 from repro.geometry import Direction, Rect
 from repro.library import contact_row
 from repro.obs import StatsSink, Tracer, activate
+from repro.verify.reference import run_drc_brute
 
 RESULTS_DIR = Path(__file__).parent / "results"
 SMOKE = bool(int(os.environ.get("BENCH_SMOKE", "0")))
@@ -130,10 +133,10 @@ def _race(label, obj, lines, report):
     obj.rects.sort(key=lambda r: (r.layer, r.x1, r.y1, r.x2, r.y2, r.net or ""))
     obj.invalidate_index()
     brute, brute_entry = _traced(
-        lambda: run_drc(obj, include_latchup=False, use_index=False)
+        lambda: run_drc_brute(obj, include_latchup=False)
     )
     indexed, on_entry = _traced(
-        lambda: run_drc(obj, include_latchup=False, use_index=True)
+        lambda: run_drc(obj, include_latchup=False)
     )
     assert _signature(indexed) == _signature(brute)  # identical violations
     entry = {
@@ -180,7 +183,7 @@ def test_drc_index_speedup(tech, record, benchmark, ledger_append):
     for size in SOUP_SIZES:
         _race(f"soup{size}", _random_soup(tech, size), lines, report)
 
-    benchmark(lambda: run_drc(amp, include_latchup=False, use_index=True))
+    benchmark(lambda: run_drc(amp, include_latchup=False))
 
     lines += [
         "shape vs paper: identical violation lists either way — the index",

@@ -1,6 +1,6 @@
 """T-NETS — perf: indexed connectivity extraction vs the all-pairs reference.
 
-:func:`repro.db.nets.extract_connectivity_brute` tests every conducting
+:func:`repro.verify.reference.extract_connectivity_brute` tests every conducting
 rect pair — on the profiled amplifier build that made ``extract_
 connectivity`` the top hotspot, repeated once per net by the global router
 and again by the verification oracles.  The :class:`~repro.db.netindex.
@@ -26,10 +26,10 @@ import time
 from pathlib import Path
 
 from repro.amplifier import build_amplifier
-from repro.db import extract_connectivity_brute
 from repro.db.netindex import ConnectivityIndex
 from repro.geometry import Rect
 from repro.obs import StatsSink, Tracer, activate
+from repro.verify.reference import extract_connectivity_brute
 
 RESULTS_DIR = Path(__file__).parent / "results"
 SMOKE = bool(int(os.environ.get("BENCH_SMOKE", "0")))

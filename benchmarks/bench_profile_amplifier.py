@@ -15,8 +15,9 @@ shared or its sweeps regressed to quadratic.  Likewise the DRC checker's
 ``check_spacing`` / ``_Components`` (the post-netindex dominant hotspot,
 now served by :class:`~repro.drc.index.DrcIndex`) and the per-cut
 enclosure layer scan ``_enclosed_by_any`` (now served by the index's
-enclosure sweep) must stay out of the top-5 — their reappearance means
-``run_drc`` fell back to the all-pairs reference path.  The link solver
+enclosure sweep) must stay out of the top-5.  The last two live only in
+the test oracle :mod:`repro.verify.reference`, so their appearance means
+production called the oracle.  The link solver
 (``LayoutObject._solve_links``) and the ``ArrayLink`` frames must stay out
 of the top-5 as well: an edge move rebuilds only the links it reaches, and
 their reappearance means solves went back to every link of the object.

@@ -182,9 +182,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
 def cmd_drc(args: argparse.Namespace) -> int:
     tech = _resolve_tech(args.tech)
     layout = _load_layout(args.layout, tech)
-    violations = run_drc(
-        layout, include_latchup=not args.no_latchup, use_index=not args.brute
-    )
+    violations = run_drc(layout, include_latchup=not args.no_latchup)
     print(format_report(violations))
     return 1 if violations else 0
 
@@ -596,11 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
     drc.add_argument("layout")
     drc.add_argument("--tech", default="generic_bicmos_1u")
     drc.add_argument("--no-latchup", action="store_true")
-    drc.add_argument(
-        "--brute",
-        action="store_true",
-        help="use the all-pairs reference checker instead of the sweep index",
-    )
     drc.set_defaults(func=cmd_drc)
 
     render = sub.add_parser("render", help="render a layout file to SVG")

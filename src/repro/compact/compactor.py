@@ -21,22 +21,13 @@ One :meth:`Compactor.compact` call:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..db import LayoutObject
 from ..geometry import Axis, Direction, Rect
 from ..obs import get_logger, get_tracer
 from ..obs.provenance import get_recorder
-from .separation import (
-    PairConstraint,
-    _pair_profile,
-    bridge_profile,
-    frontier_filter,
-    gather_constraints,
-    gather_constraints_grouped,
-    pair_travel,
-    required_spacing,
-)
+from .separation import PairConstraint, _pair_profile, gather_constraints_grouped
 
 #: Hard cap on variable-edge iterations per compaction step.
 MAX_SHRINK_ROUNDS = 64
@@ -59,28 +50,23 @@ class Compactor:
     """Successive compactor bound to nothing but a flag set.
 
     ``variable_edges`` switches the Fig. 5b optimization; ``auto_connect``
-    switches the Fig. 5a same-potential connection; ``use_frontier`` enables
-    the outer-edge pruning speed-up.  All default on, matching the paper.
+    switches the Fig. 5a same-potential connection.  Both default on,
+    matching the paper.
 
-    ``use_index`` routes the hot scans (frontier pruning, candidate
-    gathering, auto-connect resident lookup, bridge blocking) through the
-    persistent per-object :class:`~repro.compact.index.FrontierIndex`
-    instead of per-step rebuilds.  Results are identical either way — the
-    differential harness races both modes — so the flag exists for that
-    comparison and as an escape hatch, not as a semantic switch.
+    The hot scans (outer-edge frontier pruning, candidate gathering,
+    auto-connect resident lookup, bridge blocking) go through the
+    persistent per-object :class:`~repro.compact.index.FrontierIndex`.
+    :class:`repro.verify.reference.ScanCompactor` is the same compactor
+    with from-scratch scans; the differential harness races the two.
     """
 
     def __init__(
         self,
         variable_edges: bool = True,
         auto_connect: bool = True,
-        use_frontier: bool = True,
-        use_index: bool = True,
     ) -> None:
         self.variable_edges = variable_edges
         self.auto_connect = auto_connect
-        self.use_frontier = use_frontier
-        self.use_index = use_index
         #: Lifetime count of :meth:`compact` invocations.  The search-tree
         #: order optimizer is specified as "one compaction per distinct
         #: order prefix"; tests and benchmarks assert against this counter.
@@ -225,32 +211,18 @@ class Compactor:
     ) -> List[PairConstraint]:
         moving = obj.nonempty_rects
         tracer = get_tracer()
-        if self.use_frontier and self.use_index:
-            index = main.frontier_index()
-            arrival_nets = frozenset(
-                rect.net for rect in moving if rect.net is not None
-            )
-            groups = index.frontier_groups(direction, arrival_nets)
-            survivors = sum(len(rects) for _, rects in groups)
-            tracer.count("compact.frontier_dropped", index.nonempty - survivors)
-            groups = self._prune_window(
-                main.tech, moving, groups, direction, ignore, tracer
-            )
-            constraints = gather_constraints_grouped(
-                main.tech, moving, groups, direction, ignore
-            )
-            tracer.count("compact.constraints", len(constraints))
-            return constraints
-        fixed = main.nonempty_rects
-        if self.use_frontier:
-            arrival_nets = frozenset(
-                rect.net for rect in moving if rect.net is not None
-            )
-            before = len(fixed)
-            fixed = frontier_filter(fixed, direction, arrival_nets)
-            tracer.count("compact.frontier_dropped", before - len(fixed))
-        constraints = gather_constraints(
-            main.tech, moving, fixed, direction, ignore
+        index = main.frontier_index()
+        arrival_nets = frozenset(
+            rect.net for rect in moving if rect.net is not None
+        )
+        groups = index.frontier_groups(direction, arrival_nets)
+        survivors = sum(len(rects) for _, rects in groups)
+        tracer.count("compact.frontier_dropped", index.nonempty - survivors)
+        groups = self._prune_window(
+            main.tech, moving, groups, direction, ignore, tracer
+        )
+        constraints = gather_constraints_grouped(
+            main.tech, moving, groups, direction, ignore
         )
         tracer.count("compact.constraints", len(constraints))
         return constraints
@@ -484,28 +456,7 @@ class Compactor:
         applied when the bridging strip does not cross foreign geometry on
         the same layer (which would create a short).
         """
-        new_ids = set(map(id, new_rects))
-        # Bucket residents by (net, layer) once: only same-net same-layer
-        # pairs can connect, so the arrival loop skips everything else.  The
-        # index already keeps those buckets; fetch (and filter, at this same
-        # pre-loop moment) only the keys the arrivals will ask for.
-        index = main.frontier_index() if self.use_index else None
-        residents: dict = {}
-        if index is not None:
-            for rect in new_rects:
-                if rect.net is None or rect.is_empty:
-                    continue
-                key = (rect.net, rect.layer)
-                if key not in residents:
-                    residents[key] = [
-                        r
-                        for r in index.residents(*key)
-                        if not r.is_empty and id(r) not in new_ids
-                    ]
-        else:
-            for rect in main.nonempty_rects:
-                if id(rect) not in new_ids and rect.net is not None:
-                    residents.setdefault((rect.net, rect.layer), []).append(rect)
+        residents = self._residents(main, new_rects)
         connected = 0
         perp = direction.axis.other
         sign = 1 if direction.is_positive else -1
@@ -534,12 +485,7 @@ class Compactor:
                 bridge = self._bridge_rect(arrival, resident, direction)
                 if bridge is None:
                     continue
-                blocked = (
-                    index.bridge_blocked(bridge, arrival.net)
-                    if index is not None
-                    else self._bridge_blocked(main, bridge, arrival.net)
-                )
-                if blocked:
+                if self._bridge_blocked(main, bridge, arrival.net):
                     continue
                 main.move_stretch(resident, direction.opposite, lead)
                 if resident.prov is not None and arrival.prov is not None:
@@ -568,28 +514,35 @@ class Compactor:
             return Rect(coords[0], lo, coords[1], hi, resident.layer, resident.net)
         return Rect(lo, coords[0], hi, coords[1], resident.layer, resident.net)
 
+    def _residents(
+        self, main: LayoutObject, new_rects: Sequence[Rect]
+    ) -> Dict[Tuple[str, str], List[Rect]]:
+        """(net, layer) -> non-empty residents of *main* the arrivals may join.
+
+        Only same-net same-layer pairs can connect, so the arrival loop
+        skips everything else.  The index already keeps those buckets;
+        fetch (and filter, before the loop) only the keys arrivals ask for.
+        """
+        new_ids = set(map(id, new_rects))
+        index = main.frontier_index()
+        residents: Dict[Tuple[str, str], List[Rect]] = {}
+        for rect in new_rects:
+            if rect.net is None or rect.is_empty:
+                continue
+            key = (rect.net, rect.layer)
+            if key not in residents:
+                residents[key] = [
+                    r
+                    for r in index.residents(*key)
+                    if not r.is_empty and id(r) not in new_ids
+                ]
+        return residents
+
     def _bridge_blocked(self, main: LayoutObject, bridge: Rect, net: str) -> bool:
         """True when stretching across *bridge* would violate a rule.
 
-        Checked against every foreign-net rect: same-layer spacing (shorts),
-        cross-layer spacing, and EXTEND relationships — a poly bridge must
-        never cross diffusion (it would create a transistor).  The per-rect
-        rule questions are hoisted to one memoized :func:`bridge_profile`
-        lookup per layer pair.  (The indexed path answers this through
-        :meth:`FrontierIndex.bridge_blocked`, which additionally skips whole
-        layers by bucket envelope.)
+        Answered by :meth:`FrontierIndex.bridge_blocked`: same-layer spacing
+        (shorts), cross-layer spacing, and EXTEND relationships — a poly
+        bridge must never cross diffusion (it would create a transistor).
         """
-        tech = main.tech
-        bridge_layer = bridge.layer
-        for rect in main.nonempty_rects:
-            profile = bridge_profile(tech, bridge_layer, rect.layer)
-            if profile is None:
-                continue  # no spacing rule, no device rule: cannot block
-            connect, spacing, forms_device = profile
-            if connect and rect.net == net:
-                continue
-            if forms_device and bridge.intersects(rect):
-                return True
-            if spacing is not None and bridge.grown(spacing).intersects(rect):
-                return True
-        return False
+        return main.frontier_index().bridge_blocked(bridge, net)

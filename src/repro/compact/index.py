@@ -16,21 +16,23 @@ Structure, per owning object:
   (``seq`` = position in ``owner.rects``; positions never change because
   rects are only ever appended);
 * **per-direction frontier caches** — for each bucket, the survivors of the
-  nearest-first interval sweep, keyed by ``(direction, relevant_nets)`` and
-  cleared whenever any rect of that layer changes;
+  nearest-first interval sweep (:func:`~repro.compact.separation.
+  layer_frontier`, the same function ``frontier_filter`` runs), keyed by
+  ``(direction, relevant_nets)`` and cleared whenever any rect of that
+  layer changes;
 * **(net, layer) resident buckets** — the same-potential lookup
   :meth:`Compactor._auto_connect` needs;
 * **a grow-only bounding box per bucket** — a conservative envelope used to
   skip whole layers in bridge-blocking queries.
 
 Exactness contract: every query reproduces the from-scratch result *in the
-same order*.  Within a layer the sweep sorts by (facing-edge key, seq),
-which equals the stable sort :func:`frontier_filter` performs on the
-seq-ordered bucket; across layers, groups are emitted by the smallest seq
-of a layer's non-empty rects, which equals the first-occurrence order of
-``LayoutObject.nonempty_rects``.  ``tests/test_frontier_index.py`` pins
+same order*.  Within a layer both run :func:`layer_frontier` on the
+seq-ordered non-empty rects; across layers, groups are emitted by the
+smallest seq of a layer's non-empty rects, which equals the
+first-occurrence order of ``LayoutObject.nonempty_rects``.  ``tests/test_frontier_index.py`` pins
 this equivalence under randomized merge/stretch/shrink sequences, and the
-differential harness races an indexed against an unindexed compactor.
+differential harness races :class:`~repro.compact.Compactor` against the
+from-scratch :class:`repro.verify.reference.ScanCompactor`.
 
 Staleness: mutations that flow through :class:`~repro.db.LayoutObject`
 methods (``merge``, ``add_rect``, ``move_edge``, ``move_stretch``,
@@ -46,7 +48,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..geometry import Direction, Rect
 from ..obs import get_tracer
-from .separation import IntervalSet, bridge_profile
+from .separation import bridge_profile, layer_frontier
 
 __all__ = ["FrontierIndex", "LayerBucket"]
 
@@ -364,40 +366,11 @@ class FrontierIndex:
         if cached is not None:
             tracer.count("compact.index_sweep_hits")
             return cached
-        survivors = self._sweep(bucket, direction, arrival_nets)
+        survivors = layer_frontier(
+            [r for r in bucket.rects if not r.is_empty], direction, arrival_nets
+        )
         bucket.frontiers[key] = survivors
         tracer.count("compact.index_sweeps")
-        return survivors
-
-    @staticmethod
-    def _sweep(
-        bucket: LayerBucket, direction: Direction, arrival_nets: FrozenSet[str]
-    ) -> List[Rect]:
-        """One layer of ``frontier_filter``: nearest-first interval sweep."""
-        facing = direction.opposite
-        sign = 1 if direction.is_positive else -1
-        perp = direction.axis.other
-        layer_rects = [r for r in bucket.rects if not r.is_empty]
-        layer_rects.sort(key=lambda r: sign * r.edge_coord(facing))
-        survivors: List[Rect] = []
-        general = IntervalSet()
-        general_strict = IntervalSet()
-        per_net: dict = {}
-        for rect in layer_rects:
-            lo, hi = rect.span(perp)
-            cover = general_strict if rect.no_overlap else general
-            own = per_net.get(rect.net)
-            shadowed = cover.contains(lo, hi) or (
-                own is not None and own.contains(lo, hi)
-            )
-            if not shadowed:
-                survivors.append(rect)
-            if rect.net is None or rect.net not in arrival_nets:
-                general.add(lo, hi)
-                if rect.no_overlap:
-                    general_strict.add(lo, hi)
-            else:
-                per_net.setdefault(rect.net, IntervalSet()).add(lo, hi)
         return survivors
 
     def residents(self, net: str, layer: str) -> List[Rect]:

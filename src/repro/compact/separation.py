@@ -14,6 +14,7 @@ if so, how far the object may travel.  Encodes the paper's special cases:
 from __future__ import annotations
 
 import bisect
+import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -202,74 +203,21 @@ def gather_constraints(
     """All active pair constraints for one compaction step.
 
     Semantically the all-pairs product of :func:`required_spacing` and
-    :func:`pair_travel` (in that pair order), but the rule-table work is done
-    once per *layer pair* instead of once per *rect pair*: fixed rects are
-    pre-filtered per moving layer through a memoized :func:`_pair_profile`,
-    so layer pairs that can never constrain (no SPACE rule, not both
-    conducting) skip the inner loop entirely and the remaining pairs touch no
-    rule table at all.
+    :func:`pair_travel` (in that pair order).  The non-empty fixed rects
+    are split into runs of one layer and handed to
+    :func:`gather_constraints_grouped`, which does the rule-table work once
+    per *layer pair* instead of once per *rect pair*.
     """
-    ignore = frozenset(ignore_layers)
-    constraints: List[PairConstraint] = []
-    if not moving_rects or not fixed_rects:
-        return constraints
-
-    perp = direction.axis.other
-    facing = direction.opposite
-    sign = 1 if direction.is_positive else -1
-
-    profiles: Dict[Tuple[str, str], object] = {}
-    # Per moving layer: the fixed rects that can interact, in original order
-    # (relaxation iterates binding constraints in list order, so the fast
-    # path must preserve the naive loop's pair ordering exactly).
-    candidates: Dict[str, List[Tuple[Rect, Optional[int], bool, bool]]] = {}
-
-    def layer_candidates(moving_layer: str) -> List[Tuple[Rect, Optional[int], bool, bool]]:
-        cached = candidates.get(moving_layer)
-        if cached is not None:
-            return cached
-        rows: List[Tuple[Rect, Optional[int], bool, bool]] = []
-        for fixed in fixed_rects:
-            if fixed.layer in ignore or fixed.is_empty:
-                continue
-            profile = profiles.get((moving_layer, fixed.layer), _MISSING)
-            if profile is _MISSING:
-                profile = _pair_profile(tech, moving_layer, fixed.layer)
-                profiles[(moving_layer, fixed.layer)] = profile
-            if profile is None:
-                continue
-            rule, connect, conducting = profile
-            rows.append((fixed, rule, connect, conducting))
-        candidates[moving_layer] = rows
-        return rows
-
-    pairs_scanned = 0
-    for moving in moving_rects:
-        if moving.layer in ignore or moving.is_empty:
-            continue
-        net = moving.net
-        no_overlap = moving.no_overlap
-        lead = moving.edge_coord(direction)
-        m1, m2 = moving.span(perp)
-        rows = layer_candidates(moving.layer)
-        pairs_scanned += len(rows)
-        for fixed, rule, connect, conducting in rows:
-            if net is not None and net == fixed.net and connect:
-                continue
-            if rule is not None:
-                spacing = rule
-            elif conducting and (no_overlap or fixed.no_overlap):
-                spacing = 0
-            else:
-                continue
-            margin = spacing if spacing > 0 else 0
-            b1, b2 = fixed.span(perp)
-            if not (m1 - margin < b2 and b1 - margin < m2):
-                continue
-            travel = (fixed.edge_coord(facing) - lead) * sign - spacing
-            constraints.append(PairConstraint(moving, fixed, spacing, travel))
-    get_tracer().count("compact.pairs_scanned", pairs_scanned)
-    return constraints
+    groups = [
+        (layer, list(run))
+        for layer, run in itertools.groupby(
+            (rect for rect in fixed_rects if not rect.is_empty),
+            key=lambda rect: rect.layer,
+        )
+    ]
+    return gather_constraints_grouped(
+        tech, moving_rects, groups, direction, ignore_layers
+    )
 
 
 def gather_constraints_grouped(
@@ -282,13 +230,13 @@ def gather_constraints_grouped(
     """:func:`gather_constraints` over layer-grouped fixed rects.
 
     *fixed_groups* is ``[(layer, rects), ...]`` — the shape the frontier
-    index serves.  The result is identical (same constraints, same order) to
-    calling :func:`gather_constraints` on the concatenation of the groups:
-    the naive rows per moving layer are that concatenation filtered by the
-    layer-pair profile, i.e. whole groups kept or skipped in sequence.
-    Skipping happens per *group* here, so a moving rect never iterates
-    rects on layers that cannot constrain it.  Group members must be
-    non-empty (the frontier sweep guarantees this).
+    index serves.  The result equals the all-pairs product over the
+    concatenation of the groups, in order: the pairs per moving layer are
+    that concatenation filtered by the memoized layer-pair profile
+    (:func:`_pair_profile`), i.e. whole groups kept or skipped in sequence.
+    Layer pairs that can never constrain (no SPACE rule, not both
+    conducting) skip the inner loop entirely, and the remaining pairs touch
+    no rule table at all.  Group members must be non-empty.
     """
     ignore = frozenset(ignore_layers)
     constraints: List[PairConstraint] = []
@@ -368,6 +316,46 @@ class IntervalSet:
         return span[0] <= lo and hi <= span[1]
 
 
+def layer_frontier(
+    layer_rects: Sequence[Rect], direction: Direction, arrival_nets: FrozenSet[str]
+) -> List[Rect]:
+    """Frontier survivors of one layer's non-empty rects, nearest first.
+
+    A nearest-first sweep over interval unions: a rect whose perpendicular
+    span is covered by nearer rects can never bind.  Ties keep the input
+    order (stable sort).  See :func:`frontier_filter` for the two
+    soundness conditions on who may shadow whom.
+    """
+    facing = direction.opposite
+    sign = 1 if direction.is_positive else -1
+    perp = direction.axis.other
+    # Nearest first: the arriving object travels along `direction`, so the
+    # nearest facing edge is the one farthest AGAINST it — smallest
+    # sign-adjusted coordinate first.
+    ordered = sorted(layer_rects, key=lambda r: sign * r.edge_coord(facing))
+    survivors: List[Rect] = []
+    general = IntervalSet()  # shadowers safe against every arrival
+    general_strict = IntervalSet()  # ... that also dominate no_overlap
+    per_net: dict = {}
+    for rect in ordered:
+        lo, hi = rect.span(perp)
+        cover = general_strict if rect.no_overlap else general
+        own = per_net.get(rect.net)
+        shadowed = cover.contains(lo, hi) or (
+            own is not None and own.contains(lo, hi)
+        )
+        if not shadowed:
+            survivors.append(rect)
+        # Register this rect as a shadower for rects behind it.
+        if rect.net is None or rect.net not in arrival_nets:
+            general.add(lo, hi)
+            if rect.no_overlap:
+                general_strict.add(lo, hi)
+        else:
+            per_net.setdefault(rect.net, IntervalSet()).add(lo, hi)
+    return survivors
+
+
 def frontier_filter(
     rects: Sequence[Rect],
     direction: Direction,
@@ -385,41 +373,15 @@ def frontier_filter(
     * a plain rect may not shadow a ``no_overlap`` rect — when no spacing
       rule exists, only the latter constrains the motion.
 
-    Implemented as a nearest-first sweep over interval unions: O(n log n)
-    per compaction step instead of the naive all-pairs scan.
+    One :func:`layer_frontier` sweep per layer, layers in first-occurrence
+    order: O(n log n) per compaction step instead of the naive all-pairs
+    scan.
     """
-    facing = direction.opposite
-    sign = 1 if direction.is_positive else -1
-    perp = direction.axis.other
-
     by_layer: dict = {}
     for rect in rects:
         if not rect.is_empty:
             by_layer.setdefault(rect.layer, []).append(rect)
-
     survivors: List[Rect] = []
     for layer_rects in by_layer.values():
-        # Nearest first: the arriving object travels along `direction`, so
-        # the nearest facing edge is the one farthest AGAINST it — smallest
-        # sign-adjusted coordinate first.
-        layer_rects.sort(key=lambda r: sign * r.edge_coord(facing))
-        general = IntervalSet()  # shadowers safe against every arrival
-        general_strict = IntervalSet()  # ... that also dominate no_overlap
-        per_net: dict = {}
-        for rect in layer_rects:
-            lo, hi = rect.span(perp)
-            cover = general_strict if rect.no_overlap else general
-            own = per_net.get(rect.net)
-            shadowed = cover.contains(lo, hi) or (
-                own is not None and own.contains(lo, hi)
-            )
-            if not shadowed:
-                survivors.append(rect)
-            # Register this rect as a shadower for rects behind it.
-            if rect.net is None or rect.net not in arrival_nets:
-                general.add(lo, hi)
-                if rect.no_overlap:
-                    general_strict.add(lo, hi)
-            else:
-                per_net.setdefault(rect.net, IntervalSet()).add(lo, hi)
+        survivors.extend(layer_frontier(layer_rects, direction, arrival_nets))
     return survivors

@@ -68,14 +68,9 @@ class Environment:
         self,
         obj: LayoutObject,
         include_latchup: bool = True,
-        use_index: bool = True,
     ) -> List[Violation]:
-        """Run the full design-rule check.
-
-        ``use_index=False`` selects the all-pairs reference checker instead
-        of the sweep-indexed one; both report identical violations.
-        """
-        return run_drc(obj, include_latchup=include_latchup, use_index=use_index)
+        """Run the full design-rule check."""
+        return run_drc(obj, include_latchup=include_latchup)
 
     def rate(self, obj: LayoutObject) -> float:
         """Score a module with the environment's rating function."""

@@ -8,7 +8,6 @@ from .nets import (
     estimate_net_capacitance,
     estimate_net_resistance,
     extract_connectivity,
-    extract_connectivity_brute,
     net_is_connected,
     rc_report,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "estimate_net_capacitance",
     "estimate_net_resistance",
     "extract_connectivity",
-    "extract_connectivity_brute",
     "net_is_connected",
     "rc_report",
     "Label",

@@ -1,7 +1,7 @@
 """Indexed, shared connectivity extraction.
 
-:func:`repro.db.nets.extract_connectivity_brute` answers "which rects are
-electrically one node?" by testing every conducting rect pair — three
+:func:`repro.verify.reference.extract_connectivity_brute` answers "which
+rects are electrically one node?" by testing every conducting rect pair — three
 quadratic loops (same-layer touching, declared diffused junctions, cut
 joins) feeding a union-find.  On the profiled amplifier build that was the
 top hotspot: ~5.8M ``Rect.intersects`` calls, repeated once *per net* by
@@ -13,9 +13,9 @@ The :class:`ConnectivityIndex` removes both multipliers:
   (seq-ordered, the same idiom as :class:`repro.compact.index.
   FrontierIndex`); each interaction (same-layer touching, each declared
   overlap junction, each cut↔plate layer pair — once, though a cut layer
-  may reach one plate through several connections) runs a sort-by-``x1``
-  interval sweep that only tests pairs whose x-ranges can interact,
-  instead of all pairs;
+  may reach one plate through several connections) runs one call of the
+  shared :mod:`repro.geometry.sweep` kernel, which only tests pairs whose
+  x-ranges can interact, instead of all pairs;
 * **a cached-components layer** — one index owns one union-find over one
   rect list; :meth:`components`, :meth:`net_is_connected` and
   :meth:`connected_components_by_net` all answer from the same cached
@@ -25,23 +25,22 @@ The :class:`ConnectivityIndex` removes both multipliers:
   existing layer buckets, never by re-extracting.
 
 Exactness contract: :meth:`components` returns *the same partition in the
-same order* as the brute-force pass — groups ordered by their first member,
-members in source order.  ``tests/test_netindex.py`` pins the equivalence
-with a Hypothesis property over random rect soups and with
-diffusion/cut-semantics cases mirrored against the brute path.
+same order* as the all-pairs reference — groups ordered by their first
+member, members in source order.  ``tests/test_netindex.py`` pins the
+equivalence with a Hypothesis property over random rect soups and with
+diffusion/cut-semantics cases mirrored against the reference.
 
-Staleness: only **appends** to the source list are tracked.  Code that
-mutates coordinates, nets, layers or emptiness of already-indexed rects
-must call :meth:`invalidate` (or build a fresh index).  Truncating or
-replacing the source list triggers a full rebuild on the next query.
+Staleness: only **appends** to the source list are tracked; truncating it
+triggers a full rebuild on the next query.  After mutating coordinates,
+nets, layers or emptiness of already-indexed rects, build a fresh index.
 
 Deterministic counters (gated exactly by ``repro perf check``):
 
-* ``nets.pairs_scanned`` — geometric pair tests performed (the brute pass
-  counts here too, so indexed-vs-brute ratios are directly comparable);
+* ``nets.pairs_scanned`` — geometric pair tests performed (the reference
+  counts here too, so indexed-vs-reference ratios are directly comparable);
 * ``nets.candidates`` — candidate pairs the index's sweeps generated;
 * ``nets.cache_hits`` — queries served from the cached components;
-* ``nets.extractions`` — full builds (one per index unless invalidated).
+* ``nets.extractions`` — full builds (one per index unless truncated).
 """
 
 from __future__ import annotations
@@ -49,6 +48,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..geometry import Rect
+from ..geometry.sweep import pairs_across, pairs_within
 from ..obs import get_tracer
 from ..tech import Technology
 from ..tech.layer import LayerKind
@@ -99,14 +99,6 @@ class ConnectivityIndex:
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
-    def invalidate(self) -> None:
-        """Force a full re-extraction on the next query.
-
-        Required after mutating coordinates, nets, layers or emptiness of
-        rects that were already indexed; plain appends need no call.
-        """
-        self._built = False
-
     def sync(self) -> None:
         """Catch up with the source list (appends are incremental)."""
         rects = self._source
@@ -121,7 +113,7 @@ class ConnectivityIndex:
     # queries
     # ------------------------------------------------------------------
     def components(self) -> List[List[Rect]]:
-        """Connected components, identical to the brute-force extraction:
+        """Connected components, identical to the reference extraction:
         groups ordered by first member, members in source order."""
         self.sync()
         if self._components is not None:
@@ -223,7 +215,11 @@ class ConnectivityIndex:
                 self._net_members.setdefault(rect.net, []).append(index)
 
         self._dsu = DisjointSet(len(conducting))
+        union_all = self._union_all
         scanned = 0
+
+        def by_x1(indices: List[int]) -> List[int]:
+            return sorted(indices, key=lambda index: conducting[index].x1)
 
         # Same-layer touching (same-net-only on diffusion: crossing gates
         # split an active region electrically, so each net sweeps alone).
@@ -233,9 +229,9 @@ class ConnectivityIndex:
                 for index in indices:
                     by_net.setdefault(conducting[index].net, []).append(index)
                 for group in by_net.values():
-                    scanned += self._sweep_touching(group)
+                    scanned += union_all(pairs_within(conducting, by_x1(group), 1))
             else:
-                scanned += self._sweep_touching(indices)
+                scanned += union_all(pairs_within(conducting, by_x1(indices), 1))
 
         # Declared diffused junctions: overlap connects directly.
         for layer_a, layer_b in self.tech.overlap_connections():
@@ -244,7 +240,7 @@ class ConnectivityIndex:
             a_bucket = buckets.get(layer_a)
             b_bucket = buckets.get(layer_b)
             if a_bucket and b_bucket:
-                scanned += self._sweep_intersecting(a_bucket, b_bucket)
+                scanned += union_all(pairs_across(conducting, a_bucket, b_bucket))
 
         # Cross-layer through cuts: a cut rect joins everything it overlaps
         # on the layer pair(s) it connects.
@@ -252,7 +248,9 @@ class ConnectivityIndex:
             for plate_layer in _plate_layers(self.tech, layer):
                 plate_bucket = buckets.get(plate_layer)
                 if plate_bucket:
-                    scanned += self._sweep_intersecting(indices, plate_bucket)
+                    scanned += union_all(
+                        pairs_across(conducting, indices, plate_bucket)
+                    )
 
         self._built = True
         self._tracked = len(rects)
@@ -261,68 +259,13 @@ class ConnectivityIndex:
         tracer.count("nets.candidates", scanned)
         tracer.count("nets.pairs_scanned", scanned)
 
-    def _sweep_touching(self, indices: List[int]) -> int:
-        """Closed-interval x-sweep; unions pairs that touch or overlap.
-
-        Returns the number of candidate pairs tested.  Stable sort on
-        ``x1`` keeps ties in source order; the active list holds every
-        earlier rect whose right edge has not yet passed the sweep line,
-        so exactly the pairs with touching x-ranges are tested.
-        """
-        conducting = self._conducting
+    def _union_all(self, found: Tuple[List[Tuple[int, int]], int]) -> int:
+        """Union every pair a sweep found; returns the pairs it tested."""
+        pairs, tested = found
         union = self._dsu.union
-        items = sorted(indices, key=lambda index: conducting[index].x1)
-        active: List[int] = []
-        scanned = 0
-        for i in items:
-            rect = conducting[i]
-            x1 = rect.x1
-            y1 = rect.y1
-            y2 = rect.y2
-            keep: List[int] = []
-            for j in active:
-                other = conducting[j]
-                if other.x2 < x1:
-                    continue
-                keep.append(j)
-                scanned += 1
-                if other.y1 <= y2 and y1 <= other.y2:
-                    union(i, j)
-            keep.append(i)
-            active = keep
-        return scanned
-
-    def _sweep_intersecting(self, a_indices: List[int], b_indices: List[int]) -> int:
-        """Open-interval x-sweep between two buckets; unions overlaps.
-
-        Returns the number of candidate pairs tested.  Only cross-bucket
-        pairs are candidates; interiors must overlap (edge-touching does
-        not connect across layers, matching ``Rect.intersects``).
-        """
-        conducting = self._conducting
-        union = self._dsu.union
-        events = sorted(
-            [(conducting[i].x1, 0, i) for i in a_indices]
-            + [(conducting[i].x1, 1, i) for i in b_indices]
-        )
-        actives: List[List[int]] = [[], []]
-        scanned = 0
-        for x1, side, i in events:
-            rect = conducting[i]
-            y1 = rect.y1
-            y2 = rect.y2
-            keep: List[int] = []
-            for j in actives[1 - side]:
-                other = conducting[j]
-                if other.x2 <= x1:
-                    continue
-                keep.append(j)
-                scanned += 1
-                if other.y1 < y2 and y1 < other.y2:
-                    union(i, j)
-            actives[1 - side] = keep
-            actives[side].append(i)
-        return scanned
+        for i, j in pairs:
+            union(i, j)
+        return tested
 
     # ------------------------------------------------------------------
     # incremental appends

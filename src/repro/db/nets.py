@@ -10,17 +10,15 @@ Used for three things:
 
 :func:`extract_connectivity` delegates to the indexed extractor
 (:class:`repro.db.netindex.ConnectivityIndex` — per-layer sweeps feeding the
-union-find); the original all-pairs implementation survives as
-:func:`extract_connectivity_brute`, the reference the equivalence tests and
-benchmarks race the index against.
+union-find); the original all-pairs implementation is the test oracle
+:func:`repro.verify.reference.extract_connectivity_brute`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..geometry import Rect
-from ..obs import get_tracer
 from ..tech import Technology
 
 
@@ -80,74 +78,6 @@ def extract_connectivity(rects: Sequence[Rect], tech: Technology) -> List[List[R
     from .netindex import ConnectivityIndex
 
     return ConnectivityIndex(rects, tech).components()
-
-
-def extract_connectivity_brute(
-    rects: Sequence[Rect], tech: Technology
-) -> List[List[Rect]]:
-    """Reference all-pairs extraction (see :func:`extract_connectivity`).
-
-    Quadratic in the conducting rect count; kept as the oracle the indexed
-    path is verified and benchmarked against.  Counts every pair test on
-    the ``nets.pairs_scanned`` tracer counter.
-    """
-    from ..tech.layer import LayerKind
-
-    def is_diffusion(rect: Rect) -> bool:
-        return tech.layer(rect.layer).kind is LayerKind.DIFFUSION
-
-    conducting = [
-        r
-        for r in rects
-        if not r.is_empty
-        and tech.layer(r.layer).conducting
-        and not (is_diffusion(r) and r.net is None)
-    ]
-    dsu = DisjointSet(len(conducting))
-    scanned = 0
-
-    by_layer: Dict[str, List[int]] = {}
-    for index, rect in enumerate(conducting):
-        by_layer.setdefault(rect.layer, []).append(index)
-
-    # Same-layer touching (same-net only on diffusion: crossing gates split
-    # an active region electrically).
-    for indices in by_layer.values():
-        for pos, i in enumerate(indices):
-            for j in indices[pos + 1:]:
-                a, b = conducting[i], conducting[j]
-                scanned += 1
-                if is_diffusion(a) and a.net != b.net:
-                    continue
-                if a.touches_or_intersects(b):
-                    dsu.union(i, j)
-
-    # Declared diffused junctions: overlapping shapes connect directly.
-    for i, a in enumerate(conducting):
-        for j in range(i + 1, len(conducting)):
-            b = conducting[j]
-            scanned += 1
-            if a.layer != b.layer and tech.overlap_connected(a.layer, b.layer):
-                if a.intersects(b):
-                    dsu.union(i, j)
-
-    # Cross-layer through cuts.
-    for cut_index, cut in enumerate(conducting):
-        for bottom, top in tech.connected_layers(cut.layer):
-            scanned += len(by_layer.get(bottom, [])) + len(by_layer.get(top, []))
-            bottoms = [
-                i for i in by_layer.get(bottom, []) if conducting[i].intersects(cut)
-            ]
-            tops = [i for i in by_layer.get(top, []) if conducting[i].intersects(cut)]
-            for i in bottoms + tops:
-                dsu.union(cut_index, i)
-
-    get_tracer().count("nets.pairs_scanned", scanned)
-
-    groups: Dict[int, List[Rect]] = {}
-    for index, rect in enumerate(conducting):
-        groups.setdefault(dsu.find(index), []).append(rect)
-    return list(groups.values())
 
 
 def net_is_connected(rects: Sequence[Rect], tech: Technology, net: str) -> bool:

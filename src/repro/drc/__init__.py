@@ -2,19 +2,12 @@
 
 from .checker import (
     CHECKS,
-    CHECKS_BRUTE,
     check_areas,
-    check_areas_brute,
     check_enclosures,
-    check_enclosures_brute,
     check_extensions,
-    check_extensions_brute,
     check_shorts,
-    check_shorts_brute,
     check_spacing,
-    check_spacing_brute,
     check_widths,
-    check_widths_brute,
     run_drc,
 )
 from .index import DrcIndex
@@ -28,20 +21,13 @@ from .violations import Violation, format_report
 
 __all__ = [
     "CHECKS",
-    "CHECKS_BRUTE",
     "DrcIndex",
     "check_areas",
-    "check_areas_brute",
     "check_enclosures",
-    "check_enclosures_brute",
     "check_extensions",
-    "check_extensions_brute",
     "check_shorts",
-    "check_shorts_brute",
     "check_spacing",
-    "check_spacing_brute",
     "check_widths",
-    "check_widths_brute",
     "run_drc",
     "check_latchup",
     "insert_protection_contacts",

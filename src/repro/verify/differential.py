@@ -11,10 +11,11 @@ sets run through both :class:`repro.compact.Compactor` and
 * both merge the same nets (identical net partitions);
 * the bounding-box areas agree within a stated bound.
 
-Each trial additionally races the successive compactor against itself with
-the frontier index switched off: the indexed and unindexed modes must
-produce *byte-identical* geometry (same rects, same order, same flags) with
-every feature enabled — variable edges, auto-connect, frontier pruning.
+Each trial additionally races the successive compactor against the
+from-scratch :class:`repro.verify.reference.ScanCompactor`: the indexed and
+scanning compactors must produce *byte-identical* geometry (same rects,
+same order, same flags) with every feature enabled — variable edges,
+auto-connect, frontier pruning.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from ..obs import get_tracer
 from ..route import path
 from ..tech import Technology
 from .oracles import LayoutSnapshot, OracleViolation, check_layout
+from .reference import ScanCompactor
 
 
 @dataclass
@@ -196,16 +198,15 @@ def _rect_signature(obj: LayoutObject) -> List[Tuple]:
 def _race_index_modes(
     tech: Technology, objects: Sequence[LayoutObject], direction: Direction
 ) -> List[str]:
-    """Indexed vs unindexed successive compaction must match byte for byte.
+    """Indexed vs from-scratch successive compaction must match byte for byte.
 
     Runs with every feature on (variable edges, auto-connect, frontier
     pruning) so the incremental index is exercised through merges, stretches
     and shrinks — the exact mutations it tracks incrementally.
     """
     results = []
-    for use_index in (False, True):
+    for compactor in (ScanCompactor(), Compactor()):
         main = LayoutObject("main", tech)
-        compactor = Compactor(use_index=use_index)
         for obj in objects:
             compactor.compact(main, obj.copy(), direction)
         results.append(_rect_signature(main))
@@ -214,7 +215,7 @@ def _race_index_modes(
             len(results[0]) - len(results[1])
         )
         return [
-            "indexed compactor diverges from unindexed"
+            "indexed compactor diverges from ScanCompactor"
             f" ({diverging} rect(s) differ)"
         ]
     return []

@@ -1,11 +1,11 @@
 """Violation injection: plant one known DRC violation in a clean layout.
 
-The equivalence tests prove the indexed checker agrees with the brute
+The equivalence tests prove the indexed checker agrees with the reference
 oracle; neither proves the checker *catches* anything (both could agree on
 an empty list).  This module pins recall: each injector takes a DRC-clean
 layout, perturbs it to manufacture exactly one violation of a known rule
-class, and validates the plant against the brute reference path before
-handing it back:
+class, and validates the plant with the indexed :func:`repro.drc.run_drc`
+before handing it back:
 
 * ``width`` — narrow a wire below its WIDTH rule;
 * ``spacing`` — plant a min-width/area-satisfying probe component one
@@ -21,8 +21,10 @@ Every accepted :class:`Injection` carries an ``undo`` callback restoring
 the layout byte-for-byte.
 
 ``tests/test_drc_injection.py`` drives these over the golden cells and
-asserts both checker paths report exactly the planted violation; the
-fuzzer can reuse the same perturbation vocabulary.
+confirms every plant against the all-pairs reference
+(:func:`repro.verify.reference.run_drc_brute`): both must report exactly
+the planted violation.  The fuzzer can reuse the same perturbation
+vocabulary.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ def _attempt(
     all involving *target* — the contract that makes the plant usable as a
     recall probe (one known defect, nothing else disturbed).  The search
     runs the fast indexed path; the injection tests independently confirm
-    every accepted plant against the brute oracle, so a (hypothetical)
+    every accepted plant against the reference oracle, so a (hypothetical)
     indexed-path miss would surface there, not hide here.
     """
     after = run_drc(obj, include_latchup=False)
@@ -256,7 +258,6 @@ def inject_extension_short(obj: LayoutObject) -> Optional[Injection]:
     tech = obj.tech
     rules = tech.rules
     index = DrcIndex(obj)
-    index.sync()
     groups = index.diffusion_groups()
     for gate_index, gate in enumerate(index.rects):
         if tech.layer(gate.layer).kind is not LayerKind.POLY:

@@ -11,9 +11,9 @@ index rewrite itself.
 """
 
 from repro.db import LayoutObject
-from repro.drc.checker import _Components
 from repro.drc.index import DrcIndex
 from repro.geometry import Rect
+from repro.verify.reference import _Components
 
 
 def _obj(tech, *rects):
@@ -35,7 +35,6 @@ def _both_partitions(tech, *rects):
     """The reference and the indexed partition — asserted equal."""
     comps = _Components(list(rects))
     index = DrcIndex(_obj(tech, *rects))
-    index.sync()
     ref = _partition(comps.component, len(rects))
     swept = _partition(index.component, len(rects))
     assert ref == swept

@@ -2,9 +2,9 @@
 
 :class:`repro.drc.index.DrcIndex` must be invisible: every indexed check
 returns the *identical* violation list — kind, message, location, rect
-identity, order — as its ``check_*_brute`` counterpart, for any rect soup
-in any builtin technology, and after any in-place mutation or append once
-the index is invalidated/resynced.  Hypothesis drives random soups through
+identity, order — as its ``check_*_brute`` counterpart in
+:mod:`repro.verify.reference`, for any rect soup in any builtin
+technology, and for a fresh index after any in-place mutation or append.  Hypothesis drives random soups through
 all six check pairs; the golden-cell matrix pins the acceptance contract;
 the counter tests pin the ≥10x pairs-scanned reduction and the
 one-build-per-run behaviour.
@@ -16,19 +16,18 @@ from hypothesis import strategies as st
 
 from repro.db import LayoutObject
 from repro.drc import run_drc
-from repro.drc.checker import (
-    CHECKS,
-    CHECKS_BRUTE,
-    check_enclosures,
-    check_enclosures_brute,
-    check_widths,
-    check_widths_brute,
-)
+from repro.drc.checker import CHECKS, check_enclosures, check_widths
 from repro.drc.index import DrcIndex
 from repro.geometry import Rect
 from repro.library import GOLDEN_CELLS
 from repro.obs import StatsSink, Tracer, activate
 from repro.tech import BUILTIN_TECHNOLOGIES
+from repro.verify.reference import (
+    CHECKS_BRUTE,
+    check_enclosures_brute,
+    check_widths_brute,
+    run_drc_brute,
+)
 
 TECHS = {name: build() for name, build in BUILTIN_TECHNOLOGIES.items()}
 TECH_NAMES = sorted(TECHS)
@@ -89,10 +88,9 @@ def _assert_equivalent(obj, index=None):
 @given(st.lists(specs, min_size=0, max_size=18))
 def test_indexed_equals_brute_on_random_soups(tech_name, spec_list):
     obj = _soup(tech_name, spec_list)
-    index = _assert_equivalent(obj)
-    assert index.builds == 1  # all six checks shared one build
-    assert _ids(obj, run_drc(obj, include_latchup=False, use_index=True)) == _ids(
-        obj, run_drc(obj, include_latchup=False, use_index=False)
+    _assert_equivalent(obj)
+    assert _ids(obj, run_drc(obj, include_latchup=False)) == _ids(
+        obj, run_drc_brute(obj, include_latchup=False)
     )
 
 
@@ -116,13 +114,13 @@ def test_indexed_equals_brute_on_random_soups(tech_name, spec_list):
     st.lists(specs, min_size=0, max_size=4),
 )
 def test_invalidate_after_mutation_equals_scratch(tech_name, spec_list, moves, appended):
-    """A resynced index equals both a scratch index and the brute path.
+    """A fresh index after a mutation equals the brute path.
 
-    In-place coordinate mutation requires ``invalidate()``; appending rects
-    is detected by ``sync()`` on its own.
+    The index is a snapshot: after in-place coordinate moves and after
+    appends, a newly built index must agree with the reference again.
     """
     obj = _soup(tech_name, spec_list)
-    index = _assert_equivalent(obj)
+    _assert_equivalent(obj)
     rects = obj.nonempty_rects
     for which, dx, dy in moves:
         rect = rects[which % len(rects)]
@@ -130,18 +128,13 @@ def test_invalidate_after_mutation_equals_scratch(tech_name, spec_list, moves, a
         rect.x2 += dx
         rect.y1 += dy
         rect.y2 += dy
-    index.invalidate()
-    _assert_equivalent(obj, index)
+    _assert_equivalent(obj)
     for x, y, w, h, layer_choice, net in appended:
         layers = LAYERS[tech_name]
         obj.add_rect(
             Rect(x, y, x + w, y + h, layers[layer_choice % len(layers)], net)
         )
-    _assert_equivalent(obj, index)  # sync() sees the length change itself
-    scratch = DrcIndex(obj)
-    assert _ids(
-        obj, [v for _, check in CHECKS for v in check(obj, index)]
-    ) == _ids(obj, [v for _, check in CHECKS for v in check(obj, scratch)])
+    _assert_equivalent(obj)
 
 
 # ----------------------------------------------------------------------
@@ -291,9 +284,7 @@ def test_golden_cells_byte_identical(tech_name):
         _assert_equivalent(obj)
         # The full run (latchup included) must agree as well; latchup
         # synthesizes its report rects each run, which _ids keys by value.
-        assert _ids(obj, run_drc(obj, use_index=True)) == _ids(
-            obj, run_drc(obj, use_index=False)
-        )
+        assert _ids(obj, run_drc(obj)) == _ids(obj, run_drc_brute(obj))
         checked += 1
     assert checked > 0
 
@@ -325,8 +316,7 @@ def _counted(fn):
 
 def test_absorbed_stub_scan_equals_brute(tech):
     obj = _stub_forest(tech)
-    index = DrcIndex(obj)
-    index.sync()  # build outside the counted region
+    index = DrcIndex(obj)  # built outside the counted region
     assert _ids(obj, check_widths(obj, index)) == _ids(obj, check_widths_brute(obj))
     assert check_widths(obj, index) == []  # every stub is absorbed
 
@@ -336,7 +326,6 @@ def test_absorbed_stub_scan_is_bucket_served(tech):
     rect list per thin stub."""
     obj = _stub_forest(tech)
     index = DrcIndex(obj)
-    index.sync()
     _, indexed_stats = _counted(lambda: check_widths(obj, index))
     _, brute_stats = _counted(lambda: check_widths_brute(obj))
     indexed_pairs = indexed_stats.counter("drc.pairs_scanned")
@@ -355,10 +344,10 @@ def test_run_drc_builds_once_and_scans_fewer_pairs(tech):
                 Rect(x * 4000, y * 4000, x * 4000 + 2000, y * 4000 + 2000, "metal1", "n")
             )
     indexed, indexed_stats = _counted(
-        lambda: run_drc(grid, include_latchup=False, use_index=True)
+        lambda: run_drc(grid, include_latchup=False)
     )
     brute, brute_stats = _counted(
-        lambda: run_drc(grid, include_latchup=False, use_index=False)
+        lambda: run_drc_brute(grid, include_latchup=False)
     )
     assert _ids(grid, indexed) == _ids(grid, brute)
     assert indexed_stats.counter("drc.index_builds") == 1
@@ -374,7 +363,7 @@ def test_candidates_counter_reports_emitted_pairs(tech):
     obj.add_rect(Rect(0, 0, 2000, 2000, "metal1", "a"))
     obj.add_rect(Rect(2000 + rule - 1, 0, 4000 + rule, 2000, "metal1", "b"))
     violations, stats = _counted(
-        lambda: run_drc(obj, include_latchup=False, use_index=True)
+        lambda: run_drc(obj, include_latchup=False)
     )
     assert [v.kind for v in violations] == ["spacing"]
     assert stats.counter("drc.candidates") == 1
@@ -398,8 +387,7 @@ def test_enclosure_sweep_scans_fewer_pairs(tech):
                     Rect(x1 - margin, y1 - margin, x1 + size + margin,
                          y1 + size + margin, layer, "n")
                 )
-    index = DrcIndex(grid)
-    index.sync()  # build outside the counted region
+    index = DrcIndex(grid)  # built outside the counted region
     indexed, indexed_stats = _counted(lambda: check_enclosures(grid, index))
     brute, brute_stats = _counted(lambda: check_enclosures_brute(grid))
     assert indexed == brute == []

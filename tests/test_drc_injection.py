@@ -6,7 +6,8 @@ actually catches defects (they could agree on an empty list).  Here the
 class into DRC-clean golden cells and both checker paths must report
 exactly that violation: same new-violation set vs. the clean baseline,
 expected class, target rect involved, and byte-identical between the
-indexed and brute runs.  Undo must restore cleanliness on both paths.
+indexed run and the :mod:`repro.verify.reference` brute run.  Undo must
+restore cleanliness on both paths.
 """
 
 import pytest
@@ -15,6 +16,7 @@ from repro.drc import run_drc
 from repro.library import GOLDEN_CELLS
 from repro.tech import BUILTIN_TECHNOLOGIES
 from repro.verify.inject import INJECTORS, PROBE_NET, inject_violation
+from repro.verify.reference import run_drc_brute
 
 TECHS = {name: build() for name, build in BUILTIN_TECHNOLOGIES.items()}
 TECH_NAMES = sorted(TECHS)
@@ -34,7 +36,7 @@ def _clean_cells(tech):
         if not spec.supported(tech):
             continue
         obj = spec.build(tech)
-        if not run_drc(obj, include_latchup=False, use_index=False):
+        if not run_drc_brute(obj, include_latchup=False):
             yield spec, obj
 
 
@@ -57,8 +59,8 @@ def test_planted_violation_is_caught_by_both_paths(tech_name, kind):
         ), spec.name
 
         # Both checker paths report exactly the planted violations.
-        indexed = run_drc(obj, include_latchup=False, use_index=True)
-        brute = run_drc(obj, include_latchup=False, use_index=False)
+        indexed = run_drc(obj, include_latchup=False)
+        brute = run_drc_brute(obj, include_latchup=False)
         assert _keys(indexed) == _keys(brute) == _keys(injection.violations), (
             spec.name
         )
@@ -70,8 +72,8 @@ def test_planted_violation_is_caught_by_both_paths(tech_name, kind):
 
         # Undo restores a clean layout on both paths.
         injection.undo()
-        assert run_drc(obj, include_latchup=False, use_index=True) == []
-        assert run_drc(obj, include_latchup=False, use_index=False) == []
+        assert run_drc(obj, include_latchup=False) == []
+        assert run_drc_brute(obj, include_latchup=False) == []
 
         planted += 1
         if planted >= PLANTS_PER_CASE:

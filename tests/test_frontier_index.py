@@ -18,6 +18,7 @@ from repro.compact import Compactor, frontier_filter
 from repro.db import LayoutObject
 from repro.geometry import Direction, Rect, bounding_box
 from repro.tech import generic_bicmos_1u
+from repro.verify.reference import ScanCompactor
 
 TECH = generic_bicmos_1u()
 
@@ -201,7 +202,7 @@ def test_bridge_blocked_matches_naive_scan(fixed, bridges, direction):
     for rect in fixed:
         main.add_rect(rect)
     index = main.frontier_index()
-    compactor = Compactor(use_index=False)
+    compactor = ScanCompactor()
     for bridge in bridges:
         if bridge.net is None or bridge.is_empty:
             continue
@@ -216,10 +217,9 @@ def test_bridge_blocked_matches_naive_scan(fixed, bridges, direction):
 )
 @given(st.lists(rects, min_size=2, max_size=6), directions)
 def test_indexed_compactor_matches_unindexed(rect_list, direction):
-    """Full-featured compaction is byte-identical with the index on or off."""
-    def pack(use_index):
+    """Full-featured compaction is byte-identical with and without the index."""
+    def pack(compactor):
         main = LayoutObject("main", TECH)
-        compactor = Compactor(use_index=use_index)
         for i, rect in enumerate(rect_list):
             mover = LayoutObject(f"m{i}", TECH)
             clone = rect.copy()
@@ -231,4 +231,4 @@ def test_indexed_compactor_matches_unindexed(rect_list, direction):
             for r in main.rects
         ]
 
-    assert pack(True) == pack(False)
+    assert pack(Compactor()) == pack(ScanCompactor())

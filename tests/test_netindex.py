@@ -1,7 +1,7 @@
 """The indexed connectivity extraction equals the brute-force reference.
 
 :class:`repro.db.netindex.ConnectivityIndex` must be invisible: the same
-partition, in the same order, as :func:`repro.db.nets.
+partition, in the same order, as :func:`repro.verify.reference.
 extract_connectivity_brute` — for any rect soup, after any sequence of
 appends, and for every per-net query built on top of it.  Hypothesis
 drives random soups and append schedules through both paths; the explicit
@@ -14,12 +14,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.db import extract_connectivity, extract_connectivity_brute
+from repro.db import extract_connectivity
 from repro.db.netindex import ConnectivityIndex
 from repro.db.nets import net_is_connected
 from repro.geometry import Rect
 from repro.obs import StatsSink, Tracer, activate
 from repro.tech import generic_bicmos_1u
+from repro.verify.reference import extract_connectivity_brute
 
 TECH = generic_bicmos_1u()
 
@@ -204,17 +205,18 @@ def test_components_are_cached_until_appends():
 
 
 def test_invalidate_forces_full_rebuild():
+    """After an in-place mutation a fresh index equals the reference;
+    truncating the source list rebuilds on the next query."""
     live = [Rect(0, 0, 10, 10, "metal1", "a"), Rect(50, 0, 60, 10, "metal1", "a")]
+    assert len(ConnectivityIndex(live, TECH).components()) == 2
+    live[1].x1, live[1].x2 = 10, 20  # in-place mutation: build a fresh index
     index = ConnectivityIndex(live, TECH)
-    assert len(index.components()) == 2
-    live[1].x1, live[1].x2 = 10, 20  # in-place mutation: index is stale
-    index.invalidate()
+    assert _ids(index.components()) == _ids(extract_connectivity_brute(live, TECH))
     assert len(index.components()) == 1
-    assert index.extractions == 2
-    # Truncating the source list also rebuilds on the next query.
+    assert index.extractions == 1
     del live[1]
     assert len(index.components()) == 1
-    assert index.extractions == 3
+    assert index.extractions == 2
 
 
 def test_counters_report_fewer_pairs_than_brute():

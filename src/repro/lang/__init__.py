@@ -2,9 +2,9 @@
 
 from .ast_nodes import Alt, Assign, Call, Entity, ExprStatement, For, If, Program
 from .errors import EvalError, LexError, ParseError, PldlError
-from .interpreter import BUILTIN_NAMES, Frame, Interpreter
+from .interpreter import Frame, Interpreter
 from .parser import parse
-from .runtime import Runtime
+from .runtime import BUILTIN_NAMES, Runtime
 from .tokens import Token, TokenKind, tokenize
 from .translate import translate, translate_program
 

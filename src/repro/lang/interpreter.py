@@ -4,7 +4,9 @@
 automatically" (Sec. 2.1): every geometry builtin delegates to the
 design-rule-driven primitives, and a rule that cannot be fulfilled surfaces
 as :class:`~repro.tech.rules.RuleError` — which the ``ALT`` statement catches
-to backtrack between topology variants.
+to backtrack between topology variants.  Builtins, FOR ranges, attribute
+reads and ALT rollback run on :mod:`repro.lang.runtime`, the code translated
+programs run on.
 
 Conventions:
 
@@ -17,21 +19,18 @@ Conventions:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ..compact import Compactor
 from ..db import LayoutObject
 from ..geometry import Direction
-from ..obs import get_logger, get_tracer
+from ..obs import get_tracer
 from ..obs.provenance import get_recorder
-from ..primitives import angle_adaptor, around, array, inbox, ring, tworects
-from ..route import via_stack, wire
 from ..tech import RuleError, Technology
 from . import ast_nodes as ast
 from .errors import EvalError
 from .parser import parse
-
-log = get_logger("lang")
+from .runtime import Runtime, check_call, number
 
 #: Statement-trace callback: (line number, entity frame object or None).
 TraceHook = Callable[[int, Optional[LayoutObject]], None]
@@ -60,7 +59,7 @@ class Interpreter:
         trace: Optional[TraceHook] = None,
     ) -> None:
         self.tech = tech
-        self.compactor = compactor if compactor is not None else Compactor()
+        self.runtime = Runtime(tech, compactor)
         self.trace = trace
         self.entities: Dict[str, ast.Entity] = {}
         self.globals = Frame("<global>", None)
@@ -96,94 +95,73 @@ class Interpreter:
     # statements
     # ------------------------------------------------------------------
     def _exec(self, statement: ast.Statement, frame: Frame) -> None:
-        if isinstance(statement, ast.Assign):
-            frame.vars[statement.target] = self._eval(statement.value, frame)
-        elif isinstance(statement, ast.ExprStatement):
-            self._eval(statement.value, frame)
-        elif isinstance(statement, ast.If):
-            branch = (
-                statement.then_body
-                if self._truthy(self._eval(statement.condition, frame))
-                else statement.else_body
-            )
-            for inner in branch:
-                self._exec(inner, frame)
-        elif isinstance(statement, ast.For):
-            self._exec_for(statement, frame)
-        elif isinstance(statement, ast.Alt):
-            self._exec_alt(statement, frame)
-        else:  # pragma: no cover - parser produces no other nodes
-            raise EvalError(f"unknown statement {statement!r}", statement.line)
+        try:
+            if isinstance(statement, ast.Assign):
+                frame.vars[statement.target] = self._eval(statement.value, frame)
+            elif isinstance(statement, ast.ExprStatement):
+                self._eval(statement.value, frame)
+            elif isinstance(statement, ast.If):
+                branch = (
+                    statement.then_body
+                    if self._eval(statement.condition, frame)
+                    else statement.else_body
+                )
+                for inner in branch:
+                    self._exec(inner, frame)
+            elif isinstance(statement, ast.For):
+                self._exec_for(statement, frame)
+            elif isinstance(statement, ast.Alt):
+                self._exec_alt(statement, frame)
+            else:  # pragma: no cover - parser produces no other nodes
+                raise EvalError(f"unknown statement {statement!r}", statement.line)
+        except EvalError as error:
+            # The runtime does not know source lines; the statement does.
+            if error.line is not None:
+                raise
+            raise EvalError(str(error), statement.line) from None
         if self.trace is not None:
             self.trace(statement.line, frame.obj)
 
     def _exec_for(self, statement: ast.For, frame: Frame) -> None:
-        start = self._number(self._eval(statement.start, frame), statement.line)
-        stop = self._number(self._eval(statement.stop, frame), statement.line)
-        step = (
-            self._number(self._eval(statement.step, frame), statement.line)
-            if statement.step is not None
-            else 1.0
+        values = self.runtime.frange(
+            self._eval(statement.start, frame),
+            self._eval(statement.stop, frame),
+            self._eval(statement.step, frame) if statement.step is not None else 1.0,
         )
-        if step == 0:
-            raise EvalError("FOR step must not be zero", statement.line)
-        value = start
-        # Inclusive bounds, tolerant of float accumulation.
-        epsilon = abs(step) * 1e-9
-        while (step > 0 and value <= stop + epsilon) or (
-            step < 0 and value >= stop - epsilon
-        ):
+        for value in values:
             frame.vars[statement.var] = value
             for inner in statement.body:
                 self._exec(inner, frame)
-            value += step
 
     def _exec_alt(self, statement: ast.Alt, frame: Frame) -> None:
         """Backtracking: try branches until one satisfies all design rules."""
         tracer = get_tracer()
-        last_error: Optional[RuleError] = None
-        with tracer.span("interp.alt", line=statement.line) as span:
-            for number, branch in enumerate(statement.branches):
+
+        def branch(index: int, body: Sequence[ast.Statement]) -> Callable[[], None]:
+            def run() -> None:
                 tracer.count("interp.alt_attempts")
-                snapshot = self._snapshot(frame)
-                try:
-                    for inner in branch:
-                        self._exec(inner, frame)
-                    span.set(taken=number)
-                    return
-                except RuleError as error:
-                    last_error = error
-                    tracer.count("interp.alt_rollbacks")
-                    log.debug(
-                        "ALT line %d: branch %d rolled back (%s)",
-                        statement.line, number, error,
-                    )
-                    self._restore(frame, snapshot)
-            tracer.count("interp.alt_exhausted")
-            raise RuleError(
-                f"line {statement.line}: all ALT branches failed"
-                + (f" (last: {last_error})" if last_error else "")
-            )
+                for inner in body:
+                    self._exec(inner, frame)
+                span.set(taken=index)
 
-    def _snapshot(self, frame: Frame) -> Tuple[Optional[LayoutObject], Dict[str, Any]]:
-        obj_copy = frame.obj.copy() if frame.obj is not None else None
-        vars_copy = {
-            key: value.copy() if isinstance(value, LayoutObject) else value
-            for key, value in frame.vars.items()
-        }
-        return (obj_copy, vars_copy)
+            return run
 
-    def _restore(
-        self, frame: Frame, snapshot: Tuple[Optional[LayoutObject], Dict[str, Any]]
-    ) -> None:
-        obj_copy, vars_copy = snapshot
-        if frame.obj is not None and obj_copy is not None:
-            # Restore in place so outer references stay valid.
-            frame.obj.rects = obj_copy.rects
-            frame.obj.links = obj_copy.links
-            frame.obj.labels = obj_copy.labels
-        frame.vars.clear()
-        frame.vars.update(vars_copy)
+        def restore(state: Dict[str, Any]) -> None:
+            tracer.count("interp.alt_rollbacks")
+            frame.vars.clear()
+            frame.vars.update(state)
+
+        with tracer.span("interp.alt", line=statement.line) as span:
+            try:
+                self.runtime.alt(
+                    frame.obj,  # type: ignore[arg-type] - the parser keeps ALT in entities
+                    [branch(n, body) for n, body in enumerate(statement.branches)],
+                    save=lambda: Runtime.alt_state(frame.vars),
+                    restore=restore,
+                )
+            except RuleError as error:
+                tracer.count("interp.alt_exhausted")
+                raise RuleError(f"line {statement.line}: {error}") from error
 
     # ------------------------------------------------------------------
     # expressions
@@ -221,37 +199,23 @@ class Interpreter:
         raise EvalError(f"unknown name {expr.ident!r}", expr.line)
 
     def _attribute(self, expr: ast.Attribute, frame: Frame) -> Any:
-        value = self._eval(expr.value, frame)
-        if isinstance(value, LayoutObject):
-            dbu = self.tech.dbu_per_micron
-            if expr.attr == "width":
-                return value.width / dbu
-            if expr.attr == "height":
-                return value.height / dbu
-            if expr.attr == "area":
-                return value.area() / dbu ** 2
-            raise EvalError(
-                f"objects have no attribute {expr.attr!r}"
-                " (use width, height or area)",
-                expr.line,
-            )
-        raise EvalError(f"cannot read attribute of {type(value).__name__}", expr.line)
+        return self.runtime.attr(self._eval(expr.value, frame), expr.attr)
 
     def _unary(self, expr: ast.Unary, frame: Frame) -> Any:
         value = self._eval(expr.operand, frame)
         if expr.op == "-":
-            return -self._number(value, expr.line)
+            return -number(value)
         if expr.op == "NOT":
-            return not self._truthy(value)
+            return not value
         raise EvalError(f"unknown unary operator {expr.op!r}", expr.line)
 
     def _binary(self, expr: ast.Binary, frame: Frame) -> Any:
         if expr.op == "AND":
-            return self._truthy(self._eval(expr.left, frame)) and self._truthy(
+            return bool(self._eval(expr.left, frame)) and bool(
                 self._eval(expr.right, frame)
             )
         if expr.op == "OR":
-            return self._truthy(self._eval(expr.left, frame)) or self._truthy(
+            return bool(self._eval(expr.left, frame)) or bool(
                 self._eval(expr.right, frame)
             )
         left = self._eval(expr.left, frame)
@@ -261,8 +225,8 @@ class Interpreter:
         if expr.op == "!=":
             return left != right
         if expr.op in ("+", "-", "*", "/", "<", ">", "<=", ">="):
-            lnum = self._number(left, expr.line)
-            rnum = self._number(right, expr.line)
+            lnum = number(left)
+            rnum = number(right)
             if expr.op == "+":
                 return lnum + rnum
             if expr.op == "-":
@@ -293,18 +257,21 @@ class Interpreter:
         if entity is not None:
             return self._call_entity(entity, args, kwargs, expr.line)
 
-        builtin = _BUILTINS.get(expr.func)
-        if builtin is not None:
-            tracer = get_tracer()
-            if not tracer.enabled:
-                return builtin(self, frame, args, dict(kwargs), expr.line)
-            with tracer.span("interp.builtin", builtin=expr.func, line=expr.line):
-                result = builtin(self, frame, args, dict(kwargs), expr.line)
-            tracer.count("interp.builtin_calls")
-            tracer.count(f"interp.builtin.{expr.func}")
-            return result
-
-        raise EvalError(f"unknown function or entity {expr.func!r}", expr.line)
+        spec = check_call(
+            expr.func, len(args), [key for key, _ in kwargs], frame.obj is not None,
+            expr.line,
+        )
+        if spec.structure is not None:
+            args.insert(0, frame.obj)
+        method = getattr(self.runtime, spec.method)
+        tracer = get_tracer()
+        if not tracer.enabled:
+            return method(*args, **dict(kwargs))
+        with tracer.span("interp.builtin", builtin=expr.func, line=expr.line):
+            result = method(*args, **dict(kwargs))
+        tracer.count("interp.builtin_calls")
+        tracer.count(f"interp.builtin.{expr.func}")
+        return result
 
     def _call_entity(
         self,
@@ -358,394 +325,3 @@ class Interpreter:
         finally:
             self._depth -= 1
         return inner.obj  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
-    # helpers shared with the builtins
-    # ------------------------------------------------------------------
-    def _number(self, value: Any, line: int) -> float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise EvalError(f"expected a number, got {type(value).__name__}", line)
-        return float(value)
-
-    @staticmethod
-    def _truthy(value: Any) -> bool:
-        return bool(value)
-
-    def dbu(self, value: Any, line: int) -> Optional[int]:
-        """Convert a micron value to database units; None passes through."""
-        if value is None:
-            return None
-        return self.tech.um(self._number(value, line))
-
-    def require_obj(self, frame: Frame, what: str, line: int) -> LayoutObject:
-        """The current entity structure; geometry outside ENT is an error."""
-        if frame.obj is None:
-            raise EvalError(f"{what} is only allowed inside an entity body", line)
-        return frame.obj
-
-
-# ---------------------------------------------------------------------------
-# builtin functions
-# ---------------------------------------------------------------------------
-Builtin = Callable[[Interpreter, Frame, List[Any], Dict[str, Any], int], Any]
-
-
-def _expect_str(value: Any, what: str, line: int) -> str:
-    if not isinstance(value, str):
-        raise EvalError(f"{what} must be a string", line)
-    return value
-
-
-def _merge_args(
-    name: str,
-    positional_names: Tuple[str, ...],
-    args: List[Any],
-    kwargs: Dict[str, Any],
-    line: int,
-) -> Dict[str, Any]:
-    """Bind positional + keyword arguments strictly (no silent drops)."""
-    if len(args) > len(positional_names):
-        raise EvalError(
-            f"{name} takes at most {len(positional_names)} positional"
-            f" arguments ({', '.join(positional_names)})",
-            line,
-        )
-    merged = dict(zip(positional_names, args))
-    for key, value in kwargs.items():
-        if key in merged:
-            raise EvalError(f"{name}: argument {key!r} given twice", line)
-        merged[key] = value
-    return merged
-
-
-def _builtin_inbox(
-    interp: Interpreter, frame: Frame, args: List[Any], kwargs: Dict[str, Any], line: int
-) -> None:
-    obj = interp.require_obj(frame, "INBOX", line)
-    merged = _merge_args("INBOX", ("layer", "W", "L", "net", "variable"), args, kwargs, line)
-    layer = _expect_str(merged.get("layer"), "INBOX layer", line)
-    inbox(
-        obj,
-        layer,
-        w=interp.dbu(merged.get("W"), line),
-        length=interp.dbu(merged.get("L"), line),
-        net=merged.get("net"),
-        variable=bool(merged.get("variable", False)),
-    )
-
-
-def _builtin_array(
-    interp: Interpreter, frame: Frame, args: List[Any], kwargs: Dict[str, Any], line: int
-) -> None:
-    obj = interp.require_obj(frame, "ARRAY", line)
-    merged = _merge_args("ARRAY", ("layer", "net"), args, kwargs, line)
-    layer = _expect_str(merged.get("layer"), "ARRAY layer", line)
-    array(obj, layer, net=merged.get("net"))
-
-
-def _builtin_tworects(
-    interp: Interpreter, frame: Frame, args: List[Any], kwargs: Dict[str, Any], line: int
-) -> None:
-    obj = interp.require_obj(frame, "TWORECTS", line)
-    merged = _merge_args("TWORECTS", ("gate", "body", "W", "L", "gatenet", "bodynet"), args, kwargs, line)
-    gate = _expect_str(merged.get("gate"), "TWORECTS gate layer", line)
-    body = _expect_str(merged.get("body"), "TWORECTS body layer", line)
-    w = interp.dbu(merged.get("W"), line)
-    length = interp.dbu(merged.get("L"), line)
-    if w is None or length is None:
-        raise EvalError("TWORECTS requires W and L", line)
-    tworects(
-        obj,
-        gate,
-        body,
-        w,
-        length,
-        gate_net=merged.get("gatenet"),
-        body_net=merged.get("bodynet"),
-    )
-
-
-def _builtin_around(
-    interp: Interpreter, frame: Frame, args: List[Any], kwargs: Dict[str, Any], line: int
-) -> None:
-    obj = interp.require_obj(frame, "AROUND", line)
-    merged = _merge_args("AROUND", ("layer", "margin", "net"), args, kwargs, line)
-    layer = _expect_str(merged.get("layer"), "AROUND layer", line)
-    around(obj, layer, margin=interp.dbu(merged.get("margin"), line), net=merged.get("net"))
-
-
-def _builtin_ring(
-    interp: Interpreter, frame: Frame, args: List[Any], kwargs: Dict[str, Any], line: int
-) -> None:
-    obj = interp.require_obj(frame, "RING", line)
-    merged = _merge_args("RING", ("layer", "width", "gap", "net"), args, kwargs, line)
-    layer = _expect_str(merged.get("layer"), "RING layer", line)
-    ring(
-        obj,
-        layer,
-        width=interp.dbu(merged.get("width"), line),
-        gap=interp.dbu(merged.get("gap"), line),
-        net=merged.get("net"),
-    )
-
-
-def _builtin_adaptor(
-    interp: Interpreter, frame: Frame, args: List[Any], kwargs: Dict[str, Any], line: int
-) -> None:
-    obj = interp.require_obj(frame, "ADAPTOR", line)
-    merged = _merge_args("ADAPTOR", ("hlayer", "vlayer", "x", "y", "hwidth", "vwidth", "net"), args, kwargs, line)
-    angle_adaptor(
-        obj,
-        _expect_str(merged.get("hlayer"), "ADAPTOR hlayer", line),
-        _expect_str(merged.get("vlayer"), "ADAPTOR vlayer", line),
-        interp.dbu(merged.get("x"), line) or 0,
-        interp.dbu(merged.get("y"), line) or 0,
-        h_width=interp.dbu(merged.get("hwidth"), line),
-        v_width=interp.dbu(merged.get("vwidth"), line),
-        net=merged.get("net"),
-    )
-
-
-def _builtin_wire(
-    interp: Interpreter, frame: Frame, args: List[Any], kwargs: Dict[str, Any], line: int
-) -> None:
-    obj = interp.require_obj(frame, "WIRE", line)
-    merged = _merge_args("WIRE", ("layer", "x1", "y1", "x2", "y2", "width", "net"), args, kwargs, line)
-    wire(
-        obj,
-        _expect_str(merged.get("layer"), "WIRE layer", line),
-        (interp.dbu(merged.get("x1"), line) or 0, interp.dbu(merged.get("y1"), line) or 0),
-        (interp.dbu(merged.get("x2"), line) or 0, interp.dbu(merged.get("y2"), line) or 0),
-        width=interp.dbu(merged.get("width"), line),
-        net=merged.get("net"),
-    )
-
-
-def _builtin_via(
-    interp: Interpreter, frame: Frame, args: List[Any], kwargs: Dict[str, Any], line: int
-) -> None:
-    obj = interp.require_obj(frame, "VIA", line)
-    merged = _merge_args("VIA", ("x", "y", "bottom", "top", "net"), args, kwargs, line)
-    via_stack(
-        obj,
-        interp.dbu(merged.get("x"), line) or 0,
-        interp.dbu(merged.get("y"), line) or 0,
-        _expect_str(merged.get("bottom"), "VIA bottom layer", line),
-        _expect_str(merged.get("top"), "VIA top layer", line),
-        net=merged.get("net"),
-    )
-
-
-def _builtin_compact(
-    interp: Interpreter, frame: Frame, args: List[Any], kwargs: Dict[str, Any], line: int
-) -> None:
-    obj = interp.require_obj(frame, "compact", line)
-    if len(args) < 2:
-        raise EvalError("compact(obj, DIRECTION, ignored layers...)", line)
-    child, direction, *ignored = args
-    if not isinstance(child, LayoutObject):
-        raise EvalError("compact: first argument must be an object", line)
-    if isinstance(direction, str):
-        direction = Direction.from_name(direction)
-    if not isinstance(direction, Direction):
-        raise EvalError("compact: second argument must be a direction", line)
-    ignore = tuple(_expect_str(layer, "ignored layer", line) for layer in ignored)
-    interp.compactor.compact(obj, child, direction, ignore)
-
-
-def _builtin_copy(
-    interp: Interpreter, frame: Frame, args: List[Any], kwargs: Dict[str, Any], line: int
-) -> LayoutObject:
-    if len(args) != 1 or not isinstance(args[0], LayoutObject):
-        raise EvalError("COPY(obj) expects one object", line)
-    return args[0].copy()
-
-
-def _builtin_move(
-    interp: Interpreter, frame: Frame, args: List[Any], kwargs: Dict[str, Any], line: int
-) -> None:
-    if len(args) != 3 or not isinstance(args[0], LayoutObject):
-        raise EvalError("MOVE(obj, dx, dy) expects an object and two offsets", line)
-    args[0].translate(interp.dbu(args[1], line) or 0, interp.dbu(args[2], line) or 0)
-
-
-def _builtin_mirrorx(
-    interp: Interpreter, frame: Frame, args: List[Any], kwargs: Dict[str, Any], line: int
-) -> None:
-    if not args or not isinstance(args[0], LayoutObject):
-        raise EvalError("MIRRORX(obj, [axis]) expects an object", line)
-    axis = interp.dbu(args[1], line) if len(args) > 1 else 0
-    args[0].mirror_x(axis or 0)
-
-
-def _builtin_mirrory(
-    interp: Interpreter, frame: Frame, args: List[Any], kwargs: Dict[str, Any], line: int
-) -> None:
-    if not args or not isinstance(args[0], LayoutObject):
-        raise EvalError("MIRRORY(obj, [axis]) expects an object", line)
-    axis = interp.dbu(args[1], line) if len(args) > 1 else 0
-    args[0].mirror_y(axis or 0)
-
-
-def _builtin_setnet(
-    interp: Interpreter, frame: Frame, args: List[Any], kwargs: Dict[str, Any], line: int
-) -> None:
-    if len(args) < 2 or not isinstance(args[0], LayoutObject):
-        raise EvalError("SETNET(obj, net, [layer])", line)
-    net = _expect_str(args[1], "net name", line)
-    layer = _expect_str(args[2], "layer", line) if len(args) > 2 else None
-    args[0].set_net(net, layer)
-
-
-def _builtin_variable(
-    interp: Interpreter, frame: Frame, args: List[Any], kwargs: Dict[str, Any], line: int
-) -> None:
-    """VARIABLE(layer) / VARIABLE(obj, layer): mark layer edges variable."""
-    if args and isinstance(args[0], LayoutObject):
-        target, layers = args[0], args[1:]
-    else:
-        target = interp.require_obj(frame, "VARIABLE", line)
-        layers = args
-    if not layers:
-        raise EvalError("VARIABLE needs at least one layer name", line)
-    for layer in layers:
-        name = _expect_str(layer, "layer", line)
-        for rect in target.rects_on(name):
-            rect.set_variable()
-
-
-def _builtin_fixed(
-    interp: Interpreter, frame: Frame, args: List[Any], kwargs: Dict[str, Any], line: int
-) -> None:
-    """FIXED(layer) / FIXED(obj, layer): mark layer edges fixed."""
-    if args and isinstance(args[0], LayoutObject):
-        target, layers = args[0], args[1:]
-    else:
-        target = interp.require_obj(frame, "FIXED", line)
-        layers = args
-    for layer in layers:
-        name = _expect_str(layer, "layer", line)
-        for rect in target.rects_on(name):
-            rect.set_fixed()
-
-
-def _builtin_error(
-    interp: Interpreter, frame: Frame, args: List[Any], kwargs: Dict[str, Any], line: int
-) -> None:
-    message = args[0] if args else "explicit ERROR"
-    raise RuleError(f"line {line}: {message}")
-
-
-def _builtin_label(
-    interp: Interpreter, frame: Frame, args: List[Any], kwargs: Dict[str, Any], line: int
-) -> None:
-    obj = interp.require_obj(frame, "LABEL", line)
-    if len(args) != 4:
-        raise EvalError("LABEL(text, x, y, layer)", line)
-    obj.add_label(
-        _expect_str(args[0], "label text", line),
-        interp.dbu(args[1], line) or 0,
-        interp.dbu(args[2], line) or 0,
-        _expect_str(args[3], "layer", line),
-    )
-
-
-def _builtin_widthrule(
-    interp: Interpreter, frame: Frame, args: List[Any], kwargs: Dict[str, Any], line: int
-) -> float:
-    layer = _expect_str(args[0] if args else None, "layer", line)
-    return interp.tech.min_width(layer) / interp.tech.dbu_per_micron
-
-
-def _builtin_spacerule(
-    interp: Interpreter, frame: Frame, args: List[Any], kwargs: Dict[str, Any], line: int
-) -> float:
-    if len(args) != 2:
-        raise EvalError("SPACERULE(layerA, layerB)", line)
-    a = _expect_str(args[0], "layer", line)
-    b = _expect_str(args[1], "layer", line)
-    rule = interp.tech.min_space(a, b)
-    if rule is None:
-        raise RuleError(f"no SPACE rule between {a!r} and {b!r}")
-    return rule / interp.tech.dbu_per_micron
-
-
-def _builtin_numeric(name, func):
-    def implementation(
-        interp: Interpreter, frame: Frame, args: List[Any],
-        kwargs: Dict[str, Any], line: int,
-    ) -> float:
-        if kwargs:
-            raise EvalError(f"{name} takes no keyword arguments", line)
-        values = [interp._number(value, line) for value in args]
-        try:
-            return float(func(values))
-        except (ValueError, ZeroDivisionError, TypeError) as error:
-            raise EvalError(f"{name}: {error}", line) from error
-
-    return implementation
-
-
-def _mod(values):
-    if len(values) != 2:
-        raise ValueError("MOD(a, b) takes two arguments")
-    return values[0] % values[1]
-
-
-def _floor(values):
-    if len(values) != 1:
-        raise ValueError("FLOOR(x) takes one argument")
-    import math
-
-    return math.floor(values[0])
-
-
-def _abs(values):
-    if len(values) != 1:
-        raise ValueError("ABS(x) takes one argument")
-    return abs(values[0])
-
-
-def _min(values):
-    if not values:
-        raise ValueError("MIN needs at least one argument")
-    return min(values)
-
-
-def _max(values):
-    if not values:
-        raise ValueError("MAX needs at least one argument")
-    return max(values)
-
-
-_BUILTINS: Dict[str, Builtin] = {
-    "INBOX": _builtin_inbox,
-    "ARRAY": _builtin_array,
-    "TWORECTS": _builtin_tworects,
-    "AROUND": _builtin_around,
-    "RING": _builtin_ring,
-    "ADAPTOR": _builtin_adaptor,
-    "WIRE": _builtin_wire,
-    "VIA": _builtin_via,
-    "compact": _builtin_compact,
-    "COMPACT": _builtin_compact,
-    "COPY": _builtin_copy,
-    "MOVE": _builtin_move,
-    "MIRRORX": _builtin_mirrorx,
-    "MIRRORY": _builtin_mirrory,
-    "SETNET": _builtin_setnet,
-    "VARIABLE": _builtin_variable,
-    "FIXED": _builtin_fixed,
-    "ERROR": _builtin_error,
-    "LABEL": _builtin_label,
-    "WIDTHRULE": _builtin_widthrule,
-    "SPACERULE": _builtin_spacerule,
-    "MOD": _builtin_numeric("MOD", _mod),
-    "FLOOR": _builtin_numeric("FLOOR", _floor),
-    "ABS": _builtin_numeric("ABS", _abs),
-    "MIN": _builtin_numeric("MIN", _min),
-    "MAX": _builtin_numeric("MAX", _max),
-}
-
-#: Public list of builtin names (used by the translator and docs).
-BUILTIN_NAMES = tuple(sorted(_BUILTINS))

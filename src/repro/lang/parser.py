@@ -10,7 +10,7 @@ Grammar sketch (NL = newline)::
     assign     := IDENT '=' expr
     if         := 'IF' expr NL body ('ELSE' NL body)? 'ENDIF'
     for        := 'FOR' IDENT '=' expr 'TO' expr ('STEP' expr)? NL body 'ENDFOR'
-    alt        := 'ALT' NL body ('ELSEALT' NL body)* 'ENDALT'
+    alt        := 'ALT' NL body ('ELSEALT' NL body)* 'ENDALT'   (entity bodies only)
     expr       := or-expr with the usual precedence; postfix '.' and calls
 
 Entity bodies end at ``END`` or at the next ``ENT`` / end of file, so the
@@ -35,6 +35,8 @@ class Parser:
     def __init__(self, tokens: List[Token]) -> None:
         self._tokens = tokens
         self._pos = 0
+        #: ALT rolls back an entity structure, so only entity bodies have it.
+        self._in_entity = False
 
     # ------------------------------------------------------------------
     # token plumbing
@@ -103,7 +105,9 @@ class Parser:
                 entity.params.append(self._parse_param())
         self._expect(TokenKind.RPAREN, "')'")
         self._end_statement()
+        self._in_entity = True
         entity.body = self._parse_body()
+        self._in_entity = False
         self._accept_keyword("END")
         return entity
 
@@ -186,6 +190,8 @@ class Parser:
 
     def _parse_alt(self) -> ast.Alt:
         header = self._advance()  # ALT
+        if not self._in_entity:
+            raise ParseError("ALT is only allowed inside an entity body", header.line)
         self._end_statement()
         node = ast.Alt(line=header.line)
         node.branches.append(self._parse_body())

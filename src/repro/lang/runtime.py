@@ -1,26 +1,162 @@
-"""Runtime support for translated PLDL code.
+"""The PLDL runtime: the one implementation of every builtin.
 
-The paper's environment translates module source into C; :mod:`repro.lang.
-translate` does the same with Python as the target.  Generated functions call
-the methods of this :class:`Runtime`, which mirror the interpreter builtins
-(dimensions in microns) but take the target object explicitly.
+The paper's environment both interprets module source and translates it
+into C (Sec. 2.1).  Both of our execution paths run on this module.  The
+interpreter binds each builtin call through :data:`BUILTINS` and calls the
+named :class:`Runtime` method; code emitted by :mod:`repro.lang.translate`
+calls the same methods directly, its call shapes checked against the same
+table when it is translated.  FOR ranges (:meth:`Runtime.frange`), attribute
+reads (:meth:`Runtime.attr`) and ALT rollback (:meth:`Runtime.alt`) are
+shared the same way, so a program means the same on both paths, down to the
+:class:`~repro.lang.errors.EvalError` a malformed call raises.  Dimensions
+are microns.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+import inspect
+import math
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..compact import Compactor
 from ..db import LayoutObject
-from ..geometry import Direction
+from ..geometry import Direction, Rect
+from ..obs import get_logger
 from ..obs.provenance import get_recorder
 from ..primitives import angle_adaptor, around, array, inbox, ring, tworects
 from ..route import via_stack, wire
 from ..tech import RuleError, Technology
+from .errors import EvalError
+
+log = get_logger("lang")
+
+#: :attr:`Builtin.structure`: the call builds into the entity structure,
+#: so it is an error outside an entity body.
+BUILDS = "builds"
+#: :attr:`Builtin.structure`: the call acts on the entity structure unless
+#: its first argument is a layout object (see :meth:`Runtime.VARIABLE`).
+TARGETS = "targets"
+
+
+class Builtin(NamedTuple):
+    """How one builtin name binds to :class:`Runtime`."""
+
+    #: The :class:`Runtime` method that implements it.
+    method: str
+    #: Parameter names in positional order, each also accepted as a
+    #: keyword; None when the builtin takes positional arguments only.
+    keywords: Optional[Tuple[str, ...]]
+    #: None, :data:`BUILDS` or :data:`TARGETS`: whether the entity
+    #: structure is passed ahead of the call's own arguments.
+    structure: Optional[str]
+
+
+#: Every builtin of the language, for the interpreter and the translator.
+BUILTINS: Dict[str, Builtin] = {
+    "INBOX": Builtin("INBOX", ("layer", "W", "L", "net", "variable"), BUILDS),
+    "ARRAY": Builtin("ARRAY", ("layer", "net"), BUILDS),
+    "TWORECTS": Builtin(
+        "TWORECTS", ("gate", "body", "W", "L", "gatenet", "bodynet"), BUILDS
+    ),
+    "AROUND": Builtin("AROUND", ("layer", "margin", "net"), BUILDS),
+    "RING": Builtin("RING", ("layer", "width", "gap", "net"), BUILDS),
+    "ADAPTOR": Builtin(
+        "ADAPTOR", ("hlayer", "vlayer", "x", "y", "hwidth", "vwidth", "net"), BUILDS
+    ),
+    "WIRE": Builtin("WIRE", ("layer", "x1", "y1", "x2", "y2", "width", "net"), BUILDS),
+    "VIA": Builtin("VIA", ("x", "y", "bottom", "top", "net"), BUILDS),
+    "compact": Builtin("compact", None, BUILDS),
+    "COMPACT": Builtin("compact", None, BUILDS),
+    "COPY": Builtin("COPY", None, None),
+    "MOVE": Builtin("MOVE", None, None),
+    "MIRRORX": Builtin("MIRRORX", None, None),
+    "MIRRORY": Builtin("MIRRORY", None, None),
+    "SETNET": Builtin("SETNET", None, None),
+    "VARIABLE": Builtin("VARIABLE", None, TARGETS),
+    "FIXED": Builtin("FIXED", None, TARGETS),
+    "ERROR": Builtin("ERROR", None, None),
+    "LABEL": Builtin("LABEL", None, BUILDS),
+    "WIDTHRULE": Builtin("WIDTHRULE", None, None),
+    "SPACERULE": Builtin("SPACERULE", None, None),
+    "MOD": Builtin("MOD", None, None),
+    "FLOOR": Builtin("FLOOR", None, None),
+    "ABS": Builtin("ABS", None, None),
+    "MIN": Builtin("MIN", None, None),
+    "MAX": Builtin("MAX", None, None),
+}
+
+#: Public list of builtin names (used by the docs and tests).
+BUILTIN_NAMES = tuple(sorted(BUILTINS))
+
+
+def check_call(
+    name: str,
+    positional: int,
+    keywords: Sequence[str],
+    in_entity: bool,
+    line: Optional[int],
+) -> Builtin:
+    """The table row for a builtin call of this shape, or an ``EvalError``.
+
+    Binding is strict: too many or too few positional arguments, an unknown
+    or repeated keyword, and a keyword to a positional-only builtin are all
+    errors, as is a structure-building call outside an entity body.
+    """
+    spec = BUILTINS.get(name)
+    if spec is None:
+        raise EvalError(f"unknown function or entity {name!r}", line)
+    if spec.structure == BUILDS and not in_entity:
+        raise EvalError(f"{name} is only allowed inside an entity body", line)
+    if spec.keywords is None:
+        if keywords:
+            raise EvalError(f"{name} takes no keyword arguments", line)
+        low, high = _ARITY[spec.method]
+        if positional < low or (high is not None and positional > high):
+            if high is None:
+                wanted = f"at least {low}"
+            else:
+                wanted = str(low) if low == high else f"{low} to {high}"
+            raise EvalError(
+                f"{name} takes {wanted} arguments, got {positional}", line
+            )
+        return spec
+    if positional > len(spec.keywords):
+        raise EvalError(
+            f"{name} takes at most {len(spec.keywords)} positional"
+            f" arguments ({', '.join(spec.keywords)})",
+            line,
+        )
+    given = set(spec.keywords[:positional])
+    for key in keywords:
+        if key not in spec.keywords:
+            raise EvalError(f"{name}: unknown argument {key!r}", line)
+        if key in given:
+            raise EvalError(f"{name}: argument {key!r} given twice", line)
+        given.add(key)
+    return spec
+
+
+def number(value: Any) -> float:
+    """*value* as a float; anything but an int or float is an ``EvalError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise EvalError(f"expected a number, got {type(value).__name__}")
+    return float(value)
+
+
+def _expect_str(value: Any, what: str) -> str:
+    if not isinstance(value, str):
+        raise EvalError(f"{what} must be a string")
+    return value
+
+
+def _expect_obj(value: Any, usage: str) -> LayoutObject:
+    if not isinstance(value, LayoutObject):
+        raise EvalError(f"{usage}: expected an object, got {type(value).__name__}")
+    return value
 
 
 class Runtime:
-    """Execution context shared by all translated entities."""
+    """Execution context of PLDL code on one technology."""
 
     def __init__(self, tech: Technology, compactor: Optional[Compactor] = None) -> None:
         self.tech = tech
@@ -52,211 +188,334 @@ class Runtime:
         if depth is not None:
             get_recorder().pop_entity(depth)
 
-    def _dbu(self, value: Optional[float]) -> Optional[int]:
-        return None if value is None else self.tech.um(float(value))
+    def _dbu(self, value: Any) -> Optional[int]:
+        """Microns to database units; NIL passes through."""
+        return None if value is None else self.tech.um(number(value))
 
     # ------------------------------------------------------------------
-    # geometry builtins (micron-valued)
+    # geometry builtins
     # ------------------------------------------------------------------
     def INBOX(
         self,
         obj: LayoutObject,
-        layer: str,
-        W: Optional[float] = None,
-        L: Optional[float] = None,
+        layer: Any = None,
+        W: Any = None,
+        L: Any = None,
         net: Optional[str] = None,
-        variable: bool = False,
+        variable: Any = False,
     ) -> None:
-        """Translated INBOX."""
-        inbox(obj, layer, w=self._dbu(W), length=self._dbu(L), net=net, variable=variable)
+        """INBOX(layer, <W>, <L>, net=, variable=)."""
+        inbox(
+            obj,
+            _expect_str(layer, "INBOX layer"),
+            w=self._dbu(W),
+            length=self._dbu(L),
+            net=net,
+            variable=bool(variable),
+        )
 
-    def ARRAY(self, obj: LayoutObject, layer: str, net: Optional[str] = None) -> None:
-        """Translated ARRAY."""
-        array(obj, layer, net=net)
+    def ARRAY(self, obj: LayoutObject, layer: Any = None, net: Optional[str] = None) -> None:
+        """ARRAY(layer, net=)."""
+        array(obj, _expect_str(layer, "ARRAY layer"), net=net)
 
     def TWORECTS(
         self,
         obj: LayoutObject,
-        gate: str,
-        body: str,
-        W: float,
-        L: float,
+        gate: Any = None,
+        body: Any = None,
+        W: Any = None,
+        L: Any = None,
         gatenet: Optional[str] = None,
         bodynet: Optional[str] = None,
     ) -> None:
-        """Translated TWORECTS."""
-        tworects(
-            obj, gate, body, self._dbu(W) or 0, self._dbu(L) or 0,
-            gate_net=gatenet, body_net=bodynet,
-        )
+        """TWORECTS(gate, body, W, L, gatenet=, bodynet=)."""
+        gate = _expect_str(gate, "TWORECTS gate layer")
+        body = _expect_str(body, "TWORECTS body layer")
+        w, length = self._dbu(W), self._dbu(L)
+        if w is None or length is None:
+            raise EvalError("TWORECTS requires W and L")
+        tworects(obj, gate, body, w, length, gate_net=gatenet, body_net=bodynet)
 
     def AROUND(
         self,
         obj: LayoutObject,
-        layer: str,
-        margin: Optional[float] = None,
+        layer: Any = None,
+        margin: Any = None,
         net: Optional[str] = None,
     ) -> None:
-        """Translated AROUND."""
-        around(obj, layer, margin=self._dbu(margin), net=net)
+        """AROUND(layer, margin=, net=)."""
+        around(obj, _expect_str(layer, "AROUND layer"), margin=self._dbu(margin), net=net)
 
     def RING(
         self,
         obj: LayoutObject,
-        layer: str,
-        width: Optional[float] = None,
-        gap: Optional[float] = None,
+        layer: Any = None,
+        width: Any = None,
+        gap: Any = None,
         net: Optional[str] = None,
     ) -> None:
-        """Translated RING."""
-        ring(obj, layer, width=self._dbu(width), gap=self._dbu(gap), net=net)
+        """RING(layer, width=, gap=, net=)."""
+        ring(
+            obj,
+            _expect_str(layer, "RING layer"),
+            width=self._dbu(width),
+            gap=self._dbu(gap),
+            net=net,
+        )
 
     def ADAPTOR(
         self,
         obj: LayoutObject,
-        hlayer: str,
-        vlayer: str,
-        x: float,
-        y: float,
-        hwidth: Optional[float] = None,
-        vwidth: Optional[float] = None,
+        hlayer: Any = None,
+        vlayer: Any = None,
+        x: Any = None,
+        y: Any = None,
+        hwidth: Any = None,
+        vwidth: Any = None,
         net: Optional[str] = None,
     ) -> None:
-        """Translated ADAPTOR."""
+        """ADAPTOR(hlayer, vlayer, x, y, hwidth=, vwidth=, net=)."""
         angle_adaptor(
-            obj, hlayer, vlayer, self._dbu(x) or 0, self._dbu(y) or 0,
-            h_width=self._dbu(hwidth), v_width=self._dbu(vwidth), net=net,
+            obj,
+            _expect_str(hlayer, "ADAPTOR hlayer"),
+            _expect_str(vlayer, "ADAPTOR vlayer"),
+            self._dbu(x) or 0,
+            self._dbu(y) or 0,
+            h_width=self._dbu(hwidth),
+            v_width=self._dbu(vwidth),
+            net=net,
         )
 
     def WIRE(
         self,
         obj: LayoutObject,
-        layer: str,
-        x1: float,
-        y1: float,
-        x2: float,
-        y2: float,
-        width: Optional[float] = None,
+        layer: Any = None,
+        x1: Any = None,
+        y1: Any = None,
+        x2: Any = None,
+        y2: Any = None,
+        width: Any = None,
         net: Optional[str] = None,
     ) -> None:
-        """Translated WIRE."""
+        """WIRE(layer, x1, y1, x2, y2, width=, net=)."""
         wire(
-            obj, layer,
+            obj,
+            _expect_str(layer, "WIRE layer"),
             (self._dbu(x1) or 0, self._dbu(y1) or 0),
             (self._dbu(x2) or 0, self._dbu(y2) or 0),
-            width=self._dbu(width), net=net,
+            width=self._dbu(width),
+            net=net,
         )
 
     def VIA(
         self,
         obj: LayoutObject,
-        x: float,
-        y: float,
-        bottom: str,
-        top: str,
+        x: Any = None,
+        y: Any = None,
+        bottom: Any = None,
+        top: Any = None,
         net: Optional[str] = None,
     ) -> None:
-        """Translated VIA."""
-        via_stack(obj, self._dbu(x) or 0, self._dbu(y) or 0, bottom, top, net=net)
+        """VIA(x, y, bottom, top, net=)."""
+        via_stack(
+            obj,
+            self._dbu(x) or 0,
+            self._dbu(y) or 0,
+            _expect_str(bottom, "VIA bottom layer"),
+            _expect_str(top, "VIA top layer"),
+            net=net,
+        )
 
     # ------------------------------------------------------------------
     # structural builtins
     # ------------------------------------------------------------------
-    def compact(
-        self,
-        obj: LayoutObject,
-        child: LayoutObject,
-        direction: Any,
-        *ignore: str,
-    ) -> None:
-        """Translated compact()."""
+    def compact(self, obj: LayoutObject, child: Any, direction: Any, *ignore: Any) -> None:
+        """compact(obj, DIRECTION, ignored layers...)."""
+        child = _expect_obj(child, "compact(obj, DIRECTION, ignored layers...)")
         if isinstance(direction, str):
-            direction = Direction.from_name(direction)
-        self.compactor.compact(obj, child, direction, ignore)
+            try:
+                direction = Direction.from_name(direction)
+            except ValueError as error:
+                raise EvalError(f"compact: {error}") from None
+        if not isinstance(direction, Direction):
+            raise EvalError("compact: second argument must be a direction")
+        layers = tuple(_expect_str(layer, "ignored layer") for layer in ignore)
+        self.compactor.compact(obj, child, direction, layers)
 
-    def COPY(self, child: LayoutObject) -> LayoutObject:
-        """Translated COPY()."""
-        return child.copy()
+    def COPY(self, child: Any) -> LayoutObject:
+        """COPY(obj)."""
+        return _expect_obj(child, "COPY(obj)").copy()
 
-    def MOVE(self, child: LayoutObject, dx: float, dy: float) -> None:
-        """Translated MOVE()."""
-        child.translate(self._dbu(dx) or 0, self._dbu(dy) or 0)
+    def MOVE(self, child: Any, dx: Any, dy: Any) -> None:
+        """MOVE(obj, dx, dy)."""
+        _expect_obj(child, "MOVE(obj, dx, dy)").translate(
+            self._dbu(dx) or 0, self._dbu(dy) or 0
+        )
 
-    def MIRRORX(self, child: LayoutObject, axis: float = 0.0) -> None:
-        """Translated MIRRORX()."""
-        child.mirror_x(self._dbu(axis) or 0)
+    def MIRRORX(self, child: Any, axis: Any = None) -> None:
+        """MIRRORX(obj, [axis])."""
+        _expect_obj(child, "MIRRORX(obj, [axis])").mirror_x(self._dbu(axis) or 0)
 
-    def MIRRORY(self, child: LayoutObject, axis: float = 0.0) -> None:
-        """Translated MIRRORY()."""
-        child.mirror_y(self._dbu(axis) or 0)
+    def MIRRORY(self, child: Any, axis: Any = None) -> None:
+        """MIRRORY(obj, [axis])."""
+        _expect_obj(child, "MIRRORY(obj, [axis])").mirror_y(self._dbu(axis) or 0)
 
-    def SETNET(self, child: LayoutObject, net: str, layer: Optional[str] = None) -> None:
-        """Translated SETNET()."""
-        child.set_net(net, layer)
+    def SETNET(self, child: Any, net: Any, layer: Any = None) -> None:
+        """SETNET(obj, net, [layer])."""
+        _expect_obj(child, "SETNET(obj, net, [layer])").set_net(
+            _expect_str(net, "net name"),
+            None if layer is None else _expect_str(layer, "layer"),
+        )
 
-    def VARIABLE(self, target: LayoutObject, *layers: str) -> None:
-        """Translated VARIABLE()."""
-        for layer in layers:
-            for rect in target.rects_on(layer):
-                rect.set_variable()
+    def VARIABLE(self, obj: Optional[LayoutObject], *args: Any) -> None:
+        """VARIABLE(layers...) / VARIABLE(obj, layers...): mark edges variable."""
+        for rect in self._edge_targets("VARIABLE", obj, args):
+            rect.set_variable()
 
-    def FIXED(self, target: LayoutObject, *layers: str) -> None:
-        """Translated FIXED()."""
-        for layer in layers:
-            for rect in target.rects_on(layer):
-                rect.set_fixed()
+    def FIXED(self, obj: Optional[LayoutObject], *args: Any) -> None:
+        """FIXED(layers...) / FIXED(obj, layers...): mark edges fixed."""
+        for rect in self._edge_targets("FIXED", obj, args):
+            rect.set_fixed()
 
-    def ERROR(self, message: str = "explicit ERROR") -> None:
-        """Translated ERROR()."""
+    @staticmethod
+    def _edge_targets(
+        name: str, obj: Optional[LayoutObject], args: Sequence[Any]
+    ) -> List[Rect]:
+        """The rects VARIABLE/FIXED act on.
+
+        A leading layout object is the target; otherwise the target is the
+        entity structure *obj* (None outside an entity body).
+        """
+        if args and isinstance(args[0], LayoutObject):
+            target, layers = args[0], args[1:]
+        elif obj is None:
+            raise EvalError(f"{name} is only allowed inside an entity body")
+        else:
+            target, layers = obj, args
+        if not layers:
+            raise EvalError(f"{name} needs at least one layer name")
+        return [
+            rect
+            for layer in layers
+            for rect in target.rects_on(_expect_str(layer, "layer"))
+        ]
+
+    def ERROR(self, message: Any = "explicit ERROR") -> None:
+        """ERROR(msg): an explicit rule failure."""
         raise RuleError(str(message))
 
-    def LABEL(self, obj: LayoutObject, text: str, x: float, y: float, layer: str) -> None:
-        """Translated LABEL()."""
-        obj.add_label(text, self._dbu(x) or 0, self._dbu(y) or 0, layer)
+    def LABEL(self, obj: LayoutObject, text: Any, x: Any, y: Any, layer: Any) -> None:
+        """LABEL(text, x, y, layer)."""
+        obj.add_label(
+            _expect_str(text, "label text"),
+            self._dbu(x) or 0,
+            self._dbu(y) or 0,
+            _expect_str(layer, "layer"),
+        )
 
-    def WIDTHRULE(self, layer: str) -> float:
-        """Translated WIDTHRULE()."""
-        return self.tech.min_width(layer) / self.tech.dbu_per_micron
+    def WIDTHRULE(self, layer: Any) -> float:
+        """WIDTHRULE(layer) in microns."""
+        return self.tech.min_width(_expect_str(layer, "layer")) / self.tech.dbu_per_micron
 
-    def SPACERULE(self, layer_a: str, layer_b: str) -> float:
-        """Translated SPACERULE()."""
-        rule = self.tech.min_space(layer_a, layer_b)
+    def SPACERULE(self, layer_a: Any, layer_b: Any) -> float:
+        """SPACERULE(a, b) in microns."""
+        a = _expect_str(layer_a, "layer")
+        b = _expect_str(layer_b, "layer")
+        rule = self.tech.min_space(a, b)
         if rule is None:
-            raise RuleError(f"no SPACE rule between {layer_a!r} and {layer_b!r}")
+            raise RuleError(f"no SPACE rule between {a!r} and {b!r}")
         return rule / self.tech.dbu_per_micron
+
+    # ------------------------------------------------------------------
+    # numeric builtins
+    # ------------------------------------------------------------------
+    def MOD(self, a: Any, b: Any) -> float:
+        """MOD(a, b)."""
+        divisor = number(b)
+        if divisor == 0:
+            raise EvalError("MOD: division by zero")
+        return number(a) % divisor
+
+    def FLOOR(self, x: Any) -> float:
+        """FLOOR(x)."""
+        return float(math.floor(number(x)))
+
+    def ABS(self, x: Any) -> float:
+        """ABS(x)."""
+        return abs(number(x))
+
+    def MIN(self, value: Any, *values: Any) -> float:
+        """MIN(values...)."""
+        return min(number(v) for v in (value, *values))
+
+    def MAX(self, value: Any, *values: Any) -> float:
+        """MAX(values...)."""
+        return max(number(v) for v in (value, *values))
 
     # ------------------------------------------------------------------
     # control support
     # ------------------------------------------------------------------
+    @staticmethod
+    def frange(start: Any, stop: Any, step: Any = 1.0) -> List[float]:
+        """The values of ``FOR i = start TO stop STEP step``: inclusive."""
+        value, stop, step = number(start), number(stop), number(step)
+        if step == 0:
+            raise EvalError("FOR step must not be zero")
+        values: List[float] = []
+        # Inclusive bounds, tolerant of float accumulation.
+        epsilon = abs(step) * 1e-9
+        while (step > 0 and value <= stop + epsilon) or (
+            step < 0 and value >= stop - epsilon
+        ):
+            values.append(value)
+            value += step
+        return values
+
+    def attr(self, value: Any, name: str) -> float:
+        """``obj.width`` / ``obj.height`` (µm) and ``obj.area`` (µm²)."""
+        if not isinstance(value, LayoutObject):
+            raise EvalError(f"cannot read attribute of {type(value).__name__}")
+        dbu = self.tech.dbu_per_micron
+        if name == "width":
+            return value.width / dbu
+        if name == "height":
+            return value.height / dbu
+        if name == "area":
+            return value.area() / dbu ** 2
+        raise EvalError(
+            f"objects have no attribute {name!r} (use width, height or area)"
+        )
+
     def alt(
         self,
         obj: LayoutObject,
         branches: Sequence[Callable[[], None]],
-        save: Optional[Callable[[], dict]] = None,
-        restore: Optional[Callable[[dict], None]] = None,
+        save: Callable[[], dict],
+        restore: Callable[[dict], None],
     ) -> None:
-        """Translated ALT: try branches with rollback on rule failure.
+        """ALT: try *branches* in order until one fulfils its design rules.
 
-        The interpreter rolls back the whole variable frame when a branch
-        fails, not just the entity structure; translated code passes
-        ``save``/``restore`` closures over the names its branches touch so
-        both execution paths agree.  Older generated modules omit them and
-        keep the structure-only rollback.
+        Before each branch the structure *obj* and the caller's variables
+        (``save()``, see :meth:`alt_state`) are snapshotted; a branch that
+        raises :class:`RuleError` is rolled back in place, so outer
+        references to *obj* stay valid, and ``restore`` gets the variables
+        back.  When every branch fails, a ``RuleError`` naming the last
+        failure propagates.
         """
         last: Optional[RuleError] = None
-        for branch in branches:
+        for index, branch in enumerate(branches):
             snapshot = obj.copy()
-            state = save() if save is not None else None
+            state = save()
             try:
                 branch()
                 return
             except RuleError as error:
                 last = error
+                log.debug("ALT branch %d rolled back (%s)", index, error)
                 obj.rects = snapshot.rects
                 obj.links = snapshot.links
                 obj.labels = snapshot.labels
-                if restore is not None:
-                    restore(state or {})
+                restore(state)
         raise RuleError(f"all ALT branches failed (last: {last})")
 
     @staticmethod
@@ -267,55 +526,19 @@ class Runtime:
             for name, value in values.items()
         }
 
-    @staticmethod
-    def MOD(a: float, b: float) -> float:
-        """Translated MOD()."""
-        return float(a) % float(b)
 
-    @staticmethod
-    def FLOOR(x: float) -> float:
-        """Translated FLOOR()."""
-        import math
+def _arity(method: Callable[..., Any], structure: Optional[str]) -> Tuple[int, Optional[int]]:
+    """(fewest, most or None) positional arguments a PLDL call passes *method*."""
+    params = list(inspect.signature(method).parameters.values())
+    params = params[1 if structure is None else 2:]  # self, then the structure
+    variadic = any(p.kind is p.VAR_POSITIONAL for p in params)
+    required = sum(p.default is p.empty and p.kind is not p.VAR_POSITIONAL for p in params)
+    return required, None if variadic else len(params)
 
-        return float(math.floor(x))
 
-    @staticmethod
-    def ABS(x: float) -> float:
-        """Translated ABS()."""
-        return abs(float(x))
-
-    @staticmethod
-    def MIN(*values: float) -> float:
-        """Translated MIN()."""
-        return float(min(values))
-
-    @staticmethod
-    def MAX(*values: float) -> float:
-        """Translated MAX()."""
-        return float(max(values))
-
-    @staticmethod
-    def frange(start: float, stop: float, step: float = 1.0) -> List[float]:
-        """Translated FOR bounds: inclusive float range."""
-        if step == 0:
-            raise ValueError("FOR step must not be zero")
-        values: List[float] = []
-        value = start
-        epsilon = abs(step) * 1e-9
-        while (step > 0 and value <= stop + epsilon) or (
-            step < 0 and value >= stop - epsilon
-        ):
-            values.append(value)
-            value += step
-        return values
-
-    def attr(self, obj: LayoutObject, name: str) -> float:
-        """Translated attribute access (micron-valued metrics)."""
-        dbu = self.tech.dbu_per_micron
-        if name == "width":
-            return obj.width / dbu
-        if name == "height":
-            return obj.height / dbu
-        if name == "area":
-            return obj.area() / dbu ** 2
-        raise AttributeError(f"objects have no attribute {name!r}")
+#: Positional arity per positional-only method, read off its signature.
+_ARITY: Dict[str, Tuple[int, Optional[int]]] = {
+    spec.method: _arity(getattr(Runtime, spec.method), spec.structure)
+    for spec in BUILTINS.values()
+    if spec.keywords is None
+}

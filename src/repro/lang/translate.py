@@ -3,8 +3,10 @@
 "The source code is automatically translated into C" (Sec. 2.1); here the
 target language is Python.  Each entity becomes a function taking the shared
 :class:`~repro.lang.runtime.Runtime` plus its (keyword-defaulted) parameters;
-builtins become runtime-method calls with the structure object threaded as
-the first argument.  The emitted module is self-contained apart from the
+builtins become calls of the runtime methods the interpreter also runs, with
+the structure object threaded as the first argument where
+:data:`~repro.lang.runtime.BUILTINS` says so, and call shapes checked
+against that table here.  The emitted module is self-contained apart from the
 runtime import and is meant to be ``exec``-uted or written to disk.
 """
 
@@ -14,8 +16,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from . import ast_nodes as ast
 from .errors import EvalError
-from .interpreter import BUILTIN_NAMES
 from .parser import parse
+from .runtime import check_call
 
 _DIRECTIONS = frozenset({"NORTH", "SOUTH", "EAST", "WEST"})
 _INDENT = "    "
@@ -124,13 +126,11 @@ class _Translator:
         raise EvalError(f"cannot translate statement {statement!r}", statement.line)
 
     def _alt(self, statement: ast.Alt, depth: int, obj_var: Optional[str]) -> List[str]:
-        if obj_var is None:
-            raise EvalError("ALT is only allowed inside an entity body", statement.line)
         pad = _INDENT * depth
         self._alt_counter += 1
         tag = self._alt_counter
 
-        assigned = sorted(self._assigned_names(statement))
+        assigned = sorted(set().union(*map(self._bound_names, statement.branches)))
         lines: List[str] = []
         # Pre-bind names assigned inside branches so nonlocal is legal —
         # guarded, so a binding made before the ALT survives (the interpreter
@@ -180,27 +180,6 @@ class _Translator:
             f" save={save}, restore={restore})"
         )
         return lines
-
-    def _assigned_names(self, statement: ast.Alt) -> Set[str]:
-        names: Set[str] = set()
-
-        def visit(stmts: List[ast.Statement]) -> None:
-            for stmt in stmts:
-                if isinstance(stmt, ast.Assign):
-                    names.add(stmt.target)
-                elif isinstance(stmt, ast.If):
-                    visit(stmt.then_body)
-                    visit(stmt.else_body)
-                elif isinstance(stmt, ast.For):
-                    names.add(stmt.var)
-                    visit(stmt.body)
-                elif isinstance(stmt, ast.Alt):
-                    for branch in stmt.branches:
-                        visit(branch)
-
-        for branch in statement.branches:
-            visit(branch)
-        return names
 
     @staticmethod
     def _bound_names(statements: List[ast.Statement]) -> Set[str]:
@@ -306,48 +285,10 @@ class _Translator:
         if expr.func in self.entity_names:
             return f"{expr.func}({', '.join(['rt'] + args + kwargs)})"
 
-        if expr.func in ("VARIABLE", "FIXED"):
-            # Implicit-target form VARIABLE("layer") targets the entity
-            # structure; the explicit form VARIABLE(obj, "layer") passes
-            # through.  A leading string literal marks the implicit form.
-            implicit = bool(expr.args) and isinstance(expr.args[0], ast.String)
-            call_args = args + kwargs
-            if implicit:
-                if obj_var is None:
-                    raise EvalError(
-                        f"{expr.func} is only allowed inside an entity body",
-                        expr.line,
-                    )
-                call_args = [obj_var] + call_args
-            return f"rt.{expr.func}({', '.join(call_args)})"
-
-        if expr.func in BUILTIN_NAMES:
-            method = "compact" if expr.func in ("compact", "COMPACT") else expr.func
-            needs_obj = expr.func not in (
-                "COPY",
-                "MOVE",
-                "MIRRORX",
-                "MIRRORY",
-                "SETNET",
-                "VARIABLE",
-                "FIXED",
-                "ERROR",
-                "WIDTHRULE",
-                "SPACERULE",
-                "MOD",
-                "FLOOR",
-                "ABS",
-                "MIN",
-                "MAX",
-            )
-            call_args = args + kwargs
-            if needs_obj:
-                if obj_var is None:
-                    raise EvalError(
-                        f"{expr.func} is only allowed inside an entity body",
-                        expr.line,
-                    )
-                call_args = [obj_var] + call_args
-            return f"rt.{method}({', '.join(call_args)})"
-
-        raise EvalError(f"unknown function or entity {expr.func!r}", expr.line)
+        spec = check_call(
+            expr.func, len(args), [key for key, _ in expr.kwargs],
+            obj_var is not None, expr.line,
+        )
+        if spec.structure is not None:
+            args.insert(0, obj_var or "None")
+        return f"rt.{spec.method}({', '.join(args + kwargs)})"

@@ -56,7 +56,6 @@ from .provenance import (
 )
 from .sinks import (
     ChromeTraceSink,
-    JsonlSink,
     Sink,
     SpanStats,
     StatsSink,
@@ -78,7 +77,6 @@ __all__ = [
     "Sink",
     "StatsSink",
     "SpanStats",
-    "JsonlSink",
     "ChromeTraceSink",
     "validate_chrome_trace",
     "LogHistogram",

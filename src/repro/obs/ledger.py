@@ -2,7 +2,7 @@
 
 Every ``repro`` CLI command and every benchmark appends one structured
 record — command, argv, technology, git SHA, wall/CPU time, peak RSS and a
-flat snapshot of all tracer counters/gauges and per-span totals — to an
+flat snapshot of all tracer counters and per-span totals — to an
 append-only JSONL file *and* a SQLite index under
 ``~/.cache/repro/ledger`` (override with ``REPRO_LEDGER_DIR`` or the
 ``--ledger DIR`` flag; opt out with ``REPRO_LEDGER=0`` or ``--no-ledger``).
@@ -141,7 +141,7 @@ def flatten_metrics(payload: Any, prefix: str = "") -> Dict[str, float]:
 def snapshot_metrics(stats: Any) -> Dict[str, float]:
     """Flatten a :class:`~repro.obs.sinks.StatsSink` into ledger metrics.
 
-    Counters and gauges keep their dotted names; spans contribute
+    Counters keep their dotted names; spans contribute
     ``span.<name>.total_s`` and ``span.<name>.calls`` plus histogram
     percentiles ``span.<name>.p50_s`` / ``.p90_s`` / ``.p99_s`` (the
     ``_s`` suffix keeps them in the perf-check noise classification with
@@ -149,8 +149,6 @@ def snapshot_metrics(stats: Any) -> Dict[str, float]:
     """
     metrics: Dict[str, float] = {}
     for name, value in stats.counters.items():
-        metrics[name] = float(value)
-    for name, value in stats.gauges.items():
         metrics[name] = float(value)
     for name, span in stats.spans.items():
         metrics[f"span.{name}.total_s"] = span.total_ns / 1e9

@@ -1,28 +1,26 @@
-"""Sinks: where the tracer's spans, counters and gauges end up.
+"""Sinks: where the tracer's spans and counters end up.
 
-Three built-ins cover the paper pipeline's needs:
+Two built-ins cover the paper pipeline's needs:
 
 * :class:`StatsSink` — in-memory aggregation (per-span call counts and
-  total/min/max durations, counter totals, last gauge values) with a
-  human-readable summary table — what ``repro stats`` prints;
-* :class:`JsonlSink` — one JSON object per record, append-streamed to a
-  file, for machine consumption of the raw event log;
+  total/min/max durations, counter totals) with a human-readable summary
+  table — what ``repro stats`` prints;
 * :class:`ChromeTraceSink` — Chrome trace-event JSON (the ``traceEvents``
   array format) loadable in Perfetto (https://ui.perfetto.dev) or
   ``chrome://tracing`` — what ``repro --trace out.json ...`` writes.
 
-A sink is any object with the ``on_*`` callbacks plus ``close``;
+A sink is any object with ``on_span_start``, ``on_span``, ``on_count`` and
+``close``;
 :class:`Sink` is the no-op base class custom sinks can subclass.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import threading
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 from .hist import LogHistogram
 
@@ -33,7 +31,6 @@ __all__ = [
     "Sink",
     "StatsSink",
     "SpanStats",
-    "JsonlSink",
     "ChromeTraceSink",
     "validate_chrome_trace",
 ]
@@ -50,12 +47,6 @@ class Sink:
 
     def on_count(self, name: str, n: int, ts_ns: int) -> None:
         """Counter *name* was incremented by *n*."""
-
-    def on_gauge(self, name: str, value: float, ts_ns: int) -> None:
-        """Gauge *name* was set to *value*."""
-
-    def on_event(self, name: str, ts_ns: int, attrs: Dict[str, Any]) -> None:
-        """An instant event occurred."""
 
     def close(self) -> None:
         """Flush buffers / write files; must be idempotent."""
@@ -105,8 +96,6 @@ class StatsSink(Sink):
         #: How many ``count()`` calls fed each counter (vs the summed value)
         #: — the overhead bench uses this as the instrumentation hit count.
         self.counter_calls: Dict[str, int] = {}
-        self.gauges: Dict[str, float] = {}
-        self.events: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     def on_span(self, record: "SpanRecord") -> None:
@@ -118,12 +107,6 @@ class StatsSink(Sink):
     def on_count(self, name: str, n: int, ts_ns: int) -> None:
         self.counters[name] = self.counters.get(name, 0) + n
         self.counter_calls[name] = self.counter_calls.get(name, 0) + 1
-
-    def on_gauge(self, name: str, value: float, ts_ns: int) -> None:
-        self.gauges[name] = value
-
-    def on_event(self, name: str, ts_ns: int, attrs: Dict[str, Any]) -> None:
-        self.events[name] = self.events.get(name, 0) + 1
 
     # ------------------------------------------------------------------
     def total_s(self, span_name: str) -> float:
@@ -204,73 +187,9 @@ class StatsSink(Sink):
                     f"… {len(ranked_counters) - len(shown_counters)}"
                     " more counters"
                 )
-        if self.gauges:
-            if lines:
-                lines.append("")
-            name_w = max(len(name) for name in self.gauges)
-            name_w = max(name_w, len("gauge"))
-            lines.append(f"{'gauge':<{name_w}} {'value':>12}")
-            for name in sorted(self.gauges):
-                lines.append(f"{name:<{name_w}} {self.gauges[name]:>12g}")
         if not lines:
-            return "(no spans, counters or gauges recorded)"
+            return "(no spans or counters recorded)"
         return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-class JsonlSink(Sink):
-    """Raw event log: one JSON object per line.
-
-    Record shapes: ``{"type": "span", "name", "ts_ns", "dur_ns", "depth",
-    "attrs"}``, ``{"type": "count", "name", "n", "ts_ns"}``, ``{"type":
-    "gauge", ...}``, ``{"type": "event", ...}``.
-    """
-
-    def __init__(self, target: Union[str, Path, IO[str]]) -> None:
-        if isinstance(target, (str, Path)):
-            self._file: IO[str] = open(target, "w", encoding="utf-8")
-            self._owns_file = True
-        else:
-            self._file = target
-            self._owns_file = False
-        self._lock = threading.Lock()
-        self._closed = False
-
-    def _write(self, record: Dict[str, Any]) -> None:
-        if self._closed:
-            return
-        line = json.dumps(record, default=str)
-        with self._lock:
-            self._file.write(line + "\n")
-
-    def on_span(self, record: "SpanRecord") -> None:
-        self._write(
-            {
-                "type": "span",
-                "name": record.name,
-                "ts_ns": record.start_ns,
-                "dur_ns": record.duration_ns,
-                "depth": record.depth,
-                "attrs": record.attrs,
-            }
-        )
-
-    def on_count(self, name: str, n: int, ts_ns: int) -> None:
-        self._write({"type": "count", "name": name, "n": n, "ts_ns": ts_ns})
-
-    def on_gauge(self, name: str, value: float, ts_ns: int) -> None:
-        self._write({"type": "gauge", "name": name, "value": value, "ts_ns": ts_ns})
-
-    def on_event(self, name: str, ts_ns: int, attrs: Dict[str, Any]) -> None:
-        self._write({"type": "event", "name": name, "ts_ns": ts_ns, "attrs": attrs})
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._file.flush()
-        if self._owns_file:
-            self._file.close()
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +197,7 @@ class ChromeTraceSink(Sink):
     """Chrome trace-event JSON, viewable in Perfetto.
 
     Spans become complete (``"ph": "X"``) events with microsecond ``ts`` /
-    ``dur``; counters become cumulative counter (``"ph": "C"``) tracks;
-    instants become ``"ph": "i"`` events.  The span name's dotted prefix
+    ``dur``; counters become cumulative counter (``"ph": "C"``) tracks.  The span name's dotted prefix
     (``compact`` in ``compact.step``) is used as the event category so
     Perfetto can filter per pipeline stage.
     """
@@ -341,35 +259,6 @@ class ChromeTraceSink(Sink):
                     "args": {"value": total},
                 }
             )
-
-    def on_gauge(self, name: str, value: float, ts_ns: int) -> None:
-        with self._lock:
-            self.events.append(
-                {
-                    "name": name,
-                    "cat": self._category(name),
-                    "ph": "C",
-                    "ts": ts_ns / 1000.0,
-                    "pid": self._pid,
-                    "tid": self._tid,
-                    "args": {"value": value},
-                }
-            )
-
-    def on_event(self, name: str, ts_ns: int, attrs: Dict[str, Any]) -> None:
-        event = {
-            "name": name,
-            "cat": self._category(name),
-            "ph": "i",
-            "ts": ts_ns / 1000.0,
-            "pid": self._pid,
-            "tid": threading.get_ident(),
-            "s": "t",
-        }
-        if attrs:
-            event["args"] = {key: str(value) for key, value in attrs.items()}
-        with self._lock:
-            self.events.append(event)
 
     # ------------------------------------------------------------------
     def add_sample(

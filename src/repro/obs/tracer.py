@@ -1,4 +1,4 @@
-"""Process-local tracer: nestable spans, counters, gauges, pluggable sinks.
+"""Process-local tracer: nestable spans, counters, pluggable sinks.
 
 The tracer is the write side of the observability layer.  Instrumented code
 asks for the process-local tracer with :func:`get_tracer` and emits
@@ -6,9 +6,7 @@ asks for the process-local tracer with :func:`get_tracer` and emits
 * **spans** — named, nestable time intervals (``with tracer.span("x"): ...``
   or the :func:`traced` decorator), timed on the monotonic clock;
 * **counters** — named monotonically accumulated integers
-  (``tracer.count("compact.relaxed_edges", 3)``);
-* **gauges** — named last-value-wins numbers;
-* **events** — named instants.
+  (``tracer.count("compact.relaxed_edges", 3)``).
 
 Everything is fanned out to the attached sinks (:mod:`repro.obs.sinks`).
 The default process tracer is *disabled*: every emit call returns after one
@@ -132,7 +130,7 @@ class _Span:
 
 
 class Tracer:
-    """Collects spans/counters/gauges and fans them out to sinks.
+    """Collects spans and counters and fans them out to sinks.
 
     ``enabled`` is the master switch: a disabled tracer never touches its
     sinks and never takes a timestamp.  Timestamps are nanoseconds on the
@@ -175,22 +173,6 @@ class Tracer:
         ts = self._now_ns()
         for sink in self.sinks:
             sink.on_count(name, n, ts)
-
-    def gauge(self, name: str, value: float) -> None:
-        """Set gauge *name* to *value* (last write wins)."""
-        if not self.enabled:
-            return
-        ts = self._now_ns()
-        for sink in self.sinks:
-            sink.on_gauge(name, value, ts)
-
-    def event(self, name: str, **attrs: Any) -> None:
-        """Record a named instant."""
-        if not self.enabled:
-            return
-        ts = self._now_ns()
-        for sink in self.sinks:
-            sink.on_event(name, ts, attrs)
 
     def close(self) -> None:
         """Flush and close every sink (idempotent sinks required)."""

@@ -1,13 +1,15 @@
 """A seeded PLDL fuzzer: random programs over the full language grammar.
 
 Generates programs exercising entities, parameters, assignments, FOR loops,
-IF/ELSE conditionals, ALT rollback, geometry builtins and entity calls,
-then runs each through *both* execution paths — the tree-walking
-interpreter and the translate-to-Python pipeline — asserting:
+IF/ELSE conditionals, ALT rollback, geometry builtins and entity calls (and,
+in one program of ten, a malformed builtin call), then runs each through
+*both* execution paths — the tree-walking interpreter and the
+translate-to-Python pipeline — asserting:
 
 * neither path ever crashes ungracefully (only :class:`RuleError` /
   :class:`EvalError` are acceptable failures, and both paths must agree);
-* when both succeed, the resulting geometry is identical rect-for-rect.
+* when both succeed, the resulting geometry is identical rect-for-rect,
+  edge variable/fixed flags included.
 
 Everything is driven by :class:`random.Random` with an explicit seed, so
 any failure is reproducible from its case number alone.
@@ -21,6 +23,7 @@ from typing import List, Optional, Tuple
 
 from ..compact import Compactor
 from ..db import LayoutObject
+from ..geometry import Direction
 from ..lang import Interpreter, translate
 from ..lang.errors import EvalError, PldlError
 from ..lang.runtime import Runtime
@@ -30,6 +33,9 @@ from ..tech import RuleError, Technology
 #: Failure classes both execution paths may legitimately raise.
 GRACEFUL = (RuleError, EvalError)
 
+#: Share of programs that get one malformed builtin call.
+MALFORMED_RATE = 0.1
+
 
 # ---------------------------------------------------------------------------
 # program generation
@@ -38,6 +44,25 @@ class _ProgramBuilder:
     """One random program; all choices come from the shared ``rng``."""
 
     LAYERS = ("poly", "metal1", "metal2")
+    #: Wrong arity and unknown keywords: the translator rejects these when it
+    #: translates, the interpreter when it reaches the call, so they open
+    #: Main, which the interpreter always reaches first.
+    SHAPE_ERRORS = (
+        'SPACERULE("poly")',
+        'LABEL("x", 0, 0)',
+        'INBOX("poly", 1, 1, "n", FALSE, 1)',
+        'INBOX("poly", bogus = 1)',
+        "x = ABS(x = 1)",
+    )
+    #: Wrong argument types and a zero divisor fail when run on both paths,
+    #: so they go anywhere in Main.
+    VALUE_ERRORS = (
+        "INBOX(3, 2, 2)",
+        'x = FLOOR("a")',
+        "w = WIDTHRULE(1)",
+        "x = MOD(3, 0)",
+        "VARIABLE(1)",
+    )
 
     def __init__(self, rng: random.Random) -> None:
         self.rng = rng
@@ -187,6 +212,15 @@ class _ProgramBuilder:
         lines.append("END")
         return lines
 
+    def malform(self, lines: List[str]) -> None:
+        """Insert one malformed builtin call into Main's *lines*."""
+        rng = self.rng
+        if rng.random() < 0.5:
+            lines.insert(1, "  " + rng.choice(self.SHAPE_ERRORS))
+        else:
+            at = rng.randint(1, len(lines) - 1)  # after ENT, before END
+            lines.insert(at, "  " + rng.choice(self.VALUE_ERRORS))
+
     def program(self) -> Tuple[str, str]:
         """Generate (source, main entity name)."""
         rng = self.rng
@@ -203,6 +237,8 @@ class _ProgramBuilder:
             lines.append("")
             helpers.append(name)
         main_lines = self.entity("Main", helpers)
+        if rng.random() < MALFORMED_RATE:
+            self.malform(main_lines)
         lines.extend(main_lines)
         return "\n".join(lines) + "\n", "Main"
 
@@ -231,8 +267,11 @@ class FuzzResult:
 
 
 def _geometry(obj: LayoutObject) -> List[Tuple]:
+    """Rects with their per-edge variable flags, then labels, sorted."""
     rows = sorted(
-        (r.layer, r.x1, r.y1, r.x2, r.y2, r.net) for r in obj.nonempty_rects
+        (r.layer, r.x1, r.y1, r.x2, r.y2, r.net,
+         tuple(r.edge_variable(d) for d in Direction))
+        for r in obj.nonempty_rects
     )
     rows.extend(sorted(
         ("label", l.layer, l.x, l.y, l.text) for l in obj.labels

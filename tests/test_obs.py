@@ -14,7 +14,6 @@ import pytest
 from repro import obs
 from repro.obs import (
     ChromeTraceSink,
-    JsonlSink,
     StatsSink,
     Tracer,
     activate,
@@ -33,8 +32,6 @@ class RecordingSink(obs.Sink):
     def __init__(self):
         self.spans = []
         self.counts = []
-        self.gauges = []
-        self.events = []
         self.closed = 0
 
     def on_span(self, record):
@@ -42,12 +39,6 @@ class RecordingSink(obs.Sink):
 
     def on_count(self, name, n, ts_ns):
         self.counts.append((name, n))
-
-    def on_gauge(self, name, value, ts_ns):
-        self.gauges.append((name, value))
-
-    def on_event(self, name, ts_ns, attrs):
-        self.events.append((name, attrs))
 
     def close(self):
         self.closed += 1
@@ -128,7 +119,7 @@ def test_traced_decorator(tracer):
 
 
 # ---------------------------------------------------------------------------
-# counters / gauges / events
+# counters
 # ---------------------------------------------------------------------------
 def test_counter_correctness(tracer):
     tracer, sink = tracer
@@ -144,16 +135,6 @@ def test_counter_correctness(tracer):
     assert [c for c in sink.counts if c[0] == "hits"] == [("hits", 1), ("hits", 4)]
 
 
-def test_gauges_and_events(tracer):
-    tracer, sink = tracer
-    stats = tracer.add_sink(StatsSink())
-    tracer.gauge("depth", 3)
-    tracer.gauge("depth", 7)
-    tracer.event("milestone", phase="end")
-    assert stats.gauges["depth"] == 7  # last write wins
-    assert sink.events == [("milestone", {"phase": "end"})]
-
-
 # ---------------------------------------------------------------------------
 # disabled tracer
 # ---------------------------------------------------------------------------
@@ -166,9 +147,7 @@ def test_disabled_tracer_is_noop():
     with span_a as span:
         span.set(y=2)
         tracer.count("n")
-        tracer.gauge("g", 1.0)
-        tracer.event("e")
-    assert sink.spans == sink.counts == sink.gauges == sink.events == []
+    assert sink.spans == sink.counts == []
 
 
 def test_process_tracer_disabled_by_default_and_restored():
@@ -198,21 +177,7 @@ def test_stats_sink_table(tracer):
     assert "steps" in table
     assert stats.spans["compact.step"].calls == 1
     assert stats.total_s("compact.step") >= 0.0
-    assert StatsSink().format_table() == "(no spans, counters or gauges recorded)"
-
-
-def test_jsonl_sink(tmp_path):
-    path = tmp_path / "events.jsonl"
-    tracer = Tracer(enabled=True)
-    tracer.add_sink(JsonlSink(path))
-    with tracer.span("s", k="v"):
-        tracer.count("c", 2)
-    tracer.close()
-    lines = [json.loads(line) for line in path.read_text().splitlines()]
-    types = {line["type"] for line in lines}
-    assert types == {"span", "count"}
-    span = next(line for line in lines if line["type"] == "span")
-    assert span["name"] == "s" and span["attrs"] == {"k": "v"}
+    assert StatsSink().format_table() == "(no spans or counters recorded)"
 
 
 def test_chrome_trace_sink_valid(tmp_path):
@@ -223,12 +188,11 @@ def test_chrome_trace_sink_valid(tmp_path):
         with tracer.span("compact.inner"):
             pass
     tracer.count("compact.steps")
-    tracer.event("mark")
     tracer.close()
     data = json.loads(path.read_text())
     assert validate_chrome_trace(data) == []
     phases = {event["ph"] for event in data["traceEvents"]}
-    assert {"X", "C", "i"} <= phases
+    assert {"X", "C"} <= phases
     x_events = [e for e in data["traceEvents"] if e["ph"] == "X"]
     assert {e["name"] for e in x_events} == {"compact.step", "compact.inner"}
     assert all(e["cat"] == "compact" for e in x_events)
@@ -300,65 +264,29 @@ def test_validate_chrome_trace_checks_stack_frames():
     assert validate_chrome_trace({"traceEvents": [sample], "stackFrames": {}})
 
 
-def _run_gauges_and_events(tracer):
-    """The canonical gauge/event workload the end-to-end tests replay."""
-    with tracer.span("opt.trial"):
-        tracer.gauge("opt.best_score", 17.5)
-        tracer.gauge("opt.best_score", 12.25)  # last write wins
-        tracer.event("opt.improved", order="BACDE")
-
-
-def test_gauges_and_events_through_jsonl_sink(tmp_path):
-    path = tmp_path / "events.jsonl"
-    tracer = Tracer(enabled=True, sinks=[JsonlSink(path)])
-    _run_gauges_and_events(tracer)
-    tracer.close()
-    lines = [json.loads(line) for line in path.read_text().splitlines()]
-    gauges = [line for line in lines if line["type"] == "gauge"]
-    assert [g["value"] for g in gauges] == [17.5, 12.25]
-    assert all(g["name"] == "opt.best_score" for g in gauges)
-    assert all(g["ts_ns"] >= 0 for g in gauges)
-    event = next(line for line in lines if line["type"] == "event")
-    assert event["name"] == "opt.improved"
-    assert event["attrs"] == {"order": "BACDE"}
-
-
-def test_gauges_and_events_through_chrome_sink(tmp_path):
-    path = tmp_path / "trace.json"
-    tracer = Tracer(enabled=True, sinks=[ChromeTraceSink(path)])
-    _run_gauges_and_events(tracer)
-    tracer.close()
-    data = json.loads(path.read_text())
-    assert validate_chrome_trace(data) == []
-    counters = [e for e in data["traceEvents"]
-                if e["ph"] == "C" and e["name"] == "opt.best_score"]
-    assert [c["args"]["value"] for c in counters] == [17.5, 12.25]
-    instant = next(e for e in data["traceEvents"] if e["ph"] == "i")
-    assert instant["name"] == "opt.improved"
-    assert instant["args"] == {"order": "BACDE"}
-    # gauge timestamps land inside the enclosing span on the timeline
-    trial = next(e for e in data["traceEvents"] if e["ph"] == "X")
-    assert all(trial["ts"] <= c["ts"] <= trial["ts"] + trial["dur"]
-               for c in counters)
-
-
-def test_gauges_and_events_survive_a_truncated_trace(tmp_path,
-                                                     obs_log_records):
-    """Gauges/events recorded before a leaked span must still be written:
-    the unbalanced-span warning documents the hole, it does not void the
-    rest of the trace."""
+def test_counters_survive_a_truncated_trace(tmp_path, obs_log_records):
+    """Spans and counters recorded before a leaked span must still be
+    written, counter timestamps inside their enclosing span: the
+    unbalanced-span warning documents the hole, it does not void the rest
+    of the trace."""
     path = tmp_path / "trace.json"
     tracer = Tracer(enabled=True)
     sink = tracer.add_sink(ChromeTraceSink(path))
-    _run_gauges_and_events(tracer)
+    with tracer.span("opt.trial"):
+        tracer.count("opt.trials")
+        tracer.count("opt.trials", 2)
     tracer.span("opt.leaked").__enter__()  # never exits
     tracer.close()
     assert sink.unbalanced_spans == 1
     assert any("imbalance of 1" in r.getMessage() for r in obs_log_records)
     data = json.loads(path.read_text())
     assert validate_chrome_trace(data) == []
-    phases = [e["ph"] for e in data["traceEvents"]]
-    assert phases.count("C") == 2 and phases.count("i") == 1
+    counters = [e for e in data["traceEvents"] if e["ph"] == "C"]
+    assert [c["args"]["value"] for c in counters] == [1, 3]
+    trial = next(e for e in data["traceEvents"] if e["ph"] == "X")
+    assert trial["name"] == "opt.trial"
+    assert all(trial["ts"] <= c["ts"] <= trial["ts"] + trial["dur"]
+               for c in counters)
 
 
 def test_chrome_sink_interns_sampled_stack_frames(tmp_path):

@@ -68,8 +68,9 @@ class Compactor:
         self.variable_edges = variable_edges
         self.auto_connect = auto_connect
         #: Lifetime count of :meth:`compact` invocations.  The search-tree
-        #: order optimizer is specified as "one compaction per distinct
-        #: order prefix"; tests and benchmarks assert against this counter.
+        #: order optimizer is specified as "one compaction per child of each
+        #: distinct partial layout it searches"; tests and benchmarks
+        #: assert against this counter.
         self.calls = 0
 
     # ------------------------------------------------------------------

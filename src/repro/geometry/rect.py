@@ -164,6 +164,25 @@ class Rect:
         prop = self._edges.get(direction)
         return bool(prop and prop.variable)
 
+    def edge_state(self) -> Tuple[Tuple[str, bool, Optional[int], Optional[int]], ...]:
+        """Hashable summary of the non-default edge properties.
+
+        ``()`` for a rect whose edges are all fixed and unbounded, however
+        many default records :meth:`edge` created lazily; otherwise one
+        ``(direction name, variable, min_coord, max_coord)`` per edge that
+        differs from the default, in :class:`Direction` order.
+        """
+        edges = self._edges
+        if not edges:
+            return ()
+        return tuple(
+            (direction.name, prop.variable, prop.min_coord, prop.max_coord)
+            for direction in Direction
+            if (prop := edges.get(direction)) is not None
+            and (prop.variable or prop.min_coord is not None
+                 or prop.max_coord is not None)
+        )
+
     # ------------------------------------------------------------------
     # spatial predicates
     # ------------------------------------------------------------------

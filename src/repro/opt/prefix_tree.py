@@ -20,18 +20,69 @@ The tree serves three clients:
   compaction work;
 * :class:`~repro.opt.anneal.AnnealingOrderOptimizer` keeps shallow
   prefixes cached across annealing moves.
+
+Many *different* prefixes compact to the *same* partial layout (placing
+two devices in either order often lands both in the same spot).
+:func:`state_key` names a partial layout by what it contains — the set of
+placed steps and the multiset of its rects — so the exhaustive search
+and the beam can recognise such transpositions; :func:`transposable`
+says whether an input's states may be merged at all.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from ..compact import Compactor
 from ..db import LayoutObject
 from ..obs import get_tracer
 from ..tech import Technology
+from .rating import Rating
 
 Prefix = Tuple[int, ...]
+#: What :func:`state_key` returns: placed step indices plus a rect multiset.
+StateKey = Tuple[FrozenSet[int], FrozenSet[Tuple[Hashable, int]]]
+
+
+def state_key(placed: Iterable[int], layout: LayoutObject) -> StateKey:
+    """Key of a partial layout: its placed steps and its rect multiset.
+
+    Two prefixes with equal keys have placed the same steps and hold the
+    same rects — ``(layer, net, x1, y1, x2, y2, no_overlap, edge state)``
+    counted with multiplicity, in any list order — so every completion
+    compacts them alike.  The multiset is a frozen ``Counter``: nets may
+    be ``None`` and edge bounds ``None``, which a sort could not compare.
+    Only call this for inputs :func:`transposable` admits.
+    """
+    # Hot path (once per searched node): one tuple per rect, and the edge
+    # summary only for the rects that have edge records at all.
+    rows = Counter([
+        (r.layer, r.net, r.x1, r.y1, r.x2, r.y2, r.no_overlap,
+         r.edge_state() if r._edges else ())
+        for r in layout.rects
+    ])
+    return frozenset(placed), frozenset(rows.items())
+
+
+def transposable(steps: Sequence["Step"], rating: Rating) -> bool:  # noqa: F821
+    """Whether partial layouts of *steps* may be merged by :func:`state_key`.
+
+    False when any step object carries links: the key does not cover link
+    state.  False too when *rating* weights the capacitance of a net drawn
+    by more than one step: that term is a float sum in rect-list order, so
+    two layouts with one rect multiset could score an ulp apart.
+    """
+    if any(step.obj.links for step in steps):
+        return False
+    weighted = set(rating.capacitance_weights)
+    for pair in rating.pair_mismatch_weights:
+        weighted.update(pair)
+    drawn = Counter(
+        net for step in steps for net in {r.net for r in step.obj.rects}
+        if net in weighted
+    )
+    return all(count == 1 for count in drawn.values())
 
 
 class PrefixTree:
@@ -39,7 +90,11 @@ class PrefixTree:
 
     *steps* is the shared step pool; a prefix is a tuple of indices into it.
     :attr:`compact_calls` counts the compaction steps actually performed —
-    by construction at most one per distinct non-empty prefix ever queried.
+    by construction at most one per distinct non-empty prefix ever queried
+    (after eviction a prefix may be queried, and compacted, again).  The
+    cache is keyed by prefix, not by layout: merging prefixes that reach
+    one layout (:func:`state_key`) is the searches' business, so the
+    exhaustive search never queries the subtree of a transposed prefix.
     """
 
     def __init__(

@@ -13,6 +13,10 @@ The equivalence suites and the benchmarks race the two.  Nothing outside
   :class:`repro.opt.OrderOptimizer` must return the same ``best_order``,
   ``best_score`` and geometry, and every score it records must equal the
   score recorded here.
+* :func:`check_state_keys` — the soundness of
+  :func:`repro.opt.prefix_tree.state_key`, by replay: prefixes with one key
+  must give identical geometry and score under every completion, since
+  the tree search replays one's subtree for the other.
 * :func:`solve_links_fixpoint` — the Sec. 2.3 link rebuild as a fixpoint:
   every link of the object is rebuilt, in index order, pass after pass.
   :class:`repro.db.LayoutObject`'s seeded solver, which rebuilds only the
@@ -34,6 +38,7 @@ The equivalence suites and the benchmarks race the two.  Nothing outside
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..compact import Compactor, PairConstraint, frontier_filter, gather_constraints
@@ -55,6 +60,7 @@ from ..drc.violations import Violation
 from ..geometry import Direction, Rect, bounding_box, covered_by
 from ..obs import get_tracer
 from ..opt import OrderResult, Rating, Step
+from ..opt.prefix_tree import state_key, transposable
 from ..tech import Technology
 from ..tech.layer import LayerKind
 
@@ -67,6 +73,7 @@ __all__ = [
     "check_extensions_brute",
     "check_shorts_brute",
     "check_spacing_brute",
+    "check_state_keys",
     "check_widths_brute",
     "extract_connectivity_brute",
     "replay",
@@ -121,6 +128,59 @@ def replay(
     return main
 
 
+def check_state_keys(
+    tech: Technology, steps: Sequence[Step], rating: Optional[Rating] = None
+) -> int:
+    """Assert that equal state keys mean equal futures; count the merges.
+
+    Replays every prefix of *steps* from an empty layout and groups the
+    prefixes by the production :func:`~repro.opt.prefix_tree.state_key`.
+    Within a group, every completion of every member must give the same
+    rect multiset and the same *rating* score.  Returns how many prefixes
+    share their key with an earlier one: the transpositions a search over
+    the whole tree could merge.
+
+    The key is checked on any input, linked ones too, although the search
+    merges only the inputs :func:`~repro.opt.prefix_tree.transposable`
+    admits.  A rating that weights the capacitance of a net drawn by
+    several steps may fail on score: that sum depends on rect order.
+    """
+    steps = list(steps)
+    count = len(steps)
+    if count > 5:
+        # Every completion of every prefix: n!·(n+1) full replays.
+        raise ValueError(f"check_state_keys takes at most 5 steps, not {count}")
+    rating = rating if rating is not None else Rating()
+    groups: Dict[object, List[Tuple[int, ...]]] = {}
+    for depth in range(count + 1):
+        for prefix in itertools.permutations(range(count), depth):
+            key = state_key(prefix, replay("m", tech, steps, prefix))
+            groups.setdefault(key, []).append(prefix)
+    merged = 0
+    for members in groups.values():
+        merged += len(members) - 1
+        if len(members) < 2:
+            continue
+        rest = [i for i in range(count) if i not in members[0]]
+        for suffix in itertools.permutations(rest):
+            outcomes = {}
+            for prefix in members:
+                final = replay("m", tech, steps, prefix + suffix)
+                rects = Counter(
+                    (r.layer, r.net, r.x1, r.y1, r.x2, r.y2, r.no_overlap)
+                    for r in final.rects
+                )
+                outcomes[prefix + suffix] = (rects, rating.evaluate(final))
+            first, *others = outcomes.items()
+            for order, outcome in others:
+                if outcome != first[1]:
+                    raise AssertionError(
+                        f"orders {first[0]} and {order} continue one state key"
+                        " but differ in geometry or score"
+                    )
+    return merged
+
+
 class ReplayOrderOptimizer:
     """Order search by full replay; same constructor as ``OrderOptimizer``.
 
@@ -128,8 +188,9 @@ class ReplayOrderOptimizer:
     lexicographic order and the first strictly better score wins, so ties
     go to the lexicographically smallest order; ``scores`` holds all n!
     orders.  Above it, beam search keeps the ``beam_width`` best partial
-    layouts by ``(score, order)`` per round and records the complete orders
-    of the final round.
+    layouts by ``(score, order)`` per round, the first of each production
+    :func:`~repro.opt.prefix_tree.state_key` only, and records the complete
+    orders of the final round.
     """
 
     def __init__(
@@ -183,6 +244,7 @@ class ReplayOrderOptimizer:
         ]
         evaluated = 0
         terminal_scores: Dict[Tuple[int, ...], float] = {}
+        keyed = transposable(steps, self.rating)
         for _ in range(len(steps)):
             expanded: List[Tuple[float, Tuple[int, ...], LayoutObject]] = []
             for _, order, partial in beam:
@@ -201,7 +263,17 @@ class ReplayOrderOptimizer:
                     if len(new_order) == len(steps):
                         terminal_scores[new_order] = score
             expanded.sort(key=lambda item: (item[0], item[1]))
-            beam = expanded[: self.beam_width]
+            # Transpositions of one partial layout take one place in the
+            # beam: the first by (score, order) per production state key.
+            beam = []
+            seen = set()
+            for item in expanded:
+                if len(beam) == self.beam_width:
+                    break
+                key = state_key(item[1], item[2]) if keyed else None
+                if key is None or key not in seen:
+                    seen.add(key)
+                    beam.append(item)
         best_score, best_order, best = beam[0]
         return OrderResult(best, best_order, best_score, evaluated, terminal_scores)
 

@@ -4,10 +4,14 @@
 order search of Sec. 2.4 (:mod:`repro.verify.reference`): identical
 ``best_order`` and ``best_score`` (including lexicographic tie-breaking),
 identical geometry, and every recorded score equal to the oracle's — with
-at most one compaction step per distinct order prefix, in both the
-exhaustive branch-and-bound mode and the beam mode.
+one compaction step per child of each distinct partial layout it searches,
+in both the exhaustive branch-and-bound mode and the beam mode.  Prefixes
+that compact to one partial layout share a state key; the search replays
+the first one's subtree for the others, and
+:func:`repro.verify.reference.check_state_keys` checks that this is sound.
 """
 
+import itertools
 import math
 
 import pytest
@@ -26,8 +30,9 @@ from repro.opt import (
     Step,
     select_order_variants,
 )
+from repro.opt.prefix_tree import state_key, transposable
 from repro.tech import generic_bicmos_1u
-from repro.verify.reference import ReplayOrderOptimizer, replay
+from repro.verify.reference import ReplayOrderOptimizer, check_state_keys, replay
 
 W, S, E, N = Direction.WEST, Direction.SOUTH, Direction.EAST, Direction.NORTH
 
@@ -197,24 +202,141 @@ def test_beam_matches_reference_property(limit, shapes, width, rating):
 
 
 # ----------------------------------------------------------------------
-# the tentpole invariant: one compact per distinct prefix
+# transpositions: prefixes that compact to one partial layout
 # ----------------------------------------------------------------------
-def test_one_compact_per_distinct_prefix(tech):
+def distinct_states(tech, steps):
+    """Distinct state keys per depth over every prefix, by replay."""
+    n = len(steps)
+    return [
+        len({
+            state_key(prefix, replay("m", tech, steps, prefix))
+            for prefix in itertools.permutations(range(n), depth)
+        })
+        for depth in range(n + 1)
+    ]
+
+
+def test_one_compact_per_child_of_each_distinct_state(tech):
     steps = heterogeneous_steps(tech)
     n = len(steps)
     compactor = Compactor()
     result = OrderOptimizer(
         compactor=compactor, rating=RATINGS["unbounded"]
     ).optimize("m", tech, steps)
-    # Distinct non-empty prefixes of an n-step permutation space:
-    # sum over k of n!/(n-k)!  (n=4 -> 4 + 12 + 24 + 24 = 64), versus
-    # n!*n = 96 replayed steps for the baseline.
-    prefixes = sum(
-        math.factorial(n) // math.factorial(n - k) for k in range(1, n + 1)
-    )
-    assert compactor.calls == prefixes
-    assert result.compact_calls == prefixes
+    # Nothing is pruned, so every distinct state at depth d < n is searched
+    # once and compacts its n - d children: 1*4 + 4*3 + 12*2 + 20*1 = 60
+    # steps, against 64 distinct prefixes and n!*n = 96 replayed steps.
+    # Unpruned children are visited in index order, so the first prefix to
+    # reach a state is its lexicographically smallest, the best order is
+    # never a replayed one and no best-layout rebuild is added.
+    states = distinct_states(tech, steps)
+    assert states == [1, 4, 12, 20, 14]
+    predicted = sum(states[d] * (n - d) for d in range(n))
+    assert predicted == 60
+    assert compactor.calls == predicted
+    assert result.compact_calls == predicted
+    # Each compacted child either reaches a new state or is a transposition.
+    assert result.transposed == predicted - sum(states[1:])
     assert result.evaluated == math.factorial(n)
+
+
+def test_transposed_duplicate_can_hold_the_best_order(tech):
+    # Committed regression input.  Prefixes (1, 0, 2) and (1, 2, 0) compact
+    # to one state.  The best-bound-first walk searches (1, 2, 0) first, so
+    # the lexicographically smaller (1, 0, 2) is the replayed duplicate —
+    # yet its completion (1, 0, 2, 3) ties the best score and wins the
+    # tie.  Skipping the duplicate as "it can only tie" returns (1, 2, 0, 3).
+    shapes = [
+        (2000, 8000, S, "n0", "poly"),
+        (2000, 1000, W, "a", "metal1"),
+        (2000, 1000, N, "a", "metal1"),
+        (2000, 8000, S, "a", "poly"),
+    ]
+    steps = []
+    for i, (w, h, direction, net, layer) in enumerate(shapes):
+        obj = LayoutObject(f"s{i}", tech)
+        obj.add_rect(Rect(0, 0, w, h, layer, net))
+        steps.append(Step(obj, direction))
+    assert state_key((1, 0, 2), replay("m", tech, steps, (1, 0, 2))) == state_key(
+        (1, 2, 0), replay("m", tech, steps, (1, 2, 0))
+    )
+    result, reference = assert_agrees_with_reference(tech, steps)
+    assert reference.best_order == (1, 0, 2, 3)
+    assert reference.scores[(1, 2, 0, 3)] == reference.best_score
+    assert result.transposed > 0
+    assert result.evaluated + result.pruned == math.factorial(len(steps))
+
+
+def test_state_keys_sound_on_contact_rows(tech):
+    # Linked steps: the search does not merge them, but the key is sound.
+    steps = contact_row_steps(tech)
+    assert not transposable(steps, Rating())
+    assert check_state_keys(tech, steps) > 0
+    result, _ = assert_agrees_with_reference(tech, steps)
+    assert result.transposed == 0
+
+
+def test_state_keys_sound_on_rect_module(tech):
+    # 14 of its 65 prefixes reach a partial layout an earlier one reached.
+    assert check_state_keys(tech, heterogeneous_steps(tech)) == 14
+
+
+def test_capacitance_on_a_shared_net_disables_transpositions(tech):
+    steps = repeating_steps([((2000, 5000, "metal1"), W, True)] * 3)
+    assert transposable(steps, Rating())
+    assert transposable(steps, Rating(capacitance_weights={"n0": 1.0}))
+    assert not transposable(steps, Rating(capacitance_weights={"shared": 1.0}))
+    assert not transposable(
+        steps, Rating(pair_mismatch_weights={("shared", "n0"): 1.0})
+    )
+
+
+#: Steps drawn from a pool of at most three footprints, each on its own
+#: net or on one shared net, so different prefixes often compact to one
+#: partial layout.
+repeating_shapes = st.lists(
+    st.tuples(
+        st.integers(5, 40).map(lambda v: v * 200),
+        st.integers(5, 40).map(lambda v: v * 200),
+        st.sampled_from(["metal1", "poly"]),
+    ),
+    min_size=1,
+    max_size=3,
+).flatmap(
+    lambda pool: st.lists(
+        st.tuples(
+            st.sampled_from(pool),
+            st.sampled_from(list(Direction)),
+            st.booleans(),
+        ),
+        min_size=2,
+        max_size=5,
+    )
+)
+
+
+def repeating_steps(shapes):
+    steps = []
+    for i, ((w, h, layer), direction, shared) in enumerate(shapes):
+        obj = LayoutObject(f"s{i}", TECH)
+        obj.add_rect(Rect(0, 0, w, h, layer, "shared" if shared else f"n{i}"))
+        steps.append(Step(obj, direction))
+    return steps
+
+
+@pytest.mark.parametrize("rating", sorted(RATINGS))
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(shapes=repeating_shapes)
+def test_transposed_search_matches_reference_property(rating, shapes):
+    steps = repeating_steps(shapes)
+    check_state_keys(TECH, steps, RATINGS[rating])
+    result, reference = assert_agrees_with_reference(
+        TECH, steps, rating=RATINGS[rating]
+    )
+    assert result.evaluated + result.pruned == reference.evaluated
+    if not RATINGS[rating].bounded():
+        assert result.scores == reference.scores
 
 
 def test_pruned_search_accounting(tech):

@@ -23,17 +23,17 @@ def Snake(rt, NSEG=None, WIDE=None):
     """Generated from entity Snake."""
     obj = rt.begin("Snake", NSEG=NSEG, WIDE=WIDE)
     try:
-        for i in rt.frange(0.0, (NSEG - 1.0), 1.0):
-            rt.WIRE(obj, 'poly', 0.0, (i * 4.0), 12.0, (i * 4.0), 1.0)
-            if (i < (NSEG - 1.0)):
-                if ((i / 2.0) == (i / 2.0)):
-                    rt.WIRE(obj, 'poly', 12.0, (i * 4.0), 12.0, ((i * 4.0) + 4.0), 1.0)
+        for i in rt.frange(0.0, rt.arith('-', NSEG, 1.0), 1.0):
+            rt.WIRE(obj, 'poly', 0.0, rt.arith('*', i, 4.0), 12.0, rt.arith('*', i, 4.0), 1.0)
+            if rt.arith('<', i, rt.arith('-', NSEG, 1.0)):
+                if (rt.arith('/', i, 2.0) == rt.arith('/', i, 2.0)):
+                    rt.WIRE(obj, 'poly', 12.0, rt.arith('*', i, 4.0), 12.0, rt.arith('+', rt.arith('*', i, 4.0), 4.0), 1.0)
         def _alt1_branch0():
             if (WIDE == 0.0):
                 rt.ERROR('narrow variant requested')
-            rt.WIRE(obj, 'metal1', 0.0, 0.0, 0.0, ((NSEG - 1.0) * 4.0), 3.0)
+            rt.WIRE(obj, 'metal1', 0.0, 0.0, 0.0, rt.arith('*', rt.arith('-', NSEG, 1.0), 4.0), 3.0)
         def _alt1_branch1():
-            rt.WIRE(obj, 'metal1', 0.0, 0.0, 0.0, ((NSEG - 1.0) * 4.0), 1.5)
+            rt.WIRE(obj, 'metal1', 0.0, 0.0, 0.0, rt.arith('*', rt.arith('-', NSEG, 1.0), 4.0), 1.5)
         def _alt1_save():
             _state = {}
             try:

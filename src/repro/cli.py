@@ -490,20 +490,12 @@ def cmd_perf(args: argparse.Namespace) -> int:
                 patterns=args.metric or ("*",),
             ))
             return 0
-        if args.perf_action == "baseline":
-            print(regress.perf_baseline(
-                ledger, args.name, command=args.filter_command, k=args.k,
-            ))
-            return 0
         status, report = regress.perf_check(
             ledger,
             args.baseline,
             commands=args.filter_command or None,
-            k=args.k,
-            rel=args.rel,
-            mads=args.mads,
             floor=args.floor,
-            patterns=args.metric or regress.DEFAULT_TRACKED,
+            patterns=args.metric,
         )
         print(report)
         return status
@@ -715,8 +707,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = sub.add_parser(
         "perf",
-        help="query the run ledger: history, diffs, baselines and"
-             " noise-aware regression checks",
+        help="query the run ledger: history, diffs and counter"
+             " regression checks against committed BENCH_*.json reports",
     )
     psub = perf.add_subparsers(dest="perf_action", required=True)
 
@@ -748,11 +740,10 @@ def build_parser() -> argparse.ArgumentParser:
     pshow.set_defaults(func=cmd_perf)
 
     pdiff = psub.add_parser(
-        "diff", parents=[ledger_opt],
-        help="compare two runs, or a run against a named baseline",
+        "diff", parents=[ledger_opt], help="compare two runs metric by metric",
     )
-    pdiff.add_argument("run_a", help="run reference or baseline name")
-    pdiff.add_argument("run_b", help="run reference or baseline name")
+    pdiff.add_argument("run_a", help="run reference")
+    pdiff.add_argument("run_b", help="run reference")
     pdiff.add_argument(
         "--metric", action="append", metavar="PATTERN",
         help="fnmatch pattern(s) selecting metrics (default: all shared)",
@@ -761,49 +752,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     pcheck = psub.add_parser(
         "check", parents=[ledger_opt],
-        help="exit non-zero when a tracked metric regresses beyond the"
-             " noise band (median-of-k vs baseline, MAD-aware)",
+        help="exit non-zero when a tracked metric of a command's newest run"
+             " exceeds its committed BENCH_*.json value by more than --floor",
     )
     pcheck.add_argument(
-        "--baseline", required=True, metavar="NAME_OR_DIR",
-        help="a baseline saved with 'perf baseline', or a directory of"
-             " committed BENCH_*.json reports (e.g. benchmarks/results)",
+        "--baseline", required=True, metavar="DIR",
+        help="a directory of committed BENCH_*.json reports"
+             " (e.g. benchmarks/results)",
     )
     pcheck.add_argument(
         "--command", dest="filter_command", action="append", metavar="CMD",
         help="restrict the check to these command(s)",
     )
-    pcheck.add_argument("-k", type=int, default=3,
-                        help="fresh runs per command to take the median of"
-                             " (default: 3)")
-    pcheck.add_argument("--rel", type=float, default=0.25,
-                        help="relative tolerance for noisy (timing/RSS)"
-                             " metrics (default: 0.25)")
-    pcheck.add_argument("--mads", type=float, default=3.0,
-                        help="MAD multiplier widening the noise band"
-                             " (default: 3)")
     pcheck.add_argument("--floor", type=float, default=0.0,
-                        help="absolute slack added to every band"
-                             " (default: 0 — counters must not grow at all)")
+                        help="absolute slack per metric (default: 0 —"
+                             " counters must not grow at all)")
     pcheck.add_argument(
         "--metric", action="append", metavar="PATTERN",
-        help="fnmatch pattern(s) selecting tracked metrics (default:"
-             " timings, peak RSS, *compact_s, *pairs_scanned, overhead"
-             " estimates)",
+        help="fnmatch pattern(s) selecting tracked metrics; each must match"
+             " a compared metric (default: *pairs_scanned, *rebuild_calls,"
+             " *tree_compacts)",
     )
     pcheck.set_defaults(func=cmd_perf)
-
-    pbase = psub.add_parser(
-        "baseline", parents=[ledger_opt],
-        help="freeze the median/MAD of recent runs as a named baseline",
-    )
-    pbase.add_argument("name")
-    pbase.add_argument("--command", dest="filter_command", default=None,
-                       help="baseline only this command (default: every"
-                            " command in the ledger)")
-    pbase.add_argument("-k", type=int, default=5,
-                       help="runs per command to aggregate (default: 5)")
-    pbase.set_defaults(func=cmd_perf)
 
     return parser
 

@@ -21,7 +21,8 @@ The :class:`ConnectivityIndex` removes both multipliers:
   :meth:`connected_components_by_net` all answer from the same cached
   extraction, so N per-net queries cost one build, not N;
 * **incremental appends** — rects appended to the source list after the
-  build (the global router laying wires) are folded in by querying the
+  build (the global router laying wires) are folded in with the same
+  kernel, sweeping the new rects against each other and against the
   existing layer buckets, never by re-extracting.
 
 Exactness contract: :meth:`components` returns *the same partition in the
@@ -218,20 +219,14 @@ class ConnectivityIndex:
         union_all = self._union_all
         scanned = 0
 
-        def by_x1(indices: List[int]) -> List[int]:
-            return sorted(indices, key=lambda index: conducting[index].x1)
-
         # Same-layer touching (same-net-only on diffusion: crossing gates
         # split an active region electrically, so each net sweeps alone).
         for layer, indices in buckets.items():
+            groups = [indices]
             if layer in self._diffusion_layers:
-                by_net: Dict[str, List[int]] = {}
-                for index in indices:
-                    by_net.setdefault(conducting[index].net, []).append(index)
-                for group in by_net.values():
-                    scanned += union_all(pairs_within(conducting, by_x1(group), 1))
-            else:
-                scanned += union_all(pairs_within(conducting, by_x1(indices), 1))
+                groups = list(self._split_by_net(indices).values())
+            for group in groups:
+                scanned += union_all(pairs_within(conducting, self._by_x1(group), 1))
 
         # Declared diffused junctions: overlap connects directly.
         for layer_a, layer_b in self.tech.overlap_connections():
@@ -259,6 +254,17 @@ class ConnectivityIndex:
         tracer.count("nets.candidates", scanned)
         tracer.count("nets.pairs_scanned", scanned)
 
+    def _by_x1(self, indices: List[int]) -> List[int]:
+        """*indices* in the sweep order: by ``x1``, ties in source order."""
+        conducting = self._conducting
+        return sorted(indices, key=lambda index: conducting[index].x1)
+
+    def _split_by_net(self, indices: List[int]) -> Dict[Optional[str], List[int]]:
+        by_net: Dict[Optional[str], List[int]] = {}
+        for index in indices:
+            by_net.setdefault(self._conducting[index].net, []).append(index)
+        return by_net
+
     def _union_all(self, found: Tuple[List[Tuple[int, int]], int]) -> int:
         """Union every pair a sweep found; returns the pairs it tested."""
         pairs, tested = found
@@ -271,90 +277,81 @@ class ConnectivityIndex:
     # incremental appends
     # ------------------------------------------------------------------
     def _append(self, fresh: Sequence[Rect]) -> None:
-        """Fold appended rects in by querying the existing layer buckets."""
+        """Fold appended rects in with sweep-kernel calls per layer pair.
+
+        The new conducting rects of each layer sweep among themselves and
+        against the layer's existing bucket; each junction and cut↔plate
+        pair sweeps new against old in both directions and new against new
+        once.  Layers are visited in bucket order, then first-appended
+        order, so the pair counts are deterministic.
+        """
         tracer = get_tracer()
-        tech = self.tech
         conducting = self._conducting
         buckets = self._buckets
-        dsu = self._dsu
-        scanned = 0
-        added_conducting = False
+        new: Dict[str, List[int]] = {}
         for rect in fresh:
             if rect.is_empty:
                 continue
             if rect.net is not None:
                 self._net_counts[rect.net] = self._net_counts.get(rect.net, 0) + 1
-            layer = tech.layer(rect.layer)
+            layer = self.tech.layer(rect.layer)
             diffusion = layer.kind is LayerKind.DIFFUSION
             if not layer.conducting or (diffusion and rect.net is None):
                 continue
-            index = dsu.grow()
+            index = self._dsu.grow()
             conducting.append(rect)
-            added_conducting = True
+            new.setdefault(rect.layer, []).append(index)
             if diffusion:
                 self._diffusion_layers.add(rect.layer)
             if rect.net is not None:
                 self._net_members.setdefault(rect.net, []).append(index)
+        if not new:
+            return
 
-            x1 = rect.x1
-            y1 = rect.y1
-            x2 = rect.x2
-            y2 = rect.y2
+        union_all = self._union_all
+        scanned = 0
 
-            # Same-layer touching (same-net only on diffusion).
-            for j in buckets.get(rect.layer, ()):
-                other = conducting[j]
-                scanned += 1
-                if diffusion and other.net != rect.net:
-                    continue
-                if (other.x1 <= x2 and x1 <= other.x2
-                        and other.y1 <= y2 and y1 <= other.y2):
-                    dsu.union(index, j)
+        def across(a: List[int], b: List[int], grow: int = 0) -> int:
+            if not a or not b:
+                return 0
+            return union_all(pairs_across(conducting, a, b, grow))
 
-            # Declared diffused junctions touching this rect's layer.
-            for layer_a, layer_b in tech.overlap_connections():
-                if layer_a == layer_b:
-                    continue
-                partner = None
-                if layer_a == rect.layer:
-                    partner = layer_b
-                elif layer_b == rect.layer:
-                    partner = layer_a
-                if partner is None:
-                    continue
-                for j in buckets.get(partner, ()):
-                    other = conducting[j]
-                    scanned += 1
-                    if (other.x1 < x2 and x1 < other.x2
-                            and other.y1 < y2 and y1 < other.y2):
-                        dsu.union(index, j)
+        # Same-layer touching (same-net only on diffusion).
+        for layer, added in new.items():
+            old = buckets.get(layer, [])
+            groups = [(added, old)]
+            if layer in self._diffusion_layers:
+                groups = [
+                    (group, [j for j in old if conducting[j].net == net])
+                    for net, group in self._split_by_net(added).items()
+                ]
+            for group, partners in groups:
+                scanned += union_all(pairs_within(conducting, self._by_x1(group), 1))
+                scanned += across(group, partners, 1)
 
-            # This rect as a cut over its plate layers...
-            plate_layers = _plate_layers(tech, rect.layer)
-            # ... and as a plate under existing cut rects.
-            cut_layers = [
-                cut_layer
-                for cut_layer in buckets
-                if any(
-                    rect.layer in pair
-                    for pair in tech.connected_layers(cut_layer)
-                )
-            ]
-            for partner in plate_layers + cut_layers:
-                for j in buckets.get(partner, ()):
-                    other = conducting[j]
-                    scanned += 1
-                    if (other.x1 < x2 and x1 < other.x2
-                            and other.y1 < y2 and y1 < other.y2):
-                        dsu.union(index, j)
+        # Declared diffused junctions, then cuts over their plate layers:
+        # new × (old + new) one way, old × new the other.
+        layer_pairs = [
+            (layer_a, layer_b)
+            for layer_a, layer_b in self.tech.overlap_connections()
+            if layer_a != layer_b
+        ]
+        appended_layers = [layer for layer in new if layer not in buckets]
+        for cut_layer in list(buckets) + appended_layers:
+            layer_pairs.extend(
+                (cut_layer, plate) for plate in _plate_layers(self.tech, cut_layer)
+            )
+        for layer_a, layer_b in layer_pairs:
+            new_a, new_b = new.get(layer_a, []), new.get(layer_b, [])
+            if not (new_a or new_b):
+                continue
+            old_a, old_b = buckets.get(layer_a, []), buckets.get(layer_b, [])
+            scanned += across(new_a, old_b + new_b)
+            scanned += across(old_a, new_b)
 
-            # Enter the buckets only after the scans: a rect never pairs
-            # with itself, and fresh rects pair with each other exactly
-            # once (the earlier one is already bucketed).
-            buckets.setdefault(rect.layer, []).append(index)
-
-        if added_conducting:
-            self._components = None
-            self._by_net = None
+        for layer, added in new.items():
+            buckets.setdefault(layer, []).extend(added)
+        self._components = None
+        self._by_net = None
         tracer.count("nets.candidates", scanned)
         tracer.count("nets.pairs_scanned", scanned)

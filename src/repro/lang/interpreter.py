@@ -30,7 +30,7 @@ from ..tech import RuleError, Technology
 from . import ast_nodes as ast
 from .errors import EvalError
 from .parser import parse
-from .runtime import Runtime, check_call, number
+from .runtime import Runtime, check_call
 
 #: Statement-trace callback: (line number, entity frame object or None).
 TraceHook = Callable[[int, Optional[LayoutObject]], None]
@@ -204,7 +204,7 @@ class Interpreter:
     def _unary(self, expr: ast.Unary, frame: Frame) -> Any:
         value = self._eval(expr.operand, frame)
         if expr.op == "-":
-            return -number(value)
+            return self.runtime.arith("-", value)
         if expr.op == "NOT":
             return not value
         raise EvalError(f"unknown unary operator {expr.op!r}", expr.line)
@@ -225,25 +225,7 @@ class Interpreter:
         if expr.op == "!=":
             return left != right
         if expr.op in ("+", "-", "*", "/", "<", ">", "<=", ">="):
-            lnum = number(left)
-            rnum = number(right)
-            if expr.op == "+":
-                return lnum + rnum
-            if expr.op == "-":
-                return lnum - rnum
-            if expr.op == "*":
-                return lnum * rnum
-            if expr.op == "/":
-                if rnum == 0:
-                    raise EvalError("division by zero", expr.line)
-                return lnum / rnum
-            if expr.op == "<":
-                return lnum < rnum
-            if expr.op == ">":
-                return lnum > rnum
-            if expr.op == "<=":
-                return lnum <= rnum
-            return lnum >= rnum
+            return self.runtime.arith(expr.op, left, right)
         raise EvalError(f"unknown operator {expr.op!r}", expr.line)
 
     # ------------------------------------------------------------------

@@ -5,9 +5,10 @@ into C (Sec. 2.1).  Both of our execution paths run on this module.  The
 interpreter binds each builtin call through :data:`BUILTINS` and calls the
 named :class:`Runtime` method; code emitted by :mod:`repro.lang.translate`
 calls the same methods directly, its call shapes checked against the same
-table when it is translated.  FOR ranges (:meth:`Runtime.frange`), attribute
-reads (:meth:`Runtime.attr`) and ALT rollback (:meth:`Runtime.alt`) are
-shared the same way, so a program means the same on both paths, down to the
+table when it is translated.  Arithmetic (:meth:`Runtime.arith`), FOR
+ranges (:meth:`Runtime.frange`), attribute reads (:meth:`Runtime.attr`) and
+ALT rollback (:meth:`Runtime.alt`) are shared the same way, so a program
+means the same on both paths, down to the
 :class:`~repro.lang.errors.EvalError` a malformed call raises.  Dimensions
 are microns.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import operator
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..compact import Compactor
@@ -134,6 +136,14 @@ def check_call(
             raise EvalError(f"{name}: argument {key!r} given twice", line)
         given.add(key)
     return spec
+
+
+#: The binary operators :meth:`Runtime.arith` evaluates.
+_BINARY: Dict[str, Callable[[float, float], Any]] = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": operator.truediv, "<": operator.lt, ">": operator.gt,
+    "<=": operator.le, ">=": operator.ge,
+}
 
 
 def number(value: Any) -> float:
@@ -453,8 +463,23 @@ class Runtime:
         return max(number(v) for v in (value, *values))
 
     # ------------------------------------------------------------------
-    # control support
+    # expressions and control support
     # ------------------------------------------------------------------
+    @staticmethod
+    def arith(op: str, *operands: Any) -> Any:
+        """Unary ``-x``, or ``x op y`` for ``+ - * / < > <= >=``.
+
+        Operands must be numbers (booleans are not), and dividing by zero
+        is an :class:`EvalError`, not Python's ``ZeroDivisionError``.
+        """
+        values = [number(value) for value in operands]
+        if len(values) == 1:
+            return -values[0]
+        left, right = values
+        if op == "/" and right == 0:
+            raise EvalError("division by zero")
+        return _BINARY[op](left, right)
+
     @staticmethod
     def frange(start: Any, stop: Any, step: Any = 1.0) -> List[float]:
         """The values of ``FOR i = start TO stop STEP step``: inclusive."""

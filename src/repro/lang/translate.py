@@ -267,13 +267,15 @@ class _Translator:
         if isinstance(expr, ast.Unary):
             if expr.op == "NOT":
                 return f"(not {self.expr(expr.operand, obj_var)})"
-            return f"(-{self.expr(expr.operand, obj_var)})"
+            return f"rt.arith('-', {self.expr(expr.operand, obj_var)})"
         if isinstance(expr, ast.Binary):
-            op = {"AND": "and", "OR": "or"}.get(expr.op, expr.op)
-            return (
-                f"({self.expr(expr.left, obj_var)} {op} "
-                f"{self.expr(expr.right, obj_var)})"
-            )
+            left = self.expr(expr.left, obj_var)
+            right = self.expr(expr.right, obj_var)
+            if expr.op in ("AND", "OR"):
+                return f"(bool({left}) {expr.op.lower()} bool({right}))"
+            if expr.op in ("==", "!="):
+                return f"({left} {expr.op} {right})"
+            return f"rt.arith({expr.op!r}, {left}, {right})"
         if isinstance(expr, ast.Call):
             return self._call(expr, obj_var)
         raise EvalError(f"cannot translate expression {expr!r}", expr.line)

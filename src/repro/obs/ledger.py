@@ -2,14 +2,13 @@
 
 Every ``repro`` CLI command and every benchmark appends one structured
 record — command, argv, technology, git SHA, wall/CPU time, peak RSS and a
-flat snapshot of all tracer counters and per-span totals — to an
-append-only JSONL file *and* a SQLite index under
-``~/.cache/repro/ledger`` (override with ``REPRO_LEDGER_DIR`` or the
-``--ledger DIR`` flag; opt out with ``REPRO_LEDGER=0`` or ``--no-ledger``).
-The JSONL file is the durable source of truth (one self-contained JSON
-object per line, never rewritten); the SQLite database indexes the same
-records for the ``repro perf`` queries (:mod:`repro.obs.regress`) and holds
-named baselines.
+flat snapshot of all tracer counters and per-span totals — as one JSON line
+of ``ledger.jsonl`` under ``~/.cache/repro/ledger`` (override with
+``REPRO_LEDGER_DIR`` or the ``--ledger DIR`` flag; opt out with
+``REPRO_LEDGER=0`` or ``--no-ledger``).  That file is the only store: lines
+are never rewritten, and the ``repro perf`` queries
+(:mod:`repro.obs.regress`) scan it newest-first.  A ``ledger.sqlite3``
+left beside it by older versions mirrored the same records and is ignored.
 
 The ledger is the read side of the performance observatory: the sampling
 profiler (:mod:`repro.obs.profiler`) answers "where does the time go in
@@ -24,13 +23,9 @@ from __future__ import annotations
 
 import json
 import os
-import sqlite3
-import statistics
-import subprocess
 import time
-import uuid
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .logsetup import get_logger
 
@@ -38,7 +33,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "RunRecord",
     "Ledger",
-    "BaselineStat",
     "ledger_enabled",
     "resolve_ledger_dir",
     "current_git_sha",
@@ -91,6 +85,8 @@ def current_git_sha(cwd: Union[str, Path, None] = None) -> Optional[str]:
     key = str(cwd or os.getcwd())
     if key in _GIT_SHA_CACHE:
         return _GIT_SHA_CACHE[key]
+    import subprocess
+
     sha: Optional[str] = None
     try:
         out = subprocess.run(
@@ -125,7 +121,7 @@ def flatten_metrics(payload: Any, prefix: str = "") -> Dict[str, float]:
     """Flatten nested dicts of numbers into ``{"a.b.c": value}``.
 
     Non-numeric leaves (strings, lists, ``None``, booleans) are dropped —
-    the result is the flat metric namespace ``repro perf`` diffs over.
+    the result is the flat metric namespace ``repro perf`` compares.
     """
     flat: Dict[str, float] = {}
     if isinstance(payload, Mapping):
@@ -143,9 +139,7 @@ def snapshot_metrics(stats: Any) -> Dict[str, float]:
 
     Counters keep their dotted names; spans contribute
     ``span.<name>.total_s`` and ``span.<name>.calls`` plus histogram
-    percentiles ``span.<name>.p50_s`` / ``.p90_s`` / ``.p99_s`` (the
-    ``_s`` suffix keeps them in the perf-check noise classification with
-    the other timing metrics).
+    percentiles ``span.<name>.p50_s`` / ``.p90_s`` / ``.p99_s``.
     """
     metrics: Dict[str, float] = {}
     for name, value in stats.counters.items():
@@ -188,7 +182,7 @@ class RunRecord:
         ts: Optional[str] = None,
         rowid: Optional[int] = None,
     ) -> None:
-        self.run_id = run_id or uuid.uuid4().hex[:12]
+        self.run_id = run_id or os.urandom(6).hex()
         self.ts = ts or time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
         self.kind = kind
         self.command = command
@@ -259,118 +253,79 @@ class RunRecord:
                 f" wall={self.wall_s})")
 
 
-class BaselineStat:
-    """Median/MAD of one metric inside a named baseline."""
-
-    __slots__ = ("median", "mad", "samples")
-
-    def __init__(self, median: float, mad: float, samples: int) -> None:
-        self.median = median
-        self.mad = mad
-        self.samples = samples
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"BaselineStat(median={self.median}, mad={self.mad}, n={self.samples})"
-
-
 # ---------------------------------------------------------------------------
-_DDL = """
-CREATE TABLE IF NOT EXISTS runs (
-    id INTEGER PRIMARY KEY AUTOINCREMENT,
-    run_id TEXT NOT NULL,
-    ts TEXT NOT NULL,
-    kind TEXT NOT NULL,
-    command TEXT NOT NULL,
-    tech TEXT,
-    git_sha TEXT,
-    status INTEGER NOT NULL DEFAULT 0,
-    wall_s REAL,
-    cpu_s REAL,
-    peak_rss_kb INTEGER,
-    json TEXT NOT NULL
-);
-CREATE INDEX IF NOT EXISTS runs_command ON runs (command, id);
-CREATE TABLE IF NOT EXISTS metrics (
-    run_id INTEGER NOT NULL REFERENCES runs (id),
-    name TEXT NOT NULL,
-    value REAL NOT NULL,
-    PRIMARY KEY (run_id, name)
-);
-CREATE TABLE IF NOT EXISTS baselines (
-    name TEXT NOT NULL,
-    command TEXT NOT NULL,
-    metric TEXT NOT NULL,
-    median REAL NOT NULL,
-    mad REAL NOT NULL DEFAULT 0,
-    samples INTEGER NOT NULL DEFAULT 1,
-    created_ts TEXT NOT NULL,
-    PRIMARY KEY (name, command, metric)
-);
-"""
+#: Bytes read per step when walking the file from its end.
+_BLOCK = 1 << 16
+#: How every line :meth:`Ledger.append` writes begins.
+_RECORD_START = b'{"schema": '
+
+
+def _lines_newest_first(path: Path) -> Iterator[Tuple[int, bytes]]:
+    """``(line number, line)`` pairs of *path*, last line first.
+
+    One forward pass counts the lines, then the file is read backwards in
+    blocks, so memory stays bounded by the block size and the longest line.
+    """
+    try:
+        stream = open(path, "rb")
+    except FileNotFoundError:
+        return
+    with stream:
+        blocks = iter(lambda: stream.read(_BLOCK), b"")
+        count = sum(block.count(b"\n") for block in blocks)
+        end = stream.tell()
+        if end == 0:
+            return
+        stream.seek(end - 1)
+        if stream.read(1) == b"\n":
+            end -= 1  # the final newline ends the last line; it starts none
+        else:
+            count += 1  # an unterminated last line is still a line
+        number = count
+        pending = b""
+        while end > 0:
+            start = max(0, end - _BLOCK)
+            stream.seek(start)
+            pieces = (stream.read(end - start) + pending).split(b"\n")
+            end = start
+            # Unless the block began the file, its first piece may be the
+            # tail of a line that starts in an earlier block.
+            pending = pieces.pop(0) if start else b""
+            for line in reversed(pieces):
+                yield number, line
+                number -= 1
 
 
 class Ledger:
-    """The append-only run store: ``ledger.jsonl`` + ``ledger.sqlite3``.
+    """The append-only run store: one JSON object per line of ``ledger.jsonl``.
 
-    Appends go to both files; reads come from SQLite.  Every write is
-    wrapped so a broken ledger (read-only home, corrupt database) degrades
-    to a logged warning — recording history must never fail the command
-    being recorded.
+    An append writes one line and never reads the file; reads walk it
+    newest-first, and a record's ``rowid`` is its 1-based line number.  A
+    line that does not decode (a torn append) is skipped with a logged
+    warning and keeps its number, so later rowids never shift; a record
+    appended onto a torn line is still read.  Every write is wrapped so a
+    broken ledger (read-only home, a file where the directory should be)
+    degrades to a logged warning — recording history must never fail the
+    command being recorded.
     """
 
     def __init__(self, root: Union[str, Path, None] = None) -> None:
         self.root = resolve_ledger_dir(root)
         self.jsonl_path = self.root / "ledger.jsonl"
-        self.db_path = self.root / "ledger.sqlite3"
-        self._conn: Optional[sqlite3.Connection] = None
-
-    # ------------------------------------------------------------------
-    def _db(self) -> sqlite3.Connection:
-        if self._conn is None:
-            self.root.mkdir(parents=True, exist_ok=True)
-            self._conn = sqlite3.connect(self.db_path)
-            self._conn.executescript(_DDL)
-        return self._conn
-
-    def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
 
     def __enter__(self) -> "Ledger":
         return self
 
     def __exit__(self, *exc: Any) -> bool:
-        self.close()
         return False
 
     # ------------------------------------------------------------------
     def append(self, record: RunRecord) -> RunRecord:
-        """Append *record* to the JSONL log and the SQLite index."""
-        db = self._db()
+        """Append *record* as one JSON line (its rowid is set on read)."""
+        self.root.mkdir(parents=True, exist_ok=True)
+        line = json.dumps(record.to_json(), default=str) + "\n"
         with open(self.jsonl_path, "a", encoding="utf-8") as stream:
-            stream.write(json.dumps(record.to_json(), default=str) + "\n")
-        with db:
-            cursor = db.execute(
-                "INSERT INTO runs (run_id, ts, kind, command, tech, git_sha,"
-                " status, wall_s, cpu_s, peak_rss_kb, json)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    record.run_id, record.ts, record.kind, record.command,
-                    record.tech, record.git_sha, record.status,
-                    record.wall_s, record.cpu_s, record.peak_rss_kb,
-                    json.dumps(record.to_json(), default=str),
-                ),
-            )
-            record.rowid = cursor.lastrowid
-            db.executemany(
-                "INSERT OR REPLACE INTO metrics (run_id, name, value)"
-                " VALUES (?, ?, ?)",
-                [
-                    (record.rowid, name, value)
-                    for name, value in record.all_metrics().items()
-                ],
-            )
+            stream.write(line)
         return record
 
     def try_append(self, record: RunRecord) -> Optional[RunRecord]:
@@ -383,9 +338,18 @@ class Ledger:
             return None
 
     # ------------------------------------------------------------------
-    def _rows_to_records(self, rows: Iterable[Tuple[int, str]]) -> List[RunRecord]:
-        return [RunRecord.from_json(json.loads(blob), rowid=rowid)
-                for rowid, blob in rows]
+    def _decode(self, rowid: int, line: bytes) -> Optional[RunRecord]:
+        try:
+            return RunRecord.from_json(json.loads(line), rowid=rowid)
+        except (ValueError, KeyError, TypeError):
+            if not line.strip():
+                return None
+            log.warning("ledger: skipping undecodable line %d of %s",
+                        rowid, self.jsonl_path)
+            # A torn append ends without its newline, so the next append
+            # continues the same line: keep the record that starts there.
+            start = line.rfind(_RECORD_START, 1)
+            return self._decode(rowid, line[start:]) if start > 0 else None
 
     def runs(
         self,
@@ -394,114 +358,51 @@ class Ledger:
         limit: Optional[int] = None,
     ) -> List[RunRecord]:
         """Records newest-first, optionally filtered by command/kind."""
-        if not self.db_path.exists():
-            return []
-        query = "SELECT id, json FROM runs"
-        clauses, params = [], []
-        if command is not None:
-            clauses.append("command = ?")
-            params.append(command)
-        if kind is not None:
-            clauses.append("kind = ?")
-            params.append(kind)
-        if clauses:
-            query += " WHERE " + " AND ".join(clauses)
-        query += " ORDER BY id DESC"
-        if limit is not None:
-            query += " LIMIT ?"
-            params.append(int(limit))
-        return self._rows_to_records(self._db().execute(query, params))
+        # A record's line holds each filter value as a JSON string, so a
+        # substring test rejects most other lines before they are decoded.
+        tokens = [json.dumps(value).encode()
+                  for value in (command, kind) if value is not None]
+        records: List[RunRecord] = []
+        if limit is not None and limit <= 0:
+            return records
+        for rowid, line in _lines_newest_first(self.jsonl_path):
+            if not all(token in line for token in tokens):
+                continue
+            record = self._decode(rowid, line)
+            if record is None:
+                continue
+            if command is not None and record.command != command:
+                continue
+            if kind is not None and record.kind != kind:
+                continue
+            records.append(record)
+            if len(records) == limit:
+                break
+        return records
+
+    def newest(self, commands: Sequence[str]) -> Dict[str, RunRecord]:
+        """The newest record of each of *commands*, found in one walk."""
+        wanted = {json.dumps(command).encode(): command for command in commands}
+        found: Dict[str, RunRecord] = {}
+        for rowid, line in _lines_newest_first(self.jsonl_path):
+            if len(found) == len(wanted):
+                break
+            if not any(token in line for token in wanted):
+                continue
+            record = self._decode(rowid, line)
+            if (record is not None and record.command in wanted.values()
+                    and record.command not in found):
+                found[record.command] = record
+        return found
 
     def get(self, rowid: int) -> Optional[RunRecord]:
-        if not self.db_path.exists():
-            return None
-        rows = self._db().execute(
-            "SELECT id, json FROM runs WHERE id = ?", (int(rowid),)
-        ).fetchall()
-        records = self._rows_to_records(rows)
-        return records[0] if records else None
+        """The record on line *rowid* (``None`` if absent or undecodable)."""
+        for number, line in _lines_newest_first(self.jsonl_path):
+            if number == rowid:
+                return self._decode(number, line)
+        return None
 
     def last(self, command: Optional[str] = None, offset: int = 0) -> Optional[RunRecord]:
         """The newest record (``offset`` steps back), optionally per command."""
         records = self.runs(command=command, limit=offset + 1)
         return records[offset] if len(records) > offset else None
-
-    def commands(self) -> List[str]:
-        """Distinct commands recorded, most recently used first."""
-        if not self.db_path.exists():
-            return []
-        rows = self._db().execute(
-            "SELECT command, MAX(id) AS latest FROM runs"
-            " GROUP BY command ORDER BY latest DESC"
-        ).fetchall()
-        return [row[0] for row in rows]
-
-    # ------------------------------------------------------------------
-    def save_baseline(
-        self,
-        name: str,
-        command: Optional[str] = None,
-        k: int = 5,
-    ) -> Dict[str, Dict[str, BaselineStat]]:
-        """Freeze median/MAD of the last *k* runs' metrics as baseline *name*.
-
-        Stats are kept per command; with *command* ``None`` the window is
-        grouped per command, so one named baseline covers every workload
-        the ledger has seen.
-        """
-        commands = [command] if command is not None else self.commands()
-        stats: Dict[str, Dict[str, BaselineStat]] = {}
-        for cmd in commands:
-            window = self.runs(command=cmd, limit=k)
-            samples: Dict[str, List[float]] = {}
-            for record in window:
-                for metric, value in record.all_metrics().items():
-                    samples.setdefault(metric, []).append(value)
-            if not samples:
-                continue
-            per_cmd = stats.setdefault(cmd, {})
-            for metric, values in samples.items():
-                med = statistics.median(values)
-                mad = statistics.median([abs(v - med) for v in values])
-                per_cmd[metric] = BaselineStat(med, mad, len(values))
-        if not stats:
-            raise ValueError(f"no runs to baseline (command={command!r})")
-        db = self._db()
-        created = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-        with db:
-            db.execute("DELETE FROM baselines WHERE name = ?", (name,))
-            db.executemany(
-                "INSERT INTO baselines (name, command, metric, median, mad,"
-                " samples, created_ts) VALUES (?, ?, ?, ?, ?, ?, ?)",
-                [
-                    (name, cmd, metric, stat.median, stat.mad, stat.samples,
-                     created)
-                    for cmd, metrics in stats.items()
-                    for metric, stat in metrics.items()
-                ],
-            )
-        return stats
-
-    def baseline(self, name: str) -> Dict[str, Dict[str, BaselineStat]]:
-        """Baseline *name* as ``{command: {metric: stat}}`` (empty if unknown)."""
-        if not self.db_path.exists():
-            return {}
-        rows = self._db().execute(
-            "SELECT command, metric, median, mad, samples FROM baselines"
-            " WHERE name = ?",
-            (name,),
-        ).fetchall()
-        stats: Dict[str, Dict[str, BaselineStat]] = {}
-        for command, metric, median, mad, samples in rows:
-            stats.setdefault(command, {})[metric] = BaselineStat(
-                median, mad, samples
-            )
-        return stats
-
-    def baseline_names(self) -> List[str]:
-        if not self.db_path.exists():
-            return []
-        rows = self._db().execute(
-            "SELECT DISTINCT name FROM baselines ORDER BY name"
-        ).fetchall()
-        return [row[0] for row in rows]

@@ -4,79 +4,47 @@ Four verbs over the :mod:`repro.obs.ledger` store:
 
 * ``repro perf log`` — list recorded runs (newest first);
 * ``repro perf show <run>`` — one run's full metric snapshot;
-* ``repro perf diff <a> <b>`` — compare two runs, or a run against a
-  named baseline;
-* ``repro perf check --baseline <name-or-dir>`` — exit non-zero when a
-  tracked metric regresses beyond a noise-aware threshold.
+* ``repro perf diff <a> <b>`` — compare two runs metric by metric;
+* ``repro perf check --baseline <dir>`` — exit non-zero when a tracked
+  metric of a command's newest run regresses against the committed
+  ``BENCH_*.json`` reports in *dir*.
 
 A run reference is a ledger row id (``17``), ``last`` (newest run),
-``last~2`` (two back), ``last:bench:BENCH_compact`` (newest run of one
-command) or a saved baseline name.  A *baseline* for ``check`` is either a
-name saved with ``repro perf baseline <name>`` (median-of-k with MAD per
-metric) or a directory of committed ``BENCH_*.json`` reports
-(``--baseline benchmarks/results``), whose flattened numeric leaves are
-matched against ledger runs recorded as ``bench:<stem>``.
+``last~2`` (two back) or ``last:bench:BENCH_compact`` (newest run of one
+command).  Each ``BENCH_<x>.json`` in the baseline directory is the
+baseline of ledger command ``bench:BENCH_<x>``, its flattened numeric
+leaves the baseline metrics.
 
-Noise policy: a metric regresses when its fresh median (over the last *k*
-runs) exceeds ``baseline_median + band`` with ``band = max(rel · median,
-mads · MAD, floor)``.  Timing-like metrics (suffixes ``_s``, ``_pct``,
-``_ns``, ``rss_kb``, ``_kib``) get the relative/MAD band; counter metrics
-are deterministic, so their band is just ``floor`` (default 0 — any
-increase fails, which is what the old one-off ``pairs_scanned`` CI guard
-enforced).
+The rule: for each command, the newest run regresses on a tracked metric
+when ``fresh - baseline > floor``.  The default patterns are the
+deterministic counters CI gates, which are exact on any machine, so the
+default ``floor`` of 0 fails on any increase.  Timings are not judged
+here: a timing A/B needs alternating runs of both sides, which is what
+``benchmarks/e2e/run.py --compare`` does.
 """
 
 from __future__ import annotations
 
 import fnmatch
 import json
-import statistics
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from .ledger import BaselineStat, Ledger, RunRecord, flatten_metrics
+from .ledger import Ledger, RunRecord, flatten_metrics
 
 __all__ = [
     "DEFAULT_TRACKED",
-    "is_noisy",
-    "allowed_band",
     "load_baseline_dir",
     "resolve_run",
     "perf_log",
     "perf_show",
     "perf_diff",
     "perf_check",
-    "perf_baseline",
 ]
 
-#: Metric patterns checked by default: resource totals, the compactor's
-#: headline time/counter pair, and the observability overhead estimates.
-DEFAULT_TRACKED = (
-    "wall_s",
-    "cpu_s",
-    "peak_rss_kb",
-    "*compact_s",
-    "*pairs_scanned",
-    "*est_disabled*_pct",
-    "span.compact.step.total_s",
-)
-
-#: Suffixes of metrics subject to timer/allocator noise; everything else
-#: is treated as a deterministic counter.
-NOISY_SUFFIXES = ("_s", "_pct", "_ns", "rss_kb", "_kib")
-
-
-def is_noisy(metric: str) -> bool:
-    return metric.endswith(NOISY_SUFFIXES)
-
-
-def allowed_band(
-    metric: str, stat: BaselineStat, rel: float, mads: float, floor: float
-) -> float:
-    """How far above the baseline median a fresh median may sit."""
-    if not is_noisy(metric):
-        return floor
-    return max(rel * abs(stat.median), mads * stat.mad, floor)
+#: Metric patterns checked by default: the deterministic pair-scan,
+#: link-rebuild and order-search compaction counters.
+DEFAULT_TRACKED = ("*pairs_scanned", "*rebuild_calls", "*tree_compacts")
 
 
 def _matches(metric: str, patterns: Sequence[str]) -> bool:
@@ -92,13 +60,13 @@ def _fmt(value: Optional[float]) -> str:
 
 
 # ---------------------------------------------------------------------------
-def load_baseline_dir(path: Path) -> Dict[str, Dict[str, BaselineStat]]:
-    """Committed ``BENCH_*.json`` reports as a ``{command: metrics}`` baseline.
+def load_baseline_dir(path: Path) -> Dict[str, Dict[str, float]]:
+    """Committed ``BENCH_*.json`` reports as ``{command: {metric: value}}``.
 
     Each ``BENCH_<x>.json`` becomes the baseline for ledger command
     ``bench:BENCH_<x>`` — the name the benchmark producers append under.
     """
-    stats: Dict[str, Dict[str, BaselineStat]] = {}
+    baseline: Dict[str, Dict[str, float]] = {}
     for report in sorted(path.glob("BENCH_*.json")):
         try:
             payload = json.loads(report.read_text(encoding="utf-8"))
@@ -106,11 +74,8 @@ def load_baseline_dir(path: Path) -> Dict[str, Dict[str, BaselineStat]]:
             continue
         metrics = flatten_metrics(payload)
         if metrics:
-            stats[f"bench:{report.stem}"] = {
-                name: BaselineStat(value, 0.0, 1)
-                for name, value in metrics.items()
-            }
-    return stats
+            baseline[f"bench:{report.stem}"] = metrics
+    return baseline
 
 
 def resolve_run(ledger: Ledger, ref: str) -> RunRecord:
@@ -139,26 +104,12 @@ def resolve_run(ledger: Ledger, ref: str) -> RunRecord:
         return record
     raise SystemExit(
         f"error: unknown run reference {ref!r} (expected a run id, 'last',"
-        " 'last~N', 'last:<command>' or a baseline name)"
+        " 'last~N' or 'last:<command>')"
     )
 
 
-def _resolve_side(
-    ledger: Ledger, ref: str
-) -> Tuple[str, Dict[str, float]]:
-    """A diff side: a run reference or a saved baseline name."""
-    baseline = ledger.baseline(ref)
-    if baseline:
-        merged: Dict[str, float] = {}
-        for metrics in baseline.values():
-            for name, stat in metrics.items():
-                merged[name] = stat.median
-        return f"baseline {ref}", merged
-    record = resolve_run(ledger, ref)
-    return (
-        f"run #{record.rowid} {record.command} ({record.ts})",
-        record.all_metrics(),
-    )
+def _describe(record: RunRecord) -> str:
+    return f"run #{record.rowid} {record.command} ({record.ts})"
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +163,14 @@ def perf_diff(
     ref_b: str,
     patterns: Sequence[str] = ("*",),
 ) -> str:
-    label_a, metrics_a = _resolve_side(ledger, ref_a)
-    label_b, metrics_b = _resolve_side(ledger, ref_b)
+    record_a = resolve_run(ledger, ref_a)
+    record_b = resolve_run(ledger, ref_b)
+    metrics_a, metrics_b = record_a.all_metrics(), record_b.all_metrics()
     shared = sorted(
         name for name in metrics_a
         if name in metrics_b and _matches(name, patterns)
     )
-    lines = [f"A: {label_a}", f"B: {label_b}"]
+    lines = [f"A: {_describe(record_a)}", f"B: {_describe(record_b)}"]
     if not shared:
         lines.append("(no shared metrics)")
         return "\n".join(lines)
@@ -244,88 +196,77 @@ def perf_diff(
 # ---------------------------------------------------------------------------
 def perf_check(
     ledger: Ledger,
-    baseline_spec: str,
+    baseline_dir: str,
     commands: Optional[Sequence[str]] = None,
-    k: int = 3,
-    rel: float = 0.25,
-    mads: float = 3.0,
     floor: float = 0.0,
-    patterns: Sequence[str] = DEFAULT_TRACKED,
+    patterns: Optional[Sequence[str]] = None,
 ) -> Tuple[int, str]:
-    """Compare fresh ledger medians against a baseline; ``(status, report)``.
+    """Compare each command's newest run with the committed reports.
 
-    Status 0 = clean, 1 = at least one regression, 2 = nothing comparable
-    (a misconfigured check must not pass silently).
+    Returns ``(status, report)``: 0 = clean, 1 = at least one regression,
+    2 = a misconfigured check — nothing compared, or an explicit pattern
+    that matched no compared metric (a misspelled gate must not pass
+    silently).  *patterns* ``None`` means :data:`DEFAULT_TRACKED`.
     """
-    baseline_path = Path(baseline_spec)
-    if baseline_path.is_dir():
-        baseline = load_baseline_dir(baseline_path)
-        source = f"directory {baseline_path}"
-    else:
-        baseline = ledger.baseline(baseline_spec)
-        source = f"saved baseline {baseline_spec!r}"
+    path = Path(baseline_dir)
+    baseline = load_baseline_dir(path) if path.is_dir() else {}
     if not baseline:
-        return 2, f"error: baseline {baseline_spec!r} is empty or unknown"
-
+        return 2, f"error: baseline {baseline_dir!r} is empty or unknown"
     if commands:
         baseline = {cmd: baseline[cmd] for cmd in commands if cmd in baseline}
         if not baseline:
-            return 2, (f"error: none of {list(commands)} appear in {source}")
+            return 2, f"error: none of {list(commands)} appear in {path}"
 
-    lines = [f"perf check against {source} (k={k}, rel={rel:.0%},"
-             f" mads={mads:g}, floor={floor:g})"]
-    regressions = 0
-    compared = 0
+    tracked_patterns = DEFAULT_TRACKED if patterns is None else tuple(patterns)
+    lines = [f"perf check: newest run per command against {path}"
+             f" (floor={floor:g})"]
+    regressions = checked = 0
+    compared: set = set()
+    newest = ledger.newest(list(baseline))
     for command in sorted(baseline):
-        window = ledger.runs(command=command, limit=k)
-        if not window:
-            lines.append(f"  {command}: no fresh runs in the ledger — skipped")
+        record = newest.get(command)
+        if record is None:
+            lines.append(f"  {command}: no runs in the ledger — skipped")
             continue
-        fresh_samples: Dict[str, List[float]] = {}
-        for record in window:
-            for metric, value in record.all_metrics().items():
-                fresh_samples.setdefault(metric, []).append(value)
+        fresh_metrics = record.all_metrics()
         tracked = sorted(
             metric for metric in baseline[command]
-            if metric in fresh_samples and _matches(metric, patterns)
+            if metric in fresh_metrics and _matches(metric, tracked_patterns)
         )
         if not tracked:
             lines.append(f"  {command}: no tracked metrics in common")
             continue
-        lines.append(f"  {command} ({len(window)} fresh run(s)):")
+        lines.append(f"  {command} (run #{record.rowid}):")
+        compared.update(tracked)
+        checked += len(tracked)
         for metric in tracked:
-            stat = baseline[command][metric]
-            fresh = statistics.median(fresh_samples[metric])
-            band = allowed_band(metric, stat, rel, mads, floor)
-            compared += 1
-            delta = fresh - stat.median
-            pct = (f"{100.0 * delta / stat.median:+.1f}%"
-                   if stat.median else f"{delta:+g}")
-            if delta > band:
+            base, fresh = baseline[command][metric], fresh_metrics[metric]
+            delta = fresh - base
+            pct = f"{100.0 * delta / base:+.1f}%" if base else f"{delta:+g}"
+            if delta > floor:
                 regressions += 1
                 verdict = "REGRESSED"
-            elif delta < -band and band > 0:
+            elif delta < -floor:
                 verdict = "improved"
             else:
                 verdict = "ok"
             lines.append(
-                f"    {metric:<42} {_fmt(stat.median):>14} ->"
+                f"    {metric:<42} {_fmt(base):>14} ->"
                 f" {_fmt(fresh):>14}  {pct:>8}  [{verdict}]"
             )
-    if compared == 0:
+    if not compared:
         lines.append("error: nothing was compared — ledger runs or metric"
                      " patterns do not match the baseline")
         return 2, "\n".join(lines)
-    lines.append(
-        f"{compared} metric(s) checked, {regressions} regression(s)"
-    )
+    lines.append(f"{checked} metric(s) checked, {regressions} regression(s)")
+    unmatched = [
+        pattern for pattern in tracked_patterns
+        if not any(fnmatch.fnmatchcase(metric, pattern) for metric in compared)
+    ]
+    if patterns is not None and unmatched:
+        lines.append(
+            "error: --metric pattern(s) matched no compared metric: "
+            + ", ".join(unmatched)
+        )
+        return 2, "\n".join(lines)
     return (1 if regressions else 0), "\n".join(lines)
-
-
-def perf_baseline(
-    ledger: Ledger, name: str, command: Optional[str] = None, k: int = 5
-) -> str:
-    stats = ledger.save_baseline(name, command=command, k=k)
-    metric_count = sum(len(metrics) for metrics in stats.values())
-    return (f"baseline {name!r}: froze {metric_count} metrics across"
-            f" {len(stats)} command(s) (median of up to {k} runs)")

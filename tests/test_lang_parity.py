@@ -96,6 +96,12 @@ MALFORMED = {
     "compact_bad_direction": (main("c = Cell()", 'compact(c, "UP")'), EvalError),
     "copy_of_number": (main("c = COPY(1)"), EvalError),
     "keyword_given_twice": (main('INBOX("poly", 2, layer = "metal1")'), EvalError),
+    # Arithmetic takes numbers only, and AND/OR give booleans, on both paths.
+    "true_plus_one": (main("x = TRUE + 1"), EvalError),
+    "negated_true": (main("x = -TRUE"), EvalError),
+    "divide_by_zero": (main("x = 1 / 0"), EvalError),
+    "string_plus_number": (main('x = "a" + 1'), EvalError),
+    "and_is_not_a_number": (main("x = 1 AND 2", 'INBOX("poly", x, 2)'), EvalError),
     "top_level_alt": (
         CELL + "ALT\n  x = Cell()\nENDALT\nENT Main()\n  INBOX(\"poly\", 2, 2)\nEND\n",
         ParseError,

@@ -82,7 +82,7 @@ def test_index_equals_brute_on_random_soups(rect_list):
     st.lists(st.lists(rects, min_size=1, max_size=4), min_size=1, max_size=4),
 )
 def test_incremental_appends_equal_full_rebuild(initial, batches):
-    """Appends folded in by bucket scans match re-extracting from scratch.
+    """Appends folded in by sweep-kernel calls match re-extracting from scratch.
 
     Queries interleave with the appends so warm component caches must be
     invalidated, not just built lazily once at the end.

@@ -3,9 +3,9 @@
 The successive compactor's per-step scans (frontier pruning, constraint
 candidate gathering, auto-connect resident lookup, bridge blocking) used to
 be rebuilt from ``main.rects`` on every step and every shrink round.  The
-:class:`~repro.compact.index.FrontierIndex` keeps that state persistent per
-layout object and updates it incrementally as rects merge, stretch and
-shrink.  This bench races the from-scratch
+compactor now reads them from each layout object's rect store
+(:mod:`repro.db.store`), which is updated incrementally as rects merge,
+stretch and shrink.  This bench races the from-scratch
 :class:`repro.verify.reference.ScanCompactor` ("unindexed") against
 ``Compactor`` ("indexed") over
 

@@ -153,9 +153,8 @@ def _substrate_strips(
         )
         blockers = sorted(
             (r.x1 - m1s, r.x2 + m1s)
-            for r in amp.nonempty_rects
-            if r.layer == "metal1" and r.net != "sub"
-            and r.y1 < y2 and r.y2 > y1
+            for r in amp.rects_on("metal1")
+            if r.net != "sub" and r.y1 < y2 and r.y2 > y1
         )
         segments: List[Tuple[int, int]] = []
         cursor = box.x1
@@ -257,12 +256,15 @@ def _corridor_clear(
     corridor = Rect(
         x - width // 2 - spacing, lo, x + width // 2 + spacing, hi, layer
     )
-    for rect in amp.nonempty_rects:
-        if rect.layer != layer or rect.net == net:
-            continue
-        if corridor.intersects(rect):
-            return False
-    return True
+    return not _foreign_in(amp, net, corridor)
+
+
+def _foreign_in(amp: LayoutObject, net: str, corridor: Rect) -> bool:
+    """True when a rect of another net meets *corridor* on its layer."""
+    return any(
+        r.net != net and corridor.intersects(r)
+        for r in amp.rects_on(corridor.layer)
+    )
 
 
 def _net_pins(
@@ -289,8 +291,7 @@ def _net_pins(
         connectivity = ConnectivityIndex(amp.rects, tech)
     if box is None:
         box = amp.bbox()
-    rects = [r for r in amp.nonempty_rects if r.net == net]
-    if not rects:
+    if not amp.rects_on_net(net):
         return []
     components = connectivity.components()
     pins: List[Tuple[int, int, bool]] = []
@@ -359,9 +360,8 @@ def _ducked_escape(
     def bands(layer: str) -> List[Tuple[int, int]]:
         out = [
             (r.y1 - margin, r.y2 + margin)
-            for r in amp.nonempty_rects
-            if r.layer == layer and r.net != net
-            and r.x1 < x + half and r.x2 > x - half
+            for r in amp.rects_on(layer)
+            if r.net != net and r.x1 < x + half and r.x2 > x - half
         ]
         out.sort()
         return out
@@ -448,13 +448,7 @@ def _metal1_escape(
         else:
             y_pad = box.y1 - plate
             corridor = Rect(x - half, y_pad - plate, x + half, anchor.y1, "metal1")
-        blocked = any(
-            r.layer == "metal1"
-            and r.net != net
-            and corridor.intersects(r)
-            for r in amp.nonempty_rects
-        )
-        if blocked:
+        if _foreign_in(amp, net, corridor):
             continue
         start_y = (anchor.y1 + anchor.y2) // 2
         wire(amp, "metal1", (x, start_y), (x, y_pad), net=net)
@@ -500,11 +494,7 @@ def _metal2_escape(
             corridor = Rect(
                 x - half, y_pad - plate, x + half, start_y + plate, "metal2"
             )
-        blocked = any(
-            r.layer == "metal2" and r.net != net and corridor.intersects(r)
-            for r in amp.nonempty_rects
-        )
-        if blocked:
+        if _foreign_in(amp, net, corridor):
             continue
         via_stack(amp, x, start_y, "metal1", "metal2", net=net)
         wire(amp, "metal2", (x, start_y), (x, y_pad), width=m2w, net=net)

@@ -1,13 +1,12 @@
 """Successive compaction (Sec. 2.3)."""
 
 from .compactor import MAX_SHRINK_ROUNDS, CompactionResult, Compactor
-from .index import FrontierIndex, LayerBucket
+from .index import bridge_blocked, frontier_groups
 from .separation import (
     PairConstraint,
     bridge_profile,
-    frontier_filter,
-    gather_constraints,
     gather_constraints_grouped,
+    layer_frontier,
     overlap_forbidden,
     pair_travel,
     required_spacing,
@@ -17,13 +16,12 @@ __all__ = [
     "MAX_SHRINK_ROUNDS",
     "CompactionResult",
     "Compactor",
-    "FrontierIndex",
-    "LayerBucket",
     "PairConstraint",
+    "bridge_blocked",
     "bridge_profile",
-    "frontier_filter",
-    "gather_constraints",
+    "frontier_groups",
     "gather_constraints_grouped",
+    "layer_frontier",
     "overlap_forbidden",
     "pair_travel",
     "required_spacing",

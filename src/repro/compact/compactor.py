@@ -27,6 +27,7 @@ from ..db import LayoutObject
 from ..geometry import Axis, Direction, Rect
 from ..obs import get_logger, get_tracer
 from ..obs.provenance import get_recorder
+from .index import bridge_blocked, frontier_groups
 from .separation import PairConstraint, _pair_profile, gather_constraints_grouped
 
 #: Hard cap on variable-edge iterations per compaction step.
@@ -54,8 +55,8 @@ class Compactor:
     matching the paper.
 
     The hot scans (outer-edge frontier pruning, candidate gathering,
-    auto-connect resident lookup, bridge blocking) go through the
-    persistent per-object :class:`~repro.compact.index.FrontierIndex`.
+    auto-connect resident lookup, bridge blocking) read the main object's
+    rect store through :mod:`repro.compact.index`.
     :class:`repro.verify.reference.ScanCompactor` is the same compactor
     with from-scratch scans; the differential harness races the two.
     """
@@ -212,13 +213,13 @@ class Compactor:
     ) -> List[PairConstraint]:
         moving = obj.nonempty_rects
         tracer = get_tracer()
-        index = main.frontier_index()
+        store = main.store()
         arrival_nets = frozenset(
             rect.net for rect in moving if rect.net is not None
         )
-        groups = index.frontier_groups(direction, arrival_nets)
+        groups = frontier_groups(store, direction, arrival_nets)
         survivors = sum(len(rects) for _, rects in groups)
-        tracer.count("compact.frontier_dropped", index.nonempty - survivors)
+        tracer.count("compact.frontier_dropped", store.nonempty - survivors)
         groups = self._prune_window(
             main.tech, moving, groups, direction, ignore, tracer
         )
@@ -521,11 +522,12 @@ class Compactor:
         """(net, layer) -> non-empty residents of *main* the arrivals may join.
 
         Only same-net same-layer pairs can connect, so the arrival loop
-        skips everything else.  The index already keeps those buckets;
+        skips everything else.  The store already keeps those buckets;
         fetch (and filter, before the loop) only the keys arrivals ask for.
         """
         new_ids = set(map(id, new_rects))
-        index = main.frontier_index()
+        store = main.store()
+        rects, live = store.rects, store.live
         residents: Dict[Tuple[str, str], List[Rect]] = {}
         for rect in new_rects:
             if rect.net is None or rect.is_empty:
@@ -533,17 +535,18 @@ class Compactor:
             key = (rect.net, rect.layer)
             if key not in residents:
                 residents[key] = [
-                    r
-                    for r in index.residents(*key)
-                    if not r.is_empty and id(r) not in new_ids
+                    rects[seq]
+                    for seq in store.net_seqs.get(key, ())
+                    if live[seq] and id(rects[seq]) not in new_ids
                 ]
         return residents
 
     def _bridge_blocked(self, main: LayoutObject, bridge: Rect, net: str) -> bool:
         """True when stretching across *bridge* would violate a rule.
 
-        Answered by :meth:`FrontierIndex.bridge_blocked`: same-layer spacing
-        (shorts), cross-layer spacing, and EXTEND relationships — a poly
-        bridge must never cross diffusion (it would create a transistor).
+        Answered by :func:`repro.compact.index.bridge_blocked`: same-layer
+        spacing (shorts), cross-layer spacing, and EXTEND relationships — a
+        poly bridge must never cross diffusion (it would create a
+        transistor).
         """
-        return main.frontier_index().bridge_blocked(bridge, net)
+        return bridge_blocked(main.store(), main.tech, bridge, net)

@@ -14,7 +14,6 @@ if so, how far the object may travel.  Encodes the paper's special cases:
 from __future__ import annotations
 
 import bisect
-import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -193,33 +192,6 @@ def bridge_profile(
     return profile
 
 
-def gather_constraints(
-    tech: Technology,
-    moving_rects: Sequence[Rect],
-    fixed_rects: Sequence[Rect],
-    direction: Direction,
-    ignore_layers: Iterable[str] = (),
-) -> List[PairConstraint]:
-    """All active pair constraints for one compaction step.
-
-    Semantically the all-pairs product of :func:`required_spacing` and
-    :func:`pair_travel` (in that pair order).  The non-empty fixed rects
-    are split into runs of one layer and handed to
-    :func:`gather_constraints_grouped`, which does the rule-table work once
-    per *layer pair* instead of once per *rect pair*.
-    """
-    groups = [
-        (layer, list(run))
-        for layer, run in itertools.groupby(
-            (rect for rect in fixed_rects if not rect.is_empty),
-            key=lambda rect: rect.layer,
-        )
-    ]
-    return gather_constraints_grouped(
-        tech, moving_rects, groups, direction, ignore_layers
-    )
-
-
 def gather_constraints_grouped(
     tech: Technology,
     moving_rects: Sequence[Rect],
@@ -227,13 +199,16 @@ def gather_constraints_grouped(
     direction: Direction,
     ignore_layers: Iterable[str] = (),
 ) -> List[PairConstraint]:
-    """:func:`gather_constraints` over layer-grouped fixed rects.
+    """All active pair constraints for one compaction step.
 
-    *fixed_groups* is ``[(layer, rects), ...]`` — the shape the frontier
-    index serves.  The result equals the all-pairs product over the
-    concatenation of the groups, in order: the pairs per moving layer are
-    that concatenation filtered by the memoized layer-pair profile
-    (:func:`_pair_profile`), i.e. whole groups kept or skipped in sequence.
+    *fixed_groups* is ``[(layer, rects), ...]`` — the shape
+    :func:`repro.compact.index.frontier_groups` serves.  The result equals
+    the all-pairs product of :func:`required_spacing` and
+    :func:`pair_travel` over the concatenation of the groups, in order
+    (the oracle :func:`repro.verify.reference.gather_constraints`).  The
+    pairs per moving layer are that concatenation filtered by the memoized
+    layer-pair profile (:func:`_pair_profile`), i.e. whole groups kept or
+    skipped in sequence.
     Layer pairs that can never constrain (no SPACE rule, not both
     conducting) skip the inner loop entirely, and the remaining pairs touch
     no rule table at all.  Group members must be non-empty.
@@ -317,14 +292,27 @@ class IntervalSet:
 
 
 def layer_frontier(
-    layer_rects: Sequence[Rect], direction: Direction, arrival_nets: FrozenSet[str]
-) -> List[Rect]:
-    """Frontier survivors of one layer's non-empty rects, nearest first.
+    rects: Sequence[Rect],
+    seqs: Sequence[int],
+    direction: Direction,
+    arrival_nets: FrozenSet[str],
+) -> List[int]:
+    """Frontier survivors among one layer's non-empty rects, nearest first.
 
-    A nearest-first sweep over interval unions: a rect whose perpendicular
-    span is covered by nearer rects can never bind.  Ties keep the input
-    order (stable sort).  See :func:`frontier_filter` for the two
-    soundness conditions on who may shadow whom.
+    The paper's "only outer edges of the main object have to be kept in
+    the data structure" speed-up, for one layer: the rects are
+    ``rects[seq]`` for *seqs*, and the survivors come back as seqs.  A
+    nearest-first sweep over interval unions drops every rect whose
+    perpendicular span is covered by nearer rects, since it can never
+    bind — with two soundness conditions:
+
+    * a shadower whose net the arriving object carries might itself be
+      skipped by the same-potential rule, so it may only shadow rects of
+      its own net (``arrival_nets`` names the arriving object's nets);
+    * a plain rect may not shadow a ``no_overlap`` rect — when no spacing
+      rule exists, only the latter constrains the motion.
+
+    Ties keep the input order (stable sort).
     """
     facing = direction.opposite
     sign = 1 if direction.is_positive else -1
@@ -332,12 +320,13 @@ def layer_frontier(
     # Nearest first: the arriving object travels along `direction`, so the
     # nearest facing edge is the one farthest AGAINST it — smallest
     # sign-adjusted coordinate first.
-    ordered = sorted(layer_rects, key=lambda r: sign * r.edge_coord(facing))
-    survivors: List[Rect] = []
+    ordered = sorted(seqs, key=lambda seq: sign * rects[seq].edge_coord(facing))
+    survivors: List[int] = []
     general = IntervalSet()  # shadowers safe against every arrival
     general_strict = IntervalSet()  # ... that also dominate no_overlap
     per_net: dict = {}
-    for rect in ordered:
+    for seq in ordered:
+        rect = rects[seq]
         lo, hi = rect.span(perp)
         cover = general_strict if rect.no_overlap else general
         own = per_net.get(rect.net)
@@ -345,7 +334,7 @@ def layer_frontier(
             own is not None and own.contains(lo, hi)
         )
         if not shadowed:
-            survivors.append(rect)
+            survivors.append(seq)
         # Register this rect as a shadower for rects behind it.
         if rect.net is None or rect.net not in arrival_nets:
             general.add(lo, hi)
@@ -353,35 +342,4 @@ def layer_frontier(
                 general_strict.add(lo, hi)
         else:
             per_net.setdefault(rect.net, IntervalSet()).add(lo, hi)
-    return survivors
-
-
-def frontier_filter(
-    rects: Sequence[Rect],
-    direction: Direction,
-    arrival_nets: FrozenSet[str] = frozenset(),
-) -> List[Rect]:
-    """Drop fixed rects fully shadowed behind nearer same-layer geometry.
-
-    The paper's "only outer edges of the main object have to be kept in the
-    data structure" speed-up.  A rect whose perpendicular span is covered by
-    nearer same-layer rects can never bind — with two soundness conditions:
-
-    * a shadower whose net the arriving object carries might itself be
-      skipped by the same-potential rule, so it may only shadow rects of its
-      own net (``arrival_nets`` names the arriving object's nets);
-    * a plain rect may not shadow a ``no_overlap`` rect — when no spacing
-      rule exists, only the latter constrains the motion.
-
-    One :func:`layer_frontier` sweep per layer, layers in first-occurrence
-    order: O(n log n) per compaction step instead of the naive all-pairs
-    scan.
-    """
-    by_layer: dict = {}
-    for rect in rects:
-        if not rect.is_empty:
-            by_layer.setdefault(rect.layer, []).append(rect)
-    survivors: List[Rect] = []
-    for layer_rects in by_layer.values():
-        survivors.extend(layer_frontier(layer_rects, direction, arrival_nets))
     return survivors

@@ -10,8 +10,8 @@ the global router and once per net again by the verification oracles.
 The :class:`ConnectivityIndex` removes both multipliers:
 
 * **per-layer sweep candidate generation** — rects are bucketed by layer
-  (seq-ordered, the same idiom as :class:`repro.compact.index.
-  FrontierIndex`); each interaction (same-layer touching, each declared
+  (seq-ordered, the same idiom as :class:`repro.db.store.RectStore`);
+  each interaction (same-layer touching, each declared
   overlap junction, each cut↔plate layer pair — once, though a cut layer
   may reach one plate through several connections) runs one call of the
   shared :mod:`repro.geometry.sweep` kernel, which only tests pairs whose

@@ -17,6 +17,11 @@ invariant) or arrived in a replaced ``links`` list (the ALT rollback).
 Links are taken in the same index order and pass structure as a full
 fixpoint over every link, so the result is identical to that fixpoint
 (kept as :func:`repro.verify.reference.solve_links_fixpoint`).
+
+Geometric queries are served by the object's one :class:`~repro.db.store.
+RectStore`, built on the first query and kept exact by the write methods
+here.  Code that sets a rect's coordinates, net, layer or ``no_overlap``
+flag directly must call :meth:`LayoutObject.invalidate_index` afterwards.
 """
 
 from __future__ import annotations
@@ -24,12 +29,13 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Optional, Set
 
-from ..geometry import Direction, Rect, Transform, bounding_box, union_area
+from ..geometry import Direction, Rect, Transform, union_area
 from ..obs import get_tracer
 from ..obs.provenance import get_recorder
 from ..tech import Technology
 from ..tech.layer import LayerKind
 from .links import ArrayLink, InsideLink, Link
+from .store import RectStore
 
 
 class Label:
@@ -58,9 +64,8 @@ class LayoutObject:
         self.rects: List[Rect] = []
         self.links: List[Link] = []
         self.labels: List[Label] = []
-        #: Lazily built incremental spatial index (compact.index).  Never
-        #: affects results — only how fast the compactor finds them.
-        self._index = None
+        #: The rect store (repro.db.store), built on the first query.
+        self._store: Optional[RectStore] = None
         #: Link-solver state, valid for the ``links`` list in _links_ref:
         #: how many of its links it covers, the indices that may be
         #: unsatisfied, and a lazily built rect id -> link indices map.
@@ -70,31 +75,34 @@ class LayoutObject:
         self._adjacency: Optional[Dict[int, List[int]]] = None
 
     # ------------------------------------------------------------------
-    # spatial index
+    # rect store
     # ------------------------------------------------------------------
-    def frontier_index(self):
-        """The object's incremental frontier index, built/synced on demand.
+    def store(self) -> RectStore:
+        """The object's rect store, current with :attr:`rects`."""
+        store = self._current_store()
+        if store is None:
+            store = self._store = RectStore(self.rects)
+        store.sync()
+        return store
 
-        Appends since the last query are folded in incrementally; a
-        replaced rect list or an explicit :meth:`invalidate_index` triggers
-        a full rebuild.  See :class:`repro.compact.index.FrontierIndex`.
-        """
-        if self._index is None:
-            from ..compact.index import FrontierIndex
-
-            self._index = FrontierIndex(self)
-        self._index.sync()
-        return self._index
+    def _current_store(self) -> Optional[RectStore]:
+        """The store unless :attr:`rects` was replaced or shortened under it
+        (a stale store is dropped)."""
+        store = self._store
+        if store is not None and (
+            store.rects is not self.rects or store.tracked > len(self.rects)
+        ):
+            store = self._store = None
+        return store
 
     def invalidate_index(self) -> None:
-        """Force a full index rebuild on the next query.
+        """Drop the rect store; the next query rebuilds it.
 
-        Required after mutating rect coordinates, nets, layers or
+        Required after setting rect coordinates, nets, layers or
         ``no_overlap`` flags directly instead of through this object's
         methods.
         """
-        if self._index is not None:
-            self._index.mark_dirty()
+        self._store = None
 
     # ------------------------------------------------------------------
     # construction
@@ -171,17 +179,11 @@ class LayoutObject:
         clone._links_known = self._links_known if self._links_ref is self.links else 0
         clone._pending = set(self._pending)
         clone._adjacency = None
-        # Carry the spatial index (with its warm frontier caches) across the
-        # snapshot: rect positions are preserved, so the clone's index is
-        # this one with every rect reference remapped.  The search-tree
-        # optimizer snapshots one layout per visited order prefix; without
-        # this the clone would re-sweep every layer on its first step.
-        index = self._index
-        clone._index = (
-            index.clone_into(clone, mapping)
-            if index is not None and index.in_sync()
-            else None
-        )
+        # Rect positions are preserved, so the store (with its cached views)
+        # carries over: the order optimizer's search tree snapshots one
+        # layout per visited prefix and resumes without re-sweeping.
+        store = self._current_store()
+        clone._store = store.copy(rects) if store is not None else None
         return clone
 
     # ------------------------------------------------------------------
@@ -193,32 +195,26 @@ class LayoutObject:
         return [r for r in self.rects if not r.is_empty]
 
     def rects_on(self, layer: str) -> List[Rect]:
-        """Non-empty rects on *layer*."""
-        return [r for r in self.nonempty_rects if r.layer == layer]
+        """Non-empty rects on *layer*, in rect-list order."""
+        rects = self.rects
+        return [rects[seq] for seq in self.store().seqs_on(layer)]
 
     def rects_on_net(self, net: str) -> List[Rect]:
-        """Non-empty rects assigned to *net*."""
-        return [r for r in self.nonempty_rects if r.net == net]
+        """Non-empty rects assigned to *net*, in rect-list order."""
+        rects = self.rects
+        return [rects[seq] for seq in self.store().seqs_on_net(net)]
 
     def nets(self) -> Set[str]:
         """All net names present."""
-        return {r.net for r in self.nonempty_rects if r.net}
+        return self.store().nets()
 
     def layers(self) -> Set[str]:
         """All layers with geometry."""
-        return {r.layer for r in self.nonempty_rects}
+        return set(self.store().layers())
 
     def bbox(self) -> Optional[Rect]:
-        """Bounding box over all non-empty rects, or None when empty.
-
-        Served from the :class:`~repro.compact.index.FrontierIndex` cache
-        when one is attached and current (the compactor queries the bbox
-        after every step); otherwise a from-scratch scan.
-        """
-        index = self._index
-        if index is not None and index.in_sync():
-            return index.bbox()
-        return bounding_box(self.nonempty_rects)
+        """Bounding box over all non-empty rects, or None when empty."""
+        return self.store().bbox()
 
     @property
     def width(self) -> int:
@@ -242,15 +238,8 @@ class LayoutObject:
         return union_area(self.nonempty_rects)
 
     def is_empty(self) -> bool:
-        """True when the object holds no non-empty geometry.
-
-        Served from the index's exact non-empty count when one is attached
-        and current; otherwise a rect scan.
-        """
-        index = self._index
-        if index is not None and index.in_sync():
-            return index.is_empty()
-        return not self.nonempty_rects
+        """True when the object holds no non-empty geometry."""
+        return not self.store().nonempty
 
     # ------------------------------------------------------------------
     # transforms
@@ -262,9 +251,10 @@ class LayoutObject:
         for label in self.labels:
             label.x += dx
             label.y += dy
-        if self._index is not None:
+        store = self._current_store()
+        if store is not None:
             # A uniform shift preserves every sorted order and sweep result.
-            self._index.note_translate(dx, dy)
+            store.note_translate(dx, dy)
         return self
 
     def apply_transform(self, transform: Transform) -> "LayoutObject":
@@ -422,20 +412,21 @@ class LayoutObject:
     def rebuild_links(self) -> None:
         """Re-solve every link (the seeded solver, seeded with all of them).
 
-        Callers typically mutated rect coordinates directly beforehand
-        (primitive construction), so any live index is conservatively
-        invalidated; the compactor's edge moves go through the tracked
-        variant instead, which updates the index precisely.
+        Callers typically set rect coordinates directly beforehand
+        (primitive construction), so the store is dropped; the compactor's
+        edge moves go through the tracked variant instead, which keeps the
+        store exact.
         """
         self._solve_links(None)
         self.invalidate_index()
 
     def _rebuild_links_tracked(self, moved: Rect) -> None:
-        """Re-solve the links an edge move reaches, keeping the index current."""
+        """Re-solve the links an edge move reaches, keeping the store exact."""
         changed = self._solve_links(moved)
-        if self._index is not None:
+        store = self._current_store()
+        if store is not None:
             changed.add(id(moved))
-            self._index.note_changed_ids(changed)
+            store.note_changed(changed)
 
     def _link_adjacency(self) -> Dict[int, List[int]]:
         """Sync the solver state with ``self.links``; return the adjacency.

@@ -57,7 +57,8 @@ def check_widths(
     violations: List[Violation] = []
     rects = index.rects
     scanned = 0
-    for i, rect in enumerate(rects):
+    for i in index.live:
+        rect = rects[i]
         cut = obj.tech.rules.cut_size(rect.layer)
         if cut is not None:
             if rect.width != cut or rect.height != cut:
@@ -259,7 +260,8 @@ def check_extensions(
     rects = index.rects
     body_components = index.diffusion_groups()
 
-    for gate_index, gate in enumerate(rects):
+    for gate_index in index.live:
+        gate = rects[gate_index]
         if obj.tech.layer(gate.layer).kind is not LayerKind.POLY:
             continue
         for (body_layer, comp), members in body_components.items():
@@ -310,15 +312,17 @@ def check_areas(
 ) -> List[Violation]:
     """Minimum area per merged shape (union area of each component)."""
     index = _ensure_index(obj, index)
-    return _check_areas(obj, index.rects, index.component, index.members)
+    live = ((seq, index.rects[seq]) for seq in index.live)
+    return _check_areas(obj, live, index.component, index.members)
 
 
-def _check_areas(obj: LayoutObject, rects, component, members_of) -> List[Violation]:
+def _check_areas(obj: LayoutObject, items, component, members_of) -> List[Violation]:
+    """Area violations over *items*, ``(index, rect)`` pairs in source order."""
     from ..geometry import union_area
 
     violations: List[Violation] = []
     seen: Set[int] = set()
-    for index, rect in enumerate(rects):
+    for index, rect in items:
         rule = obj.tech.rules.area(rect.layer)
         if rule is None:
             continue
@@ -353,19 +357,21 @@ def check_shorts(
     device share an active region through the channel).
     """
     index = _ensure_index(obj, index)
+    live = ((seq, index.rects[seq]) for seq in index.live)
     return _check_shorts(
-        obj, index.rects, index.component, index.component_nets, index.members
+        obj, live, index.component, index.component_nets, index.members
     )
 
 
 def _check_shorts(
-    obj: LayoutObject, rects, component, nets_of, members_of
+    obj: LayoutObject, items, component, nets_of, members_of
 ) -> List[Violation]:
+    """Short violations over *items*, ``(index, rect)`` pairs in source order."""
     from ..tech.layer import LayerKind
 
     violations: List[Violation] = []
     reported: Set[int] = set()
-    for index, rect in enumerate(rects):
+    for index, rect in items:
         kind = obj.tech.layer(rect.layer).kind
         if kind not in (LayerKind.METAL, LayerKind.POLY, LayerKind.CUT):
             continue
@@ -440,9 +446,9 @@ def run_drc(
             for rule_class, check in CHECKS
         ]
         violations = _run_checks(obj, checks, include_latchup)
-        span.set(rects=len(index.rects))
+        span.set(rects=len(index.live))
     log.debug(
         "DRC of %s: %d rects, %d violations",
-        obj.name, len(index.rects), len(violations),
+        obj.name, len(index.live), len(violations),
     )
     return violations

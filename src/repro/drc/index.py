@@ -4,13 +4,12 @@
 independently.  Testing every rect pair (the all-pairs reference checks in
 :mod:`repro.verify.reference`) made the checker ~60% of the profiled
 amplifier build once connectivity extraction was indexed.  The
-:class:`DrcIndex` gives the checker the same sweep treatment as
-:class:`repro.db.netindex.ConnectivityIndex`; every sweep is a call to the
-shared kernel :mod:`repro.geometry.sweep`:
+:class:`DrcIndex` reads the object's :class:`~repro.db.store.RectStore`:
+its per-layer buckets and each layer's x1 order, a view the store caches
+until the layer changes.  Rects are addressed by *seq*, their position in
+``obj.rects``; the seq order of the non-empty rects is their source order.
+Every sweep is a call to the shared kernel :mod:`repro.geometry.sweep`:
 
-* **seq-ordered layer buckets** — every non-empty rect is bucketed by
-  layer in source order; ``check_enclosures`` visits the cut buckets
-  instead of filtering the whole rect list;
 * **sweep-fed connected components** — one touching sweep per layer
   (:func:`~repro.geometry.sweep.pairs_within`, ``reach=1``) unions
   touching rects into a union-by-size :class:`~repro.db.nets.DisjointSet`,
@@ -33,15 +32,16 @@ shared kernel :mod:`repro.geometry.sweep`:
 Exactness contract: every indexed check in :mod:`repro.drc.checker`
 returns *the identical violation list* (kind, message, location, rect
 identity, order) as its reference counterpart — candidates are evaluated
-in ascending (i, j) rect order with the same predicates, and the
-component partition matches the reference's exactly.
-``tests/test_drc_index.py`` pins this with Hypothesis properties over
-random rect soups across all builtin technologies and with the
-golden-cell matrix.
+in ascending (i, j) seq order, which is the reference's rect order, with
+the same predicates, and the component partition matches the reference's
+exactly.  ``tests/test_drc_index.py`` pins this with Hypothesis
+properties over random rect soups across all builtin technologies and
+with the golden-cell matrix.
 
-The index is a snapshot: it captures ``obj.nonempty_rects`` when it is
-constructed, and ``run_drc`` builds a fresh one per call.  After mutating
-the layout, build a new index.
+The index is a snapshot of the layout when it is constructed, and
+``run_drc`` builds a fresh one per call.  After mutating the layout, build
+a new index (after a direct rect write, call
+:meth:`~repro.db.LayoutObject.invalidate_index` first).
 
 Deterministic counters (gated exactly by ``repro perf check``):
 
@@ -68,55 +68,54 @@ class DrcIndex:
     """Snapshot sweep index shared by every check of one DRC run."""
 
     __slots__ = (
-        "tech", "rects", "_buckets", "_sorted_buckets", "_roots", "_members",
-        "_touchers", "_spacing_candidates", "_cross_touch", "_gate_overlaps",
-        "_enclosures",
+        "tech", "rects", "live", "_x1", "_roots", "_members", "_touchers",
+        "_spacing_candidates", "_cross_touch", "_gate_overlaps", "_enclosures",
     )
 
     def __init__(self, obj) -> None:
         tracer = get_tracer()
+        store = obj.store()
         self.tech = obj.tech
-        self.rects: List[Rect] = obj.nonempty_rects
+        #: The layout's rects, addressed by seq (empty ones included).
+        self.rects: List[Rect] = store.rects.copy()
         rects = self.rects
-        #: layer -> rect indices in source order.
-        self._buckets: Dict[str, List[int]] = {}
-        for index, rect in enumerate(rects):
-            self._buckets.setdefault(rect.layer, []).append(index)
-        #: layer -> rect indices stably sorted by x1 (shared by all sweeps).
-        self._sorted_buckets: Dict[str, List[int]] = {
-            layer: sorted(indices, key=lambda index: rects[index].x1)
-            for layer, indices in self._buckets.items()
+        #: Seqs of the non-empty rects in source order — what the checks visit.
+        self.live: List[int] = store.live_seqs()
+        #: layer -> its non-empty seqs in stable x1 order (the store's
+        #: cached view; every sweep walks these).
+        self._x1: Dict[str, Sequence[int]] = {
+            layer: store.by_x1(layer) for layer in store.layers()
         }
-        #: rect index -> same-layer indices it touches/overlaps (adjacency
-        #: recorded by the component sweeps; serves the absorbed-stub scan).
+        #: seq -> same-layer seqs it touches/overlaps (adjacency recorded
+        #: by the component sweeps; serves the absorbed-stub scan).
         self._touchers: Dict[int, List[int]] = {}
         self._spacing_candidates: Optional[List[Tuple[int, int]]] = None
-        #: rect index -> roots of other-layer components it touches
-        #: (complete for every layer pair with a positive SPACE rule).
+        #: seq -> roots of other-layer components it touches (complete for
+        #: every layer pair with a positive SPACE rule).
         self._cross_touch: Dict[int, Set[int]] = {}
         self._gate_overlaps: Optional[Set[Tuple[int, int]]] = None
-        #: (cut layer, conductor layer, margin) -> cut index -> conductor
-        #: indices whose interiors overlap the margin-grown cut.
+        #: (cut layer, conductor layer, margin) -> cut seq -> conductor
+        #: seqs whose interiors overlap the margin-grown cut.
         self._enclosures: Dict[Tuple[str, str, int], Dict[int, List[int]]] = {}
 
-        # Connected components: one touching sweep per layer bucket,
-        # recording the touching adjacency as a side effect.
+        # Connected components: one touching sweep per layer, recording
+        # the touching adjacency as a side effect.
         dsu = DisjointSet(len(rects))
         touchers = self._touchers
         scanned = 0
-        for bucket in self._sorted_buckets.values():
-            pairs, tested = pairs_within(rects, bucket, 1)
+        for order in self._x1.values():
+            pairs, tested = pairs_within(rects, order, 1)
             scanned += tested
             for i, j in pairs:
                 dsu.union(i, j)
                 touchers.setdefault(i, []).append(j)
                 touchers.setdefault(j, []).append(i)
-        #: rect index -> component root (post-union find of every index).
-        self._roots: List[int] = [dsu.find(index) for index in range(len(rects))]
-        #: component root -> member rect indices in source order.
+        #: seq -> component root (empty rects are their own roots).
+        self._roots: List[int] = [dsu.find(seq) for seq in range(len(rects))]
+        #: component root -> member seqs in source order.
         self._members: Dict[int, List[int]] = {}
-        for index, root in enumerate(self._roots):
-            self._members.setdefault(root, []).append(index)
+        for seq in self.live:
+            self._members.setdefault(self._roots[seq], []).append(seq)
         tracer.count("drc.index_builds")
         tracer.count("drc.pairs_scanned", scanned)
 
@@ -124,7 +123,8 @@ class DrcIndex:
     # queries (component layer)
     # ------------------------------------------------------------------
     def component(self, index: int) -> int:
-        """Component id of rect *index* (same partition as the reference)."""
+        """Component id of the rect with seq *index* (same partition as the
+        reference)."""
         return self._roots[index]
 
     def same_component(self, i: int, j: int) -> bool:
@@ -141,11 +141,11 @@ class DrcIndex:
 
     def layers(self) -> List[str]:
         """Layers carrying at least one non-empty rect."""
-        return list(self._buckets)
+        return list(self._x1)
 
     def indices_on(self, layer: str) -> Sequence[int]:
-        """Indices of the non-empty rects on *layer*, in source order."""
-        return self._buckets.get(layer, ())
+        """Seqs of the non-empty rects on *layer*, in source order."""
+        return sorted(self._x1.get(layer, ()))
 
     def same_layer_touchers(self, index: int) -> Sequence[int]:
         """Indices of same-layer rects touching/overlapping rect *index*.
@@ -226,9 +226,11 @@ class DrcIndex:
             for layer in self.tech.layers
             if layer.kind is LayerKind.DIFFUSION
         }
-        for index, rect in enumerate(self.rects):
+        rects = self.rects
+        for seq in self.live:
+            rect = rects[seq]
             if rect.layer in diffusion:
-                groups.setdefault((rect.layer, self._roots[index]), []).append(rect)
+                groups.setdefault((rect.layer, self._roots[seq]), []).append(rect)
         return groups
 
     # ------------------------------------------------------------------
@@ -242,14 +244,13 @@ class DrcIndex:
         candidates: List[Tuple[int, int]] = []
         scanned = 0
         if self.tech.max_space_radius() > 0:
-            buckets = self._sorted_buckets
             for layer_a, layer_b, rule in self.tech.space_rules():
                 if rule <= 0:
                     # 0 < gap < 0 is unsatisfiable: the pair can never
                     # violate, and the reference's touch exemptions only
                     # matter for pairs that could.
                     continue
-                a_bucket = buckets.get(layer_a)
+                a_bucket = self._x1.get(layer_a, ())
                 if layer_a == layer_b:
                     if a_bucket and len(a_bucket) > 1:
                         pairs, tested = pairs_within(rects, a_bucket, rule)
@@ -258,7 +259,7 @@ class DrcIndex:
                             (i, j) if i < j else (j, i) for i, j in pairs
                         )
                     continue
-                b_bucket = buckets.get(layer_b)
+                b_bucket = self._x1.get(layer_b, ())
                 if not a_bucket or not b_bucket:
                     continue
                 pairs, tested = pairs_across(rects, a_bucket, b_bucket, rule)
@@ -293,7 +294,7 @@ class DrcIndex:
             if layer.kind is LayerKind.DIFFUSION
         ]
         for gate_layer in poly_layers:
-            gate_bucket = self._sorted_buckets.get(gate_layer)
+            gate_bucket = self._x1.get(gate_layer, ())
             if not gate_bucket:
                 continue
             for body_layer in diffusion_layers:
@@ -302,7 +303,7 @@ class DrcIndex:
                     or rules.extend(body_layer, gate_layer) is None
                 ):
                     continue
-                body_bucket = self._sorted_buckets.get(body_layer)
+                body_bucket = self._x1.get(body_layer, ())
                 if body_bucket:
                     pairs, tested = pairs_across(self.rects, gate_bucket, body_bucket)
                     scanned += tested
@@ -314,8 +315,8 @@ class DrcIndex:
         self, cut_layer: str, layer: str, margin: int
     ) -> Dict[int, List[int]]:
         found: Dict[int, List[int]] = {}
-        cut_bucket = self._sorted_buckets.get(cut_layer)
-        conductor_bucket = self._sorted_buckets.get(layer)
+        cut_bucket = self._x1.get(cut_layer, ())
+        conductor_bucket = self._x1.get(layer, ())
         if not cut_bucket or not conductor_bucket:
             return found
         pairs, scanned = pairs_across(self.rects, cut_bucket, conductor_bucket, margin)

@@ -79,6 +79,7 @@ def poly_resistor(
     for patch in a_patches + b_patches:
         if patch.layer == layer:
             patch.net = body_net
+    obj.invalidate_index()
     return obj
 
 

@@ -103,6 +103,7 @@ def random_object_set(
                 # conducting layer that has no explicit SPACE rule to metal1.
                 for rect in obj.rects_on("metal1"):
                     rect.no_overlap = True
+                obj.invalidate_index()
         jitter = rng.randint(-4, 4) * dbu
         dx = -direction.dx * index * pitch + abs(direction.dy) * jitter
         dy = -direction.dy * index * pitch + abs(direction.dx) * jitter

@@ -86,6 +86,7 @@ def _attempt(
     every accepted plant against the reference oracle, so a (hypothetical)
     indexed-path miss would surface there, not hide here.
     """
+    obj.invalidate_index()  # the perturbation wrote rect coordinates directly
     after = run_drc(obj, include_latchup=False)
     known = list(baseline)
     new = []
@@ -106,11 +107,12 @@ def _attempt(
     return None
 
 
-def _restore_coords(rect: Rect) -> Callable[[], None]:
+def _restore_coords(obj: LayoutObject, rect: Rect) -> Callable[[], None]:
     saved = (rect.x1, rect.y1, rect.x2, rect.y2)
 
     def undo() -> None:
         rect.x1, rect.y1, rect.x2, rect.y2 = saved
+        obj.invalidate_index()
 
     return undo
 
@@ -128,7 +130,7 @@ def inject_narrow_width(obj: LayoutObject) -> Optional[Injection]:
         rule = rules.width(rect.layer)
         if rule is None or rule < 2 or rect.short_side() < rule:
             continue
-        undo = _restore_coords(rect)
+        undo = _restore_coords(obj, rect)
         if rect.width <= rect.height:
             rect.x2 = rect.x1 + rule - 1
         else:
@@ -227,7 +229,7 @@ def inject_enclosure_shrink(obj: LayoutObject) -> Optional[Injection]:
         shifts = sorted({1, 2, *(m for m in margins if m > 0)})
         for distance in shifts:
             for dx, dy in ((distance, 0), (-distance, 0), (0, distance), (0, -distance)):
-                undo = _restore_coords(cut)
+                undo = _restore_coords(obj, cut)
                 cut.x1 += dx
                 cut.x2 += dx
                 cut.y1 += dy
@@ -259,7 +261,8 @@ def inject_extension_short(obj: LayoutObject) -> Optional[Injection]:
     rules = tech.rules
     index = DrcIndex(obj)
     groups = index.diffusion_groups()
-    for gate_index, gate in enumerate(index.rects):
+    for gate_index in index.live:
+        gate = index.rects[gate_index]
         if tech.layer(gate.layer).kind is not LayerKind.POLY:
             continue
         for (body_layer, comp), members in groups.items():
@@ -286,7 +289,7 @@ def inject_extension_short(obj: LayoutObject) -> Optional[Injection]:
             for attr, value in trims:
                 if getattr(gate, attr) == value:
                     continue  # already there: no mutation to make
-                undo = _restore_coords(gate)
+                undo = _restore_coords(obj, gate)
                 setattr(gate, attr, value)
                 injection = _attempt(
                     obj,

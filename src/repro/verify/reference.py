@@ -31,18 +31,24 @@ The equivalence suites and the benchmarks race the two.  Nothing outside
   rect pairs; :class:`repro.db.ConnectivityIndex` must return the same
   partition in the same order.
 * :class:`ScanCompactor` — the successive compactor with every per-step
-  scan redone from ``main.rects``; :class:`repro.compact.Compactor` and its
-  :class:`~repro.compact.FrontierIndex` must produce identical geometry.
+  scan redone from ``main.rects``, through :func:`frontier_filter` and
+  :func:`gather_constraints`; :class:`repro.compact.Compactor`, which
+  reads the main object's rect store, must produce identical geometry.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..compact import Compactor, PairConstraint, frontier_filter, gather_constraints
-from ..compact.separation import bridge_profile
+from ..compact import (
+    Compactor,
+    PairConstraint,
+    bridge_profile,
+    gather_constraints_grouped,
+    layer_frontier,
+)
 from ..db import ArrayLink, DisjointSet, LayoutObject
 from ..drc.checker import (
     _check_areas,
@@ -76,6 +82,8 @@ __all__ = [
     "check_state_keys",
     "check_widths_brute",
     "extract_connectivity_brute",
+    "frontier_filter",
+    "gather_constraints",
     "replay",
     "run_drc_brute",
     "solve_links_fixpoint",
@@ -109,6 +117,7 @@ def solve_links_fixpoint(obj: LayoutObject) -> Set[int]:
                     changed.add(rid)
         if stable:
             break
+    obj.invalidate_index()
     return changed
 
 
@@ -499,14 +508,16 @@ def check_areas_brute(obj: LayoutObject) -> List[Violation]:
     """Minimum area per merged shape — reference path."""
     rects = obj.nonempty_rects
     comps = _Components(rects)
-    return _check_areas(obj, rects, comps.component, comps.members)
+    return _check_areas(obj, enumerate(rects), comps.component, comps.members)
 
 
 def check_shorts_brute(obj: LayoutObject) -> List[Violation]:
     """Net-short check — reference path."""
     rects = obj.nonempty_rects
     comps = _Components(rects)
-    return _check_shorts(obj, rects, comps.component, comps.component_nets, comps.members)
+    return _check_shorts(
+        obj, enumerate(rects), comps.component, comps.component_nets, comps.members
+    )
 
 
 #: The reference checks, in :data:`repro.drc.CHECKS` order; each accepts
@@ -598,16 +609,55 @@ def extract_connectivity_brute(
 # ======================================================================
 # successive compaction
 # ======================================================================
+def frontier_filter(
+    rects: Sequence[Rect],
+    direction: Direction,
+    arrival_nets: FrozenSet[str] = frozenset(),
+) -> List[Rect]:
+    """Drop fixed rects fully shadowed behind nearer same-layer geometry:
+    one :func:`~repro.compact.layer_frontier` sweep per layer, layers in
+    first-occurrence order.  :func:`repro.compact.frontier_groups` must
+    return the same rects in the same order."""
+    by_layer: Dict[str, List[int]] = {}
+    for seq, rect in enumerate(rects):
+        if not rect.is_empty:
+            by_layer.setdefault(rect.layer, []).append(seq)
+    return [
+        rects[seq]
+        for seqs in by_layer.values()
+        for seq in layer_frontier(rects, seqs, direction, arrival_nets)
+    ]
+
+
+def gather_constraints(
+    tech: Technology,
+    moving_rects: Sequence[Rect],
+    fixed_rects: Sequence[Rect],
+    direction: Direction,
+    ignore_layers: Iterable[str] = (),
+) -> List[PairConstraint]:
+    """All active pair constraints, ungrouped: the all-pairs product of
+    :func:`~repro.compact.required_spacing` and
+    :func:`~repro.compact.pair_travel`, in pair order, computed by
+    :func:`~repro.compact.gather_constraints_grouped` over runs of one
+    layer."""
+    live = (rect for rect in fixed_rects if not rect.is_empty)
+    groups = [(layer, list(run)) for layer, run in
+              itertools.groupby(live, key=lambda rect: rect.layer)]
+    return gather_constraints_grouped(
+        tech, moving_rects, groups, direction, ignore_layers
+    )
+
+
 class ScanCompactor(Compactor):
     """:class:`~repro.compact.Compactor` with every per-step scan from scratch.
 
     Each shrink round re-buckets ``main.rects`` through
-    :func:`~repro.compact.frontier_filter` and
-    :func:`~repro.compact.gather_constraints`; auto-connect scans the full
-    rect list for residents and for bridge blockers.  ``frontier=False``
+    :func:`frontier_filter` and :func:`gather_constraints`; auto-connect
+    scans the full rect list for residents and for bridge blockers.  ``frontier=False``
     also drops the outer-edge pruning (the ablation).  The production
-    compactor, with its persistent frontier index, must leave every rect
-    where this leaves it.
+    compactor, which reads the main object's rect store, must leave every
+    rect where this leaves it.
     """
 
     def __init__(

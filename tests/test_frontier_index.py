@@ -1,6 +1,8 @@
-"""Property tests: the incremental FrontierIndex equals from-scratch state.
+"""Property tests: the compactor's store queries equal from-scratch scans.
 
-The index's whole contract is invisibility — every query must reproduce,
+The rect store's whole contract is invisibility — every compactor query
+over it (:func:`repro.compact.frontier_groups`, the ``(net, layer)``
+resident buckets, :func:`repro.compact.bridge_blocked`) must reproduce,
 element for element and in order, what the from-scratch scans
 (:func:`frontier_filter`, the ``(net, layer)`` bucket rebuild, the naive
 bridge-blocking sweep) would compute on the owner's current rect list.
@@ -14,11 +16,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.compact import Compactor, frontier_filter
+from repro.compact import Compactor, bridge_blocked, frontier_groups
 from repro.db import LayoutObject
 from repro.geometry import Direction, Rect, bounding_box
 from repro.tech import generic_bicmos_1u
-from repro.verify.reference import ScanCompactor
+from repro.verify.reference import ScanCompactor, frontier_filter
 
 TECH = generic_bicmos_1u()
 
@@ -70,7 +72,7 @@ def _arrival_nets(net):
     return frozenset() if net is None else frozenset({net})
 
 
-def _apply(obj, index, op):
+def _apply(obj, op):
     kind = op[0]
     if kind == "add":
         obj.add_rect(op[1].copy())
@@ -95,21 +97,19 @@ def _apply(obj, index, op):
     elif kind == "translate":
         obj.translate(op[1], op[2])
     else:  # "query": warm the caches mid-sequence
-        index.sync()
-        index.frontier_groups(op[1], _arrival_nets(op[2]))
+        frontier_groups(obj.store(), op[1], _arrival_nets(op[2]))
 
 
-def _check_equals_scratch(obj, index):
-    index.sync()
+def _check_equals_scratch(obj):
+    store = obj.store()
     fresh = obj.nonempty_rects
-    assert index.nonempty == len(fresh)
+    assert store.nonempty == len(fresh)
 
-    # Emptiness and the exact bbox are served from the index (both through
-    # the index API and through the LayoutObject methods that prefer it).
-    assert index.is_empty() == (not fresh)
+    # Emptiness and the exact bbox are served from the store (both through
+    # the store API and through the LayoutObject methods that read it).
     assert obj.is_empty() == (not fresh)
     expected_box = bounding_box(fresh)
-    for served in (index.bbox(), obj.bbox()):
+    for served in (store.bbox(), obj.bbox()):
         if expected_box is None:
             assert served is None
         else:
@@ -120,7 +120,7 @@ def _check_equals_scratch(obj, index):
 
     for direction in Direction:
         for nets in (frozenset(), frozenset({"a"}), frozenset({"a", "b"})):
-            groups = index.frontier_groups(direction, nets)
+            groups = frontier_groups(store, direction, nets)
             flat = [rect for _, rects_ in groups for rect in rects_]
             expected = frontier_filter(fresh, direction, nets)
             assert [id(r) for r in flat] == [id(r) for r in expected]
@@ -133,7 +133,9 @@ def _check_equals_scratch(obj, index):
         for layer in LAYERS:
             expected = buckets.get((net, layer), [])
             served = [
-                r for r in index.residents(net, layer) if not r.is_empty
+                obj.rects[seq]
+                for seq in store.net_seqs.get((net, layer), ())
+                if not obj.rects[seq].is_empty
             ]
             assert [id(r) for r in served] == [id(r) for r in expected]
 
@@ -148,14 +150,14 @@ def _check_equals_scratch(obj, index):
     st.lists(operations, min_size=1, max_size=8),
 )
 def test_incremental_index_equals_from_scratch(initial, ops):
-    """After any mutation sequence the index matches naive recomputation."""
+    """After any mutation sequence the store matches naive recomputation."""
     obj = LayoutObject("main", TECH)
     for rect in initial:
         obj.add_rect(rect)
-    index = obj.frontier_index()
+    obj.store()
     for op in ops:
-        _apply(obj, index, op)
-        _check_equals_scratch(obj, index)
+        _apply(obj, op)
+        _check_equals_scratch(obj)
 
 
 @settings(
@@ -168,22 +170,21 @@ def test_incremental_index_equals_from_scratch(initial, ops):
     st.lists(operations, min_size=0, max_size=6),
 )
 def test_snapshot_carries_an_exact_index(initial, ops):
-    """A snapshot's ported index answers like a fresh one on the clone."""
+    """A snapshot's ported store answers like a fresh one on the clone."""
     obj = LayoutObject("main", TECH)
     for rect in initial:
         obj.add_rect(rect)
-    index = obj.frontier_index()
+    obj.store()
     for op in ops:
-        _apply(obj, index, op)
-    index.sync()
-    index.frontier_groups(Direction.WEST, frozenset({"a"}))  # warm a cache
+        _apply(obj, op)
+    frontier_groups(obj.store(), Direction.WEST, frozenset({"a"}))  # warm a cache
 
     clone = obj.snapshot()
-    assert clone._index is not None
+    assert clone._store is not None
     assert all(r is not s for r, s in zip(clone.rects, obj.rects))
-    _check_equals_scratch(clone, clone._index)
+    _check_equals_scratch(clone)
     # ... and the original is untouched by cloning.
-    _check_equals_scratch(obj, index)
+    _check_equals_scratch(obj)
 
 
 @settings(
@@ -197,17 +198,17 @@ def test_snapshot_carries_an_exact_index(initial, ops):
     directions,
 )
 def test_bridge_blocked_matches_naive_scan(fixed, bridges, direction):
-    """Indexed bridge blocking equals the unindexed rule-by-rule sweep."""
+    """Store-served bridge blocking equals the rule-by-rule sweep."""
     main = LayoutObject("main", TECH)
     for rect in fixed:
         main.add_rect(rect)
-    index = main.frontier_index()
+    store = main.store()
     compactor = ScanCompactor()
     for bridge in bridges:
         if bridge.net is None or bridge.is_empty:
             continue
         expected = compactor._bridge_blocked(main, bridge, bridge.net)
-        assert index.bridge_blocked(bridge, bridge.net) == expected
+        assert bridge_blocked(store, TECH, bridge, bridge.net) == expected
 
 
 @settings(
@@ -217,7 +218,7 @@ def test_bridge_blocked_matches_naive_scan(fixed, bridges, direction):
 )
 @given(st.lists(rects, min_size=2, max_size=6), directions)
 def test_indexed_compactor_matches_unindexed(rect_list, direction):
-    """Full-featured compaction is byte-identical with and without the index."""
+    """Full-featured compaction is byte-identical with and without the store."""
     def pack(compactor):
         main = LayoutObject("main", TECH)
         for i, rect in enumerate(rect_list):

@@ -5,7 +5,7 @@ reaches, plus its pending links (appended, mirrored or arrived in a
 replaced ``links`` list).  Its contract is that this changes nothing: a
 ``snapshot()`` twin driven with the same returned coordinates and solved by
 :func:`repro.verify.reference.solve_links_fixpoint` must hold the same rect
-tuples after every step.  The id set handed to the frontier index must also
+tuples after every step.  The id set handed to the rect store must also
 cover every rect the solve moved or created.
 """
 
@@ -15,8 +15,8 @@ from functools import lru_cache
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.compact.index import FrontierIndex
 from repro.db import ArrayLink, InsideLink, LayoutObject
+from repro.db.store import RectStore
 from repro.geometry import Direction, Rect
 from repro.library import contact_row, interdigitated_transistor, mos_transistor, substrate_ring
 from repro.obs import StatsSink, Tracer, activate
@@ -110,31 +110,31 @@ def _tuples(obj):
 
 @contextmanager
 def _reported_ids():
-    """Collect every id handed to ``FrontierIndex.note_changed_ids``."""
+    """Collect every id handed to ``RectStore.note_changed``."""
     reported = set()
-    original = FrontierIndex.note_changed_ids
+    original = RectStore.note_changed
 
-    def note(index, ids):
+    def note(store, ids):
         ids = set(ids)
         reported.update(ids)
-        original(index, ids)
+        original(store, ids)
 
-    FrontierIndex.note_changed_ids = note
+    RectStore.note_changed = note
     try:
         yield reported
     finally:
-        FrontierIndex.note_changed_ids = original
+        RectStore.note_changed = original
 
 
 def _move(obj, twin, kind, selector, direction, amount):
     """Move one edge of *obj*; replay the outcome on *twin* by hand.
 
-    Returns the ids *obj* reported to its frontier index and its rect
+    Returns the ids *obj* reported to its rect store and its rect
     tuples (by id) from before the move.
     """
     index = _pick(obj, selector)
     rect, twin_rect = obj.rects[index], twin.rects[index]
-    obj.frontier_index()
+    obj.store()
     before = {id(r): r.as_tuple() for r in obj.rects}
     sign = 1 if direction.is_positive else -1
     edge = rect.edge_coord(direction)

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.compact import Compactor, gather_constraints
+from repro.compact import Compactor
 from repro.db import LayoutObject
 from repro.geometry import Direction, Rect
 from repro.tech import generic_bicmos_1u
-from repro.verify.reference import ScanCompactor
+from repro.verify.reference import ScanCompactor, gather_constraints
 
 TECH = generic_bicmos_1u()
 

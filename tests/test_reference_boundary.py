@@ -4,7 +4,8 @@
 paths (brute DRC checks, brute connectivity, the from-scratch compactor).
 They are oracles for tests and benchmarks only: no module under
 ``src/repro`` outside ``repro/verify/`` may import that module, and none
-may define or export a brute twin of its own.
+may define or export a brute twin of its own (nor the from-scratch
+compaction scans ``frontier_filter`` and ``gather_constraints``).
 """
 
 import ast
@@ -16,7 +17,10 @@ import repro
 PACKAGE_ROOT = Path(repro.__file__).parent
 REFERENCE = "repro.verify.reference"
 #: Names only the oracle module may define or export.
-ORACLE_NAMES = ("*_brute", "_Components", "CHECKS_BRUTE", "_enclosed_by_any")
+ORACLE_NAMES = (
+    "*_brute", "_Components", "CHECKS_BRUTE", "_enclosed_by_any",
+    "frontier_filter", "gather_constraints",
+)
 
 
 def _production_modules():

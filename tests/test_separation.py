@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.compact import frontier_filter, gather_constraints, pair_travel, required_spacing
+from repro.compact import pair_travel, required_spacing
 from repro.geometry import Direction, Rect
+from repro.verify.reference import frontier_filter, gather_constraints
 
 
 def test_ignored_layers_unconstrained(tech):

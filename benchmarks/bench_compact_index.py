@@ -52,7 +52,7 @@ COUNTERS = (
     ("window_dropped", "compact.index_window_dropped"),
     ("sweeps", "compact.index_sweeps"),
     ("sweep_hits", "compact.index_sweep_hits"),
-    ("rebuilds", "compact.index_rebuilds"),
+    ("rebuilds", "db.store_builds"),
 )
 
 

@@ -42,7 +42,6 @@ REPEATS = 1 if SMOKE else 3
 
 COUNTERS = (
     ("pairs_scanned", "nets.pairs_scanned"),
-    ("candidates", "nets.candidates"),
     ("extractions", "nets.extractions"),
     ("cache_hits", "nets.cache_hits"),
 )

@@ -81,23 +81,11 @@ def extract_connectivity(rects: Sequence[Rect], tech: Technology) -> List[List[R
 
 
 def net_is_connected(rects: Sequence[Rect], tech: Technology, net: str) -> bool:
-    """True when every rect labelled *net* sits in one connected component.
+    """True when every rect labelled *net* sits in one connected component
+    (one-shot :meth:`~repro.db.netindex.ConnectivityIndex.net_is_connected`)."""
+    from .netindex import ConnectivityIndex
 
-    Only the component containing the first labelled rect can possibly hold
-    them all, so the scan stops as soon as that component is found.
-    """
-    labelled = [r for r in rects if r.net == net and not r.is_empty]
-    if len(labelled) <= 1:
-        return True
-    components = extract_connectivity(rects, tech)
-    first = id(labelled[0])
-    for component in components:
-        members = set(map(id, component))
-        if first in members:
-            return all(id(r) in members for r in labelled)
-    # The first labelled rect joined no component (non-conducting layer):
-    # the net cannot be electrically whole.
-    return False
+    return ConnectivityIndex(rects, tech).net_is_connected(net)
 
 
 def estimate_net_capacitance(

@@ -104,7 +104,7 @@ class RectStore:
         self._where: Optional[Dict[int, int]] = None
         #: (layer, key) -> (bucket version, view).
         self.views: Dict[Tuple[str, Hashable], Tuple[int, tuple]] = {}
-        get_tracer().count("compact.index_rebuilds")
+        get_tracer().count("db.store_builds")
 
     # ------------------------------------------------------------------
     # maintenance

@@ -24,7 +24,7 @@ ratios are directly comparable (mirroring ``nets.pairs_scanned``).
 from __future__ import annotations
 
 import functools
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..db import LayoutObject
 from ..geometry import Rect, bounding_box
@@ -249,31 +249,29 @@ def check_extensions(
 ) -> List[Violation]:
     """Transistor formation rules against merged diffusion shapes.
 
-    Gate/body overlap membership comes from the index's strict-interval
-    gate-over-diffusion sweeps instead of gate × component-member loops.
+    Only the (gate, diffusion group) pairs the index's gate-over-diffusion
+    sweeps found overlapping are visited, in gate seq order, then group
+    order; the EXTEND rules are looked up once per layer pair.
     """
-    from ..tech.layer import LayerKind
-
     index = _ensure_index(obj, index)
     violations: List[Violation] = []
     rules = obj.tech.rules
     rects = index.rects
-    body_components = index.diffusion_groups()
-
-    for gate_index in index.live:
+    groups = index.diffusion_groups()
+    extends: Dict[Tuple[str, str], Tuple[int, int]] = {}
+    for gate_index, bodies in index.gate_overlaps().items():
         gate = rects[gate_index]
-        if obj.tech.layer(gate.layer).kind is not LayerKind.POLY:
-            continue
-        for (body_layer, comp), members in body_components.items():
-            endcap = rules.extend(gate.layer, body_layer)
-            sd_ext = rules.extend(body_layer, gate.layer)
-            if endcap is None or sd_ext is None:
-                continue
-            if not index.gate_overlaps(gate_index, comp):
-                continue
-            box = bounding_box(members)
+        for key in bodies:
+            pair = (gate.layer, key[0])
+            rule = extends.get(pair)
+            if rule is None:
+                rule = extends[pair] = (
+                    rules.extend(gate.layer, key[0]),
+                    rules.extend(key[0], gate.layer),
+                )
+            box = bounding_box(groups[key])
             assert box is not None
-            violations.extend(_check_crossing(gate, box, endcap, sd_ext))
+            violations.extend(_check_crossing(gate, box, *rule))
     return violations
 
 

@@ -93,7 +93,7 @@ class DrcIndex:
         #: seq -> roots of other-layer components it touches (complete for
         #: every layer pair with a positive SPACE rule).
         self._cross_touch: Dict[int, Set[int]] = {}
-        self._gate_overlaps: Optional[Set[Tuple[int, int]]] = None
+        self._gate_overlaps: Optional[Dict[int, List[Tuple[str, int]]]] = None
         #: (cut layer, conductor layer, margin) -> cut seq -> conductor
         #: seqs whose interiors overlap the margin-grown cut.
         self._enclosures: Dict[Tuple[str, str, int], Dict[int, List[int]]] = {}
@@ -184,15 +184,17 @@ class DrcIndex:
     # ------------------------------------------------------------------
     # queries (extension layer)
     # ------------------------------------------------------------------
-    def gate_overlaps(self, gate: int, comp: int) -> bool:
-        """True when gate rect *gate* overlaps diffusion component *comp*.
+    def gate_overlaps(self) -> Dict[int, List[Tuple[str, int]]]:
+        """Gate seq -> the diffusion groups its rect overlaps.
 
-        Valid for (POLY-kind layer, DIFFUSION-kind layer) pairs that carry
-        both EXTEND rules — exactly the pairs ``check_extensions`` tests.
+        Only (POLY-kind layer, DIFFUSION-kind layer) pairs that carry both
+        EXTEND rules are swept — exactly the pairs ``check_extensions``
+        tests.  Gates come in seq order, each gate's groups as
+        :meth:`diffusion_groups` keys in that method's order.
         """
         if self._gate_overlaps is None:
             self._build_gate_overlaps()
-        return (gate, comp) in self._gate_overlaps
+        return self._gate_overlaps
 
     # ------------------------------------------------------------------
     # queries (enclosure layer)
@@ -283,7 +285,7 @@ class DrcIndex:
     def _build_gate_overlaps(self) -> None:
         rules = self.tech.rules
         roots = self._roots
-        overlaps: Set[Tuple[int, int]] = set()
+        overlaps: Dict[int, Set[int]] = {}
         scanned = 0
         poly_layers = [
             layer.name for layer in self.tech.layers
@@ -307,8 +309,19 @@ class DrcIndex:
                 if body_bucket:
                     pairs, tested = pairs_across(self.rects, gate_bucket, body_bucket)
                     scanned += tested
-                    overlaps.update((gate, roots[body]) for gate, body in pairs)
-        self._gate_overlaps = overlaps
+                    for gate, body in pairs:
+                        overlaps.setdefault(gate, set()).add(roots[body])
+        # A component lies on one layer; diffusion_groups() orders the
+        # groups by their first member.
+        first = self._members
+        rects = self.rects
+        self._gate_overlaps = {
+            gate: [
+                (rects[first[root][0]].layer, root)
+                for root in sorted(overlaps[gate], key=lambda root: first[root][0])
+            ]
+            for gate in sorted(overlaps)
+        }
         get_tracer().count("drc.pairs_scanned", scanned)
 
     def _build_enclosures(

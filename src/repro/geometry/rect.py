@@ -279,18 +279,19 @@ class Rect:
         )
 
     def copy(self) -> "Rect":
-        """Deep copy including edge properties (shares the provenance record)."""
-        return Rect(
-            self.x1,
-            self.y1,
-            self.x2,
-            self.y2,
-            self.layer,
-            self.net,
-            self.no_overlap,
-            {d: p.copy() for d, p in self._edges.items()},
-            self.prov,
-        )
+        """Deep copy including edge properties (shares the provenance record).
+
+        Coordinates are copied verbatim: a rect written inverted (and so
+        empty) stays inverted, where the constructor would swap its corners.
+        """
+        twin = Rect.__new__(Rect)
+        twin.x1, twin.y1, twin.x2, twin.y2 = self.x1, self.y1, self.x2, self.y2
+        twin.layer = self.layer
+        twin.net = self.net
+        twin.no_overlap = self.no_overlap
+        twin._edges = {d: p.copy() for d, p in self._edges.items()}
+        twin.prov = self.prov
+        return twin
 
     def merged(self, other: "Rect") -> "Rect":
         """Bounding box of both rects on this rect's layer/net."""

@@ -37,7 +37,6 @@ from ..db import LayoutObject
 from ..drc import Violation, run_drc
 from ..drc.index import DrcIndex
 from ..geometry import Rect, bounding_box
-from ..tech.layer import LayerKind
 
 __all__ = ["Injection", "INJECTORS", "inject_violation"]
 
@@ -257,22 +256,16 @@ def inject_extension_short(obj: LayoutObject) -> Optional[Injection]:
     transistor, not a partial gate) but the endcap margin fails.
     """
     baseline = _baseline(obj)
-    tech = obj.tech
-    rules = tech.rules
+    rules = obj.tech.rules
     index = DrcIndex(obj)
     groups = index.diffusion_groups()
-    for gate_index in index.live:
+    for gate_index, bodies in index.gate_overlaps().items():
         gate = index.rects[gate_index]
-        if tech.layer(gate.layer).kind is not LayerKind.POLY:
-            continue
-        for (body_layer, comp), members in groups.items():
-            endcap = rules.extend(gate.layer, body_layer)
-            sd_ext = rules.extend(body_layer, gate.layer)
-            if endcap is None or sd_ext is None or endcap < 1:
+        for key in bodies:
+            endcap = rules.extend(gate.layer, key[0])
+            if endcap < 1:
                 continue
-            if not index.gate_overlaps(gate_index, comp):
-                continue
-            box = bounding_box(members)
+            box = bounding_box(groups[key])
             assert box is not None
             if gate.y1 <= box.y1 and gate.y2 >= box.y2:  # vertical crossing
                 trims = (

@@ -122,8 +122,8 @@ def _apply(obj, op):
         rect = _pick(obj, op[1])
         if rect is None:
             return
-        # May empty the rect; never inverts it (a copy would normalise it).
-        rect.x2 = max(rect.x1, rect.x2 + op[2])
+        # May empty or invert the rect (x2 < x1 is empty, copies included).
+        rect.x2 += op[2]
         rect.net = op[3]
         rect.no_overlap = not rect.no_overlap
         obj.invalidate_index()
@@ -201,6 +201,11 @@ def _check_equals_scratch(obj):
     linked=False,
     ops=[("move_edge", 0, Direction.WEST, 6_000)],
 )
+@example(  # a direct write that inverts a rect: its snapshot copy stays empty
+    initial=[Rect(0, 0, 4_000, 2_000, "metal1")],
+    linked=False,
+    ops=[("raw", 0, -6_000, "a")],
+)
 def test_store_equals_a_rebuilt_store_after_every_write(initial, linked, ops):
     obj = LayoutObject("main", TECH)
     if linked:
@@ -214,3 +219,4 @@ def test_store_equals_a_rebuilt_store_after_every_write(initial, linked, ops):
         # A snapshot carries the store over and must be exact as well.
         _check_equals_scratch(obj.snapshot())
         _warm(obj)  # every view current again before the next write
+

@@ -249,7 +249,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             for mismatch in mismatches:
                 print(f"golden FAIL: {mismatch}")
         else:
-            print(f"golden: all cell fingerprints match ({checked} recorded)")
+            print(f"golden: all cell fingerprints match ({checked} recorded),"
+                  " every cell DRC-clean")
 
     fuzz_tech = _resolve_tech(args.tech or "generic_bicmos_1u")
 
@@ -627,7 +628,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--golden", action="store_true",
-        help="check library-cell CIF/GDS hashes against golden_hashes.json",
+        help="check library-cell CIF/GDS hashes against golden_hashes.json"
+        " and that every golden cell is DRC-clean",
     )
     verify.add_argument(
         "--update-golden", action="store_true",

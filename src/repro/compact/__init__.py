@@ -4,7 +4,6 @@ from .compactor import MAX_SHRINK_ROUNDS, CompactionResult, Compactor
 from .index import bridge_blocked, frontier_groups
 from .separation import (
     PairConstraint,
-    bridge_profile,
     gather_constraints_grouped,
     layer_frontier,
     overlap_forbidden,
@@ -18,7 +17,6 @@ __all__ = [
     "Compactor",
     "PairConstraint",
     "bridge_blocked",
-    "bridge_profile",
     "frontier_groups",
     "gather_constraints_grouped",
     "layer_frontier",

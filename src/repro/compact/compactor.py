@@ -28,7 +28,7 @@ from ..geometry import Axis, Direction, Rect
 from ..obs import get_logger, get_tracer
 from ..obs.provenance import get_recorder
 from .index import bridge_blocked, frontier_groups
-from .separation import PairConstraint, _pair_profile, gather_constraints_grouped
+from .separation import PairConstraint, gather_constraints_grouped
 
 #: Hard cap on variable-edge iterations per compaction step.
 MAX_SHRINK_ROUNDS = 64
@@ -271,15 +271,16 @@ class Compactor:
         dropped = 0
         pruned: List[Tuple[str, List[Rect]]] = []
         horizontal = perp is Axis.HORIZONTAL
+        table = tech.table
         for flayer, frects in groups:
             if flayer in ignore:
                 continue  # gather skips the whole group anyway
             margin = None
             for mlayer in moving_layers:
-                profile = _pair_profile(tech, mlayer, flayer)
-                if profile is None:
+                rule, _, conducting, _, _ = table[(mlayer, flayer)]
+                if rule is None and not conducting:
                     continue
-                spacing = profile[0] or 0
+                spacing = rule or 0
                 if margin is None or spacing > margin:
                     margin = spacing
             if margin is None:

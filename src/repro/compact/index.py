@@ -24,7 +24,7 @@ from ..db.store import RectStore
 from ..geometry import Direction, Rect
 from ..obs import get_tracer
 from ..tech import Technology
-from .separation import bridge_profile, layer_frontier
+from .separation import layer_frontier
 
 __all__ = ["bridge_blocked", "frontier_groups"]
 
@@ -71,19 +71,27 @@ def bridge_blocked(
 
     Semantically identical to the naive scan over every non-empty rect
     (same-layer spacing, cross-layer spacing, EXTEND device formation),
-    but layer-pair rules are hoisted out of the rect loop through the
-    memoized :func:`~repro.compact.separation.bridge_profile`, the grown
-    probe rect is built once per layer, and whole layers are skipped when
-    no rule can apply or the layer's envelope cannot reach the probe.
+    but each layer's rules are read once from the technology's compiled
+    table: same-net rects on a connectable layer are skippable, the grown
+    probe keeps the pair's spacing (same-layer pairs default to 0, "may
+    touch, not overlap"), and overlap with a layer the bridge forms a
+    device with (an EXTEND rule either way: a poly bridge must never cross
+    diffusion) blocks.  The probe rect is built once per layer, and whole
+    layers are skipped when no rule can apply or the layer's envelope
+    cannot reach the probe.
     """
     rects = store.rects
+    table = tech.table
     bridge_layer = bridge.layer
     bx1, by1, bx2, by2 = bridge.x1, bridge.y1, bridge.x2, bridge.y2
     for layer, bucket in store.buckets.items():
-        profile = bridge_profile(tech, bridge_layer, layer)
-        if profile is None:
-            continue  # no spacing rule, no device rule: cannot block
-        connect, spacing, forms_device = profile
+        spacing, connect, _, extend, extended_by = table[(bridge_layer, layer)]
+        if layer == bridge_layer:
+            spacing, forms_device = spacing or 0, False
+        else:
+            forms_device = extend is not None or extended_by is not None
+            if spacing is None and not forms_device:
+                continue  # no spacing rule, no device rule: cannot block
         probe = bridge if spacing is None else bridge.grown(spacing)
         px1, py1, px2, py2 = probe.x1, probe.y1, probe.x2, probe.y2
         box = store.envelope(layer)

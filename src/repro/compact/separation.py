@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..geometry import Direction, Rect
 from ..obs import get_tracer
@@ -23,9 +23,6 @@ from ..tech import Technology
 
 #: Sentinel for "this pair never constrains the motion".
 UNCONSTRAINED = None
-
-#: Distinguishes "profile not computed yet" from a computed ``None``.
-_MISSING = object()
 
 
 @dataclass(slots=True)
@@ -123,75 +120,6 @@ def pair_travel(moving: Rect, fixed: Rect, direction: Direction, spacing: int) -
     return (face - lead) * sign - spacing
 
 
-def _pair_profile(
-    tech: Technology, moving_layer: str, fixed_layer: str
-) -> Optional[Tuple[Optional[int], bool, bool]]:
-    """Per-layer-pair constraint profile: (rule spacing, connectable, conducting).
-
-    ``None`` means the layer pair can never constrain motion — no spacing rule
-    exists and the pair is not both-conducting, so the *no_overlap* fallback
-    can never apply either, whatever the rects' nets and flags say.
-
-    Memoized on the technology's version-stamped query cache, so the answer
-    survives across compaction steps and invalidates itself on rule edits.
-    """
-    cache = tech.query_cache()
-    key = ("pair_profile", moving_layer, fixed_layer)
-    profile = cache.get(key, _MISSING)
-    if profile is _MISSING:
-        rule = tech.min_space(moving_layer, fixed_layer)
-        conducting = (
-            tech.layer(moving_layer).conducting
-            and tech.layer(fixed_layer).conducting
-        )
-        if rule is None and not conducting:
-            profile = None
-        else:
-            profile = (rule, tech.connectable(moving_layer, fixed_layer),
-                       conducting)
-        cache[key] = profile
-    return profile
-
-
-def bridge_profile(
-    tech: Technology, bridge_layer: str, other_layer: str
-) -> Optional[Tuple[bool, Optional[int], bool]]:
-    """Auto-connect bridge-blocking profile: (connectable, spacing, device).
-
-    Everything :meth:`Compactor._bridge_blocked` asks the rule tables per
-    rect, hoisted to one memoized lookup per layer pair: whether same-net
-    rects are skippable (connectable), the spacing a grown probe must keep
-    (same-layer pairs default to 0 = "may touch, not overlap"), and whether
-    overlap would form a device (an EXTEND relationship either way — a poly
-    bridge must never cross diffusion).  ``None`` means rects on
-    *other_layer* can never block a *bridge_layer* stretch.
-    """
-    cache = tech.query_cache()
-    key = ("bridge_profile", bridge_layer, other_layer)
-    profile = cache.get(key, _MISSING)
-    if profile is _MISSING:
-        if other_layer == bridge_layer:
-            spacing = tech.min_space(bridge_layer, bridge_layer) or 0
-            profile = (True, spacing, False)
-        else:
-            rules = tech.rules
-            forms_device = (
-                rules.extend(bridge_layer, other_layer) is not None
-                or rules.extend(other_layer, bridge_layer) is not None
-            )
-            spacing = tech.min_space(bridge_layer, other_layer)
-            if spacing is None and not forms_device:
-                profile = None
-            else:
-                profile = (
-                    tech.connectable(other_layer, bridge_layer),
-                    spacing,
-                    forms_device,
-                )
-        cache[key] = profile
-    return profile
-
-
 def gather_constraints_grouped(
     tech: Technology,
     moving_rects: Sequence[Rect],
@@ -206,12 +134,12 @@ def gather_constraints_grouped(
     the all-pairs product of :func:`required_spacing` and
     :func:`pair_travel` over the concatenation of the groups, in order
     (the oracle :func:`repro.verify.reference.gather_constraints`).  The
-    pairs per moving layer are that concatenation filtered by the memoized
-    layer-pair profile (:func:`_pair_profile`), i.e. whole groups kept or
-    skipped in sequence.
+    pairs per moving layer are that concatenation filtered by the
+    technology's compiled rule table, i.e. whole groups kept or skipped in
+    sequence.
     Layer pairs that can never constrain (no SPACE rule, not both
-    conducting) skip the inner loop entirely, and the remaining pairs touch
-    no rule table at all.  Group members must be non-empty.
+    conducting, so the *no_overlap* fallback cannot apply either) skip the
+    inner loop entirely.  Group members must be non-empty.
     """
     ignore = frozenset(ignore_layers)
     constraints: List[PairConstraint] = []
@@ -222,7 +150,7 @@ def gather_constraints_grouped(
     facing = direction.opposite
     sign = 1 if direction.is_positive else -1
 
-    profiles: Dict[Tuple[str, str], object] = {}
+    table = tech.table
     pairs_scanned = 0
     for moving in moving_rects:
         mlayer = moving.layer
@@ -235,13 +163,9 @@ def gather_constraints_grouped(
         for flayer, frects in fixed_groups:
             if flayer in ignore or not frects:
                 continue
-            profile = profiles.get((mlayer, flayer), _MISSING)
-            if profile is _MISSING:
-                profile = _pair_profile(tech, mlayer, flayer)
-                profiles[(mlayer, flayer)] = profile
-            if profile is None:
+            rule, connect, conducting, _, _ = table[(mlayer, flayer)]
+            if rule is None and not conducting:
                 continue
-            rule, connect, conducting = profile
             pairs_scanned += len(frects)
             for fixed in frects:
                 if net is not None and net == fixed.net and connect:

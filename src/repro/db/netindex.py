@@ -23,9 +23,10 @@ Exactness contract: :meth:`components` returns *the same partition in the
 same order* as the all-pairs reference — groups ordered by their first
 member, members in source order (``tests/test_netindex.py``).
 
-Staleness: only **appends** to the list are tracked; a shorter list
-rebuilds the store on the next query.  After mutating already-indexed
-rects, build a fresh index.
+Staleness: only **appends** to the list are tracked; a list that got
+shorter, or whose last tracked position holds another rect (shortened,
+then re-extended between queries), rebuilds the store on the next query.
+After mutating already-indexed rects, build a fresh index.
 
 Deterministic counters (gated exactly by ``repro perf check``):
 ``nets.pairs_scanned`` (pair tests; the reference counts them too),
@@ -65,8 +66,8 @@ class ConnectivityIndex:
     """Shared, incrementally maintained connectivity over one rect list."""
 
     __slots__ = (
-        "tech", "_source", "_store", "_dsu", "_kinds", "_components",
-        "_by_net", "extractions",
+        "tech", "_source", "_store", "_last", "_dsu", "_kinds",
+        "_components", "_by_net", "extractions",
     )
 
     def __init__(self, rects: Sequence[Rect], tech: Technology) -> None:
@@ -74,6 +75,8 @@ class ConnectivityIndex:
         self._source = rects
         #: The store over *rects*; built on the first query.
         self._store: Optional[RectStore] = None
+        #: The last rect the store folded in (None while it holds none).
+        self._last: Optional[Rect] = None
         #: Union-find over the store's seqs (non-conducting seqs stay alone).
         self._dsu = DisjointSet(0)
         #: layer -> _INERT, _WIRE or _DIFFUSION, looked up once per layer.
@@ -88,7 +91,11 @@ class ConnectivityIndex:
     def sync(self) -> None:
         """Catch up with the source list (appends are folded in)."""
         source, store = self._source, self._store
-        if store is None or store.tracked > len(source):
+        if (
+            store is None
+            or store.tracked > len(source)
+            or (store.tracked and source[store.tracked - 1] is not self._last)
+        ):
             store = self._store = RectStore(source)
             self._dsu = DisjointSet(0)
             self.extractions += 1
@@ -97,6 +104,7 @@ class ConnectivityIndex:
             return
         first = store.tracked
         store.sync()
+        self._last = source[-1] if source else None
         self._fold(first)
 
     # ------------------------------------------------------------------

@@ -24,7 +24,7 @@ ratios are directly comparable (mirroring ``nets.pairs_scanned``).
 from __future__ import annotations
 
 import functools
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from ..db import LayoutObject
 from ..geometry import Rect, bounding_box
@@ -116,12 +116,13 @@ def check_spacing(
     index = _ensure_index(obj, index)
     violations: List[Violation] = []
     rects = index.rects
+    table = obj.tech.table
     candidates = index.spacing_candidates()
     get_tracer().count("drc.pairs_scanned", len(candidates))
     for i, j in candidates:
         a = rects[i]
         b = rects[j]
-        rule = obj.tech.min_space(a.layer, b.layer)
+        rule = table[(a.layer, b.layer)].space
         if a.layer == b.layer:
             if index.same_component(i, j):
                 continue
@@ -251,27 +252,22 @@ def check_extensions(
 
     Only the (gate, diffusion group) pairs the index's gate-over-diffusion
     sweeps found overlapping are visited, in gate seq order, then group
-    order; the EXTEND rules are looked up once per layer pair.
+    order; the EXTEND rules come from the technology's compiled table.
     """
     index = _ensure_index(obj, index)
     violations: List[Violation] = []
-    rules = obj.tech.rules
+    table = obj.tech.table
     rects = index.rects
     groups = index.diffusion_groups()
-    extends: Dict[Tuple[str, str], Tuple[int, int]] = {}
     for gate_index, bodies in index.gate_overlaps().items():
         gate = rects[gate_index]
         for key in bodies:
-            pair = (gate.layer, key[0])
-            rule = extends.get(pair)
-            if rule is None:
-                rule = extends[pair] = (
-                    rules.extend(gate.layer, key[0]),
-                    rules.extend(key[0], gate.layer),
-                )
+            rules = table[(gate.layer, key[0])]
             box = bounding_box(groups[key])
             assert box is not None
-            violations.extend(_check_crossing(gate, box, *rule))
+            violations.extend(
+                _check_crossing(gate, box, rules.extend, rules.extended_by)
+            )
     return violations
 
 

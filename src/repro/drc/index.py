@@ -17,7 +17,7 @@ Every sweep is a call to the shared kernel :mod:`repro.geometry.sweep`:
   same-layer loop; the same pairs record the same-layer touching adjacency
   that serves ``check_widths``' absorbed-stub scan;
 * **rule-radius dilated candidate generation** — for every registered
-  SPACE rule (:meth:`repro.tech.Technology.space_rules`) a sweep dilated
+  SPACE rule (:attr:`repro.tech.Technology.space_rules`) a sweep dilated
   by that rule's value emits exactly the pairs whose per-axis gaps are
   inside the rule, instead of all O(n²) pairs; the touching subset of the
   cross-layer pairs gives the component-touch sets that answer the
@@ -245,8 +245,8 @@ class DrcIndex:
         cross_touch = self._cross_touch
         candidates: List[Tuple[int, int]] = []
         scanned = 0
-        if self.tech.max_space_radius() > 0:
-            for layer_a, layer_b, rule in self.tech.space_rules():
+        if self.tech.max_space_radius > 0:
+            for layer_a, layer_b, rule in self.tech.space_rules:
                 if rule <= 0:
                     # 0 < gap < 0 is unsatisfiable: the pair can never
                     # violate, and the reference's touch exemptions only

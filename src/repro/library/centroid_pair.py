@@ -327,26 +327,6 @@ def _tie_gate_net(
     return tie_ys
 
 
-def _seam_offset(module: LayoutObject) -> int:
-    """Vertical centre of the module (the mirror seam), in dbu."""
-    box = module.bbox()
-    assert box is not None
-    return box.y1 + box.y2
-
-
-def _drain_band(
-    module: LayoutObject, drain_nets: Tuple[str, str]
-) -> Tuple[int, int]:
-    """Common y-range of all drain column metals."""
-    columns = [
-        r for r in module.rects_on("metal1")
-        if r.net in drain_nets and r.height > r.width
-    ]
-    if not columns:
-        return (0, 0)
-    return (max(r.y1 for r in columns), min(r.y2 for r in columns))
-
-
 def _tie_drain_net(
     module: LayoutObject,
     tech: Technology,
@@ -471,13 +451,3 @@ def _tie_vss(
              width=m1w, net=net)
         wire(module, "metal1", (strap.x2, strap_y), (x_east, strap_y),
              width=m1w, net=net)
-
-
-def _split_rows(rects: List[Rect]) -> List[List[Rect]]:
-    """Split rects into the upper and lower device row by y centre."""
-    if not rects:
-        return []
-    mid = (min(r.y1 for r in rects) + max(r.y2 for r in rects)) // 2
-    upper = [r for r in rects if (r.y1 + r.y2) // 2 >= mid]
-    lower = [r for r in rects if (r.y1 + r.y2) // 2 < mid]
-    return [upper, lower]

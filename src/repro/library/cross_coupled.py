@@ -59,12 +59,33 @@ def cross_coupled_pair(
         gate_row_variable=False,
     )
     if wiring:
-        _tie_gate_rail(pair, tech, gate_nets[0], north=True)
-        _tie_gate_rail(pair, tech, gate_nets[1], north=False)
-        column_band = _drain_column_band(pair, drain_nets)
-        for fraction, net in zip((0.25, 0.75), drain_nets):
-            _tie_columns_metal2(pair, tech, net, column_band, fraction)
+        # Four metal2 tracks stack north to south: gate rail A, drain
+        # bridges B and A, gate rail B.  Adjacent tracks keep one track
+        # pitch (a via pad plus the metal2 spacing) between centres.
+        pitch = (
+            tech.cut_size("via") + 2 * tech.enclosure_or_zero("metal2", "via")
+            + (tech.min_space("metal2", "metal2") or 0)
+        )
+        low, high = _bridge_heights(
+            _drain_column_band(pair, drain_nets), pitch
+        )
+        _tie_gate_rail(pair, tech, gate_nets[0], north=True, clear=high + pitch)
+        _tie_gate_rail(pair, tech, gate_nets[1], north=False, clear=low - pitch)
+        for y, net in zip((low, high), drain_nets):
+            _tie_columns_metal2(pair, tech, net, y)
     return pair
+
+
+def _bridge_heights(band: Tuple[int, int], pitch: int) -> Tuple[int, int]:
+    """The two drain bridges' heights: a quarter and three quarters up the
+    column band, spread about their midpoint to one track pitch when the
+    band is too short to hold them apart."""
+    lo, hi = band
+    low, high = lo + int((hi - lo) * 0.25), lo + int((hi - lo) * 0.75)
+    if high - low < pitch:
+        low = (low + high) // 2 - pitch // 2
+        high = low + pitch
+    return low, high
 
 
 def _centroid_pattern(half: int) -> str:
@@ -73,13 +94,16 @@ def _centroid_pattern(half: int) -> str:
 
 
 def _tie_gate_rail(
-    obj: LayoutObject, tech: Technology, net: str, north: bool
+    obj: LayoutObject, tech: Technology, net: str, north: bool, clear: int
 ) -> None:
     """Join same-net gate rows with a metal2 tie riding over the row band.
 
     Running on metal2 (vias land on the via-ready row metals) keeps the
     metal1 plane between the rows clear, so the diffusion columns can later
-    escape vertically — a metal1 rail would wall them in.
+    escape vertically — a metal1 rail would wall them in.  The rail sits at
+    the rows' centre line unless that is nearer the drain bridges than
+    *clear*, the closest height a track pitch away from them; then a
+    metal1 strap joins each displaced via to its row.
     """
     rows = [
         r for r in obj.rects_on("metal1")
@@ -91,9 +115,13 @@ def _tie_gate_rail(
     ]
     if len(rows) < 2:
         return
-    y = (rows[0].y1 + rows[0].y2) // 2
+    centre = (rows[0].y1 + rows[0].y2) // 2
+    y = max(centre, clear) if north else min(centre, clear)
     for row in rows:
-        via_stack(obj, (row.x1 + row.x2) // 2, y, "metal1", "metal2", net=net)
+        x = (row.x1 + row.x2) // 2
+        via_stack(obj, x, y, "metal1", "metal2", net=net)
+        if y != centre:  # strap the displaced via back to its row
+            wire(obj, "metal1", (x, centre), (x, y), net=net)
     wire(
         obj, "metal2",
         (min(r.x1 for r in rows), y),
@@ -117,25 +145,16 @@ def _drain_column_band(
 
 
 def _tie_columns_metal2(
-    obj: LayoutObject,
-    tech: Technology,
-    net: str,
-    band: Tuple[int, int],
-    fraction: float,
+    obj: LayoutObject, tech: Technology, net: str, y: int
 ) -> None:
-    """Bridge same-net drain columns with a metal2 wire plus via stacks.
-
-    ``fraction`` places the bridge inside the shared column band so the two
-    nets' bridges run at disjoint heights.
-    """
+    """Bridge same-net drain columns with a metal2 wire plus via stacks at
+    height *y* (see :func:`_bridge_heights`)."""
     columns = [
         r for r in obj.rects_on("metal1") if r.net == net and r.height > r.width
     ]
     if len(columns) < 2:
         return
     columns.sort(key=lambda r: r.x1)
-    lo, hi = band
-    y = lo + int((hi - lo) * fraction)
     for column in columns:
         via_stack(obj, (column.x1 + column.x2) // 2, y, "metal1", "metal2", net=net)
     wire(

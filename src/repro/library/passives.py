@@ -65,7 +65,10 @@ def poly_resistor(
     if segments % 2 == 1:
         b_x, b_dir, lead_b = seg, 1, w
     else:
-        b_x, b_dir, lead_b = 0, -1, 3 * w + tech.min_space("metal1", "metal1")
+        metal_space = tech.min_space("metal1", "metal1")
+        if metal_space is None:
+            raise RuleError("no SPACE rule for terminal layer 'metal1'")
+        b_x, b_dir, lead_b = 0, -1, 3 * w + metal_space
     b_y = (segments - 1) * pitch
     wire(obj, layer, (0, 0), (-lead_a, 0), width=w, net=body_net)
     wire(obj, layer, (b_x, b_y), (b_x + b_dir * lead_b, b_y), width=w,

@@ -138,7 +138,7 @@ def generic_bicmos_1u() -> Technology:
     tech.rules.set_sheet("ndiff", 40.0)
     tech.rules.set_sheet("metal1", 0.06)
     tech.rules.set_sheet("metal2", 0.04)
-    return tech
+    return tech.freeze()
 
 
 def generic_cmos_05u() -> Technology:
@@ -232,7 +232,7 @@ def generic_cmos_05u() -> Technology:
     tech.rules.set_sheet("ndiff", 70.0)
     tech.rules.set_sheet("metal1", 0.08)
     tech.rules.set_sheet("metal2", 0.05)
-    return tech
+    return tech.freeze()
 
 
 #: Registry of built-in technologies by name.

@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import List, Union
 
 from .layer import Layer, LayerKind
+from .rules import RuleError
 from .technology import Technology
 
 
@@ -38,13 +39,11 @@ def loads_tech(text: str) -> Technology:
     """Parse a technology from its text representation."""
     tech: Technology = None  # type: ignore[assignment]
     dbu = 1000
-    pending: List[tuple] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = _tokens(raw)
+        if not tokens:
             continue
-        tokens = line.split()
         keyword = tokens[0].upper()
         try:
             if keyword == "TECH":
@@ -70,12 +69,27 @@ def loads_tech(text: str) -> Technology:
                 _parse_rule(tech, tokens[1:], lineno)
             else:
                 raise TechFileError(f"line {lineno}: unknown keyword {keyword!r}")
-        except (IndexError, ValueError) as exc:
+        except (IndexError, ValueError, RuleError) as exc:
             raise TechFileError(f"line {lineno}: {raw.strip()!r}: {exc}") from exc
 
     if tech is None:
         raise TechFileError("file contains no TECH declaration")
-    return tech
+    return tech.freeze()
+
+
+def _tokens(raw: str) -> List[str]:
+    """The tokens of one line before its comment.
+
+    A ``#`` starts a comment only where it begins a token, and never in
+    the colour field (token 5) of a ``LAYER`` line: ``#cc2222`` is data.
+    """
+    tokens = raw.split()
+    for index, token in enumerate(tokens):
+        if token.startswith("#") and not (
+            index == 5 and tokens[0].upper() == "LAYER"
+        ):
+            return tokens[:index]
+    return tokens
 
 
 def _require(tech: Technology, keyword: str, lineno: int) -> None:
@@ -100,6 +114,7 @@ def _parse_rule(tech: Technology, tokens: List[str], lineno: int) -> None:
     elif kind == "LATCHUP":
         tech.rule_latchup(tokens[1], float(tokens[2]))
     elif kind == "CAP":
+        tech.layer(tokens[1])
         um2 = tech.dbu_per_micron ** 2
         tech.rules.set_capacitance(
             tokens[1],
@@ -107,6 +122,7 @@ def _parse_rule(tech: Technology, tokens: List[str], lineno: int) -> None:
             float(tokens[3]) / tech.dbu_per_micron,
         )
     elif kind == "SHEET":
+        tech.layer(tokens[1])
         tech.rules.set_sheet(tokens[1], float(tokens[2]))
     else:
         raise TechFileError(f"line {lineno}: unknown rule kind {kind!r}")

@@ -30,6 +30,15 @@ def _pair(a: str, b: str) -> Tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
+def _checked(kind: str, subject: str, value: int, positive: bool) -> int:
+    """*value* as an int, or :class:`RuleError` when it is out of range."""
+    value = int(value)
+    if value < 0 or (positive and value == 0):
+        bound = "positive" if positive else "non-negative"
+        raise RuleError(f"{kind} {subject} must be {bound}, got {value} dbu")
+    return value
+
+
 @dataclass
 class CapacitanceRule:
     """Parasitic capacitance model of a layer.
@@ -61,65 +70,62 @@ class RuleSet:
         self._latchup: Dict[str, int] = {}
         self._cap: Dict[str, CapacitanceRule] = {}
         self._sheet: Dict[str, float] = {}
-        self._version = 0
-
-    @property
-    def version(self) -> int:
-        """Monotone counter bumped by every registration.
-
-        Query caches (:class:`repro.tech.Technology` memoizes ``min_space`` /
-        ``connectable``) key their validity on this value, so late rule
-        registration invalidates them automatically.
-        """
-        return self._version
+        #: Set by :meth:`repro.tech.Technology.freeze`; registration is
+        #: closed from then on, so compiled rule answers cannot go stale.
+        self.frozen = False
 
     # ------------------------------------------------------------------
     # registration
     # ------------------------------------------------------------------
+    def require_open(self) -> None:
+        """Raise :class:`RuleError` once the rule set is frozen."""
+        if self.frozen:
+            raise RuleError("rule registered after the technology was frozen")
+
+    def _register(self, table: dict, key, value) -> None:
+        self.require_open()
+        table[key] = value
+
     def set_width(self, layer: str, value: int) -> None:
-        """Register a minimum width."""
-        self._width[layer] = int(value)
-        self._version += 1
+        """Register a minimum width (positive)."""
+        value = _checked("WIDTH", layer, value, positive=True)
+        self._register(self._width, layer, value)
 
     def set_space(self, layer_a: str, layer_b: str, value: int) -> None:
-        """Register a minimum spacing between two (possibly equal) layers."""
-        self._space[_pair(layer_a, layer_b)] = int(value)
-        self._version += 1
+        """Register a minimum spacing (>= 0) between two (possibly equal) layers."""
+        value = _checked("SPACE", f"{layer_a} {layer_b}", value, positive=False)
+        self._register(self._space, _pair(layer_a, layer_b), value)
 
     def set_enclose(self, outer: str, inner: str, value: int) -> None:
-        """Register a minimum enclosure of *inner* by *outer* (ordered)."""
-        self._enclose[(outer, inner)] = int(value)
-        self._version += 1
+        """Register a minimum enclosure of *inner* by *outer* (ordered; a
+        negative margin lets the inner shape overhang)."""
+        self._register(self._enclose, (outer, inner), int(value))
 
     def set_extend(self, layer: str, over: str, value: int) -> None:
         """Register a minimum extension of *layer* past *over* (ordered)."""
-        self._extend[(layer, over)] = int(value)
-        self._version += 1
+        self._register(self._extend, (layer, over), int(value))
 
     def set_cut_size(self, layer: str, value: int) -> None:
-        """Register the fixed square size of a cut layer."""
-        self._cut_size[layer] = int(value)
-        self._version += 1
+        """Register the fixed square size (positive) of a cut layer."""
+        value = _checked("CUTSIZE", layer, value, positive=True)
+        self._register(self._cut_size, layer, value)
 
     def set_area(self, layer: str, value: int) -> None:
-        """Register a minimum area."""
-        self._area[layer] = int(value)
-        self._version += 1
+        """Register a minimum area (>= 0)."""
+        value = _checked("AREA", layer, value, positive=False)
+        self._register(self._area, layer, value)
 
     def set_latchup(self, contact_layer: str, half_size: int) -> None:
         """Register the latch-up temporary-rectangle half size."""
-        self._latchup[contact_layer] = int(half_size)
-        self._version += 1
+        self._register(self._latchup, contact_layer, int(half_size))
 
     def set_capacitance(self, layer: str, area: float, perimeter: float) -> None:
         """Register the parasitic capacitance model of a layer."""
-        self._cap[layer] = CapacitanceRule(area, perimeter)
-        self._version += 1
+        self._register(self._cap, layer, CapacitanceRule(area, perimeter))
 
     def set_sheet(self, layer: str, ohms_per_square: float) -> None:
         """Register the sheet resistance of a layer (Ω/□)."""
-        self._sheet[layer] = float(ohms_per_square)
-        self._version += 1
+        self._register(self._sheet, layer, float(ohms_per_square))
 
     # ------------------------------------------------------------------
     # queries

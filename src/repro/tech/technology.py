@@ -6,13 +6,47 @@ looked up here, which is what makes module source technology independent.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .layer import Layer, LayerKind
 from .rules import CapacitanceRule, RuleError, RuleSet
 
-#: Distinguishes "not cached yet" from a cached ``None`` (= unconstrained).
-_MISSING = object()
+
+class PairRules(NamedTuple):
+    """The compiled rule answers for one ordered layer pair ``(a, b)``."""
+
+    #: ``SPACE a b``, or None when the pair is unconstrained.
+    space: Optional[int]
+    #: Same-net shapes on the two layers may merge by abutment.
+    connectable: bool
+    #: Both layers carry electrical potentials.
+    conducting: bool
+    #: ``EXTEND a b`` (a past b), or None.
+    extend: Optional[int]
+    #: ``EXTEND b a`` (b past a), or None.
+    extended_by: Optional[int]
+
+
+class RuleTable(dict):
+    """Ordered layer pair -> :class:`PairRules` for every pair of defined
+    layers; a pair naming an undefined layer raises :class:`RuleError`.
+
+    Empty until :meth:`Technology.freeze` fills it; a lookup in the table
+    of an unfrozen technology freezes it first.
+    """
+
+    def __init__(self, tech: "Technology") -> None:
+        super().__init__()
+        self.tech = tech
+
+    def __missing__(self, pair: Tuple[str, str]) -> PairRules:
+        if not self.tech.rules.frozen:
+            self.tech.freeze()
+            return self[pair]
+        raise RuleError(
+            f"layer pair {pair!r} names a layer not defined in"
+            f" technology {self.tech.name!r}"
+        )
 
 
 class Technology:
@@ -20,6 +54,11 @@ class Technology:
 
     ``dbu_per_micron`` fixes the database grid; rule values supplied through
     the micron-based helpers are snapped to integers on that grid.
+
+    Layers, connections and rules are registered first; :meth:`freeze`
+    then compiles the derived answers once and closes registration.
+    ``loads_tech`` and the builtin factories return frozen technologies;
+    a hand-built one freezes on its first :attr:`table` lookup.
     """
 
     def __init__(self, name: str, dbu_per_micron: int = 1000) -> None:
@@ -34,29 +73,48 @@ class Technology:
         # layer pairs whose overlap is a diffused junction (e.g. an n+
         # sinker into a buried collector): overlap = electrical connection.
         self._overlap_connections: List[Tuple[str, str]] = []
-        # Memoized min_space/connectable answers.  The compactor's inner pair
-        # loop asks the same layer-pair questions millions of times during an
-        # order sweep; the cache is keyed on the rule-table version and the
-        # connection count so late registration invalidates it automatically.
-        self._query_cache: Dict[Tuple, object] = {}
-        self._query_stamp: Tuple[int, int] = (-1, -1)
+        #: The compiled per-layer-pair rules (see :meth:`freeze`).
+        self.table = RuleTable(self)
 
-    def _queries(self) -> Dict[Tuple, object]:
-        stamp = (self.rules.version, len(self._connections))
-        if stamp != self._query_stamp:
-            self._query_cache.clear()
-            self._query_stamp = stamp
-        return self._query_cache
+    def freeze(self) -> "Technology":
+        """Compile the rule table and close registration; returns *self*.
 
-    def query_cache(self) -> Dict[Tuple, object]:
-        """The version-stamped memo table for derived rule queries.
-
-        Callers computing pure functions of the rule tables (the compactor's
-        layer-pair profiles, for instance) may park results here under their
-        own key tuples; the table clears itself whenever the rules or the
-        connectivity declarations change.
+        One pass over every ordered pair of defined layers fills
+        :attr:`table` (:class:`PairRules`), and sets :attr:`space_rules`
+        (every SPACE rule as ``(layer_a, layer_b, value)``, canonical
+        ``layer_a <= layer_b``, in registration order) and
+        :attr:`max_space_radius` (the largest SPACE value, 0 without any —
+        the dilation radius of the sweep indexes); those two exist from
+        the freeze on.  Afterwards every registration raises
+        :class:`RuleError`, so no compiled answer can go stale.  Freezing
+        twice is a no-op.
         """
-        return self._queries()
+        rules = self.rules
+        if rules.frozen:
+            return self
+        for a, layer_a in self._layers.items():
+            for b, layer_b in self._layers.items():
+                self.table[(a, b)] = PairRules(
+                    rules.space(a, b),
+                    a == b or self.cut_between(a, b) is not None,
+                    layer_a.conducting and layer_b.conducting,
+                    rules.extend(a, b),
+                    rules.extend(b, a),
+                )
+        self.space_rules = tuple(
+            (a, b, value) for (a, b), value in rules.space_items()
+        )
+        self.max_space_radius = max(
+            (value for _, _, value in self.space_rules), default=0
+        )
+        rules.frozen = True
+        return self
+
+    def _require_layers(self, *names: str) -> None:
+        """Raise :class:`RuleError` for an undefined name or after freezing."""
+        self.rules.require_open()
+        for name in names:
+            self.layer(name)
 
     # ------------------------------------------------------------------
     # units
@@ -74,6 +132,7 @@ class Technology:
     # ------------------------------------------------------------------
     def add_layer(self, layer: Layer) -> Layer:
         """Register a layer; duplicate names are an error."""
+        self.rules.require_open()
         if layer.name in self._layers:
             raise ValueError(f"layer {layer.name!r} already defined")
         self._layers[layer.name] = layer
@@ -106,8 +165,7 @@ class Technology:
     # ------------------------------------------------------------------
     def add_connection(self, cut_layer: str, bottom: str, top: str) -> None:
         """Declare that *cut_layer* connects *bottom* to *top* electrically."""
-        for name in (cut_layer, bottom, top):
-            self.layer(name)  # validates existence
+        self._require_layers(cut_layer, bottom, top)
         self._connections.append((cut_layer, bottom, top))
 
     def add_overlap_connection(self, layer_a: str, layer_b: str) -> None:
@@ -116,8 +174,7 @@ class Technology:
         Models diffused junctions (sinker into buried layer); consumed by
         the connectivity extractor.
         """
-        self.layer(layer_a)
-        self.layer(layer_b)
+        self._require_layers(layer_a, layer_b)
         self._overlap_connections.append((layer_a, layer_b))
 
     def overlap_connected(self, layer_a: str, layer_b: str) -> bool:
@@ -155,15 +212,7 @@ class Technology:
         compactor must keep enforcing it (a same-net contact still may not
         sit 0.5 µm from a gate edge).
         """
-        if layer_a == layer_b:
-            return True
-        cache = self._queries()
-        key = ("connectable", layer_a, layer_b)
-        cached = cache.get(key)
-        if cached is None:
-            cached = self.cut_between(layer_a, layer_b) is not None
-            cache[key] = cached
-        return cached
+        return self.table[(layer_a, layer_b)].connectable
 
     # ------------------------------------------------------------------
     # mandatory-rule accessors (raise when the rule is missing)
@@ -178,49 +227,7 @@ class Technology:
 
     def min_space(self, layer_a: str, layer_b: str) -> Optional[int]:
         """Minimum spacing between two layers; None when unconstrained."""
-        cache = self._queries()
-        key = ("space", layer_a, layer_b)
-        cached = cache.get(key, _MISSING)
-        if cached is _MISSING:
-            cached = self.rules.space(layer_a, layer_b)
-            cache[key] = cached
-        return cached
-
-    def space_rules(self) -> Tuple[Tuple[str, str, int], ...]:
-        """Every SPACE rule as (layer_a, layer_b, value), memoized.
-
-        Pairs are canonical and unique (``layer_a <= layer_b``), in
-        registration order.  The sweep-indexed DRC checker enumerates these
-        instead of asking :meth:`min_space` for all layer pairs.
-        """
-        cache = self._queries()
-        key = ("space_rules",)
-        cached = cache.get(key)
-        if cached is None:
-            cached = tuple(
-                (pair[0], pair[1], value)
-                for pair, value in self.rules.space_items()
-            )
-            cache[key] = cached
-        return cached
-
-    def max_space_radius(self) -> int:
-        """The largest SPACE rule value of the technology, memoized (0 when
-        no spacing rules exist).
-
-        An upper bound on how far apart two shapes can be and still violate
-        any spacing rule — the dilation radius sweep indexes use to bound
-        their candidate windows.
-        """
-        cache = self._queries()
-        key = ("max_space_radius",)
-        cached = cache.get(key)
-        if cached is None:
-            cached = max(
-                (value for _, _, value in self.space_rules()), default=0
-            )
-            cache[key] = cached
-        return cached
+        return self.table[(layer_a, layer_b)].space
 
     def enclosure(self, outer: str, inner: str) -> int:
         """Mandatory enclosure of *inner* by *outer*."""
@@ -280,30 +287,37 @@ class Technology:
     # ------------------------------------------------------------------
     def rule_width(self, layer: str, microns: float) -> None:
         """Register a WIDTH rule given in microns."""
+        self._require_layers(layer)
         self.rules.set_width(layer, self.um(microns))
 
     def rule_space(self, layer_a: str, layer_b: str, microns: float) -> None:
         """Register a SPACE rule given in microns."""
+        self._require_layers(layer_a, layer_b)
         self.rules.set_space(layer_a, layer_b, self.um(microns))
 
     def rule_enclose(self, outer: str, inner: str, microns: float) -> None:
         """Register an ENCLOSE rule given in microns."""
+        self._require_layers(outer, inner)
         self.rules.set_enclose(outer, inner, self.um(microns))
 
     def rule_extend(self, layer: str, over: str, microns: float) -> None:
         """Register an EXTEND rule given in microns."""
+        self._require_layers(layer, over)
         self.rules.set_extend(layer, over, self.um(microns))
 
     def rule_cut_size(self, layer: str, microns: float) -> None:
         """Register a CUTSIZE rule given in microns."""
+        self._require_layers(layer)
         self.rules.set_cut_size(layer, self.um(microns))
 
     def rule_area(self, layer: str, square_microns: float) -> None:
         """Register an AREA rule given in µm²."""
+        self._require_layers(layer)
         self.rules.set_area(layer, int(round(square_microns * self.dbu_per_micron ** 2)))
 
     def rule_latchup(self, contact_layer: str, microns: float) -> None:
         """Register a LATCHUP rule given in microns."""
+        self._require_layers(contact_layer)
         self.rules.set_latchup(contact_layer, self.um(microns))
 
     def __repr__(self) -> str:

@@ -6,7 +6,9 @@ CIF sorts its rects, GDS carries a fixed timestamp), and fingerprinted with
 SHA-256.  The expected hashes live next to this module in
 ``golden_hashes.json`` and are regenerated with ``repro verify
 --update-golden`` — a reviewed diff of that file is the audit trail for any
-intentional geometry change.
+intentional geometry change.  :func:`verify_golden` also runs DRC
+(without the latch-up examination, which needs a module's guard rings) on
+every cell it fingerprints: a golden cell must be clean, not just stable.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..db import LayoutObject
+from ..drc import run_drc
 from ..io import dumps_cif, dumps_gds
 from ..library import GOLDEN_CELLS
 from ..obs import get_tracer
@@ -32,11 +36,13 @@ class GoldenMismatch:
 
     tech: str
     cell: str
-    kind: str  # "changed" | "missing" | "stale"
+    kind: str  # "changed" | "missing" | "stale" | "dirty"
     expected: Optional[str] = None
-    actual: Optional[str] = None
+    actual: Optional[str] = None  # for "dirty": the DRC violations
 
     def __str__(self) -> str:
+        if self.kind == "dirty":
+            return f"{self.tech}/{self.cell}: not DRC-clean: {self.actual}"
         if self.kind == "missing":
             return (
                 f"{self.tech}/{self.cell}: no recorded golden hash"
@@ -55,11 +61,28 @@ class GoldenMismatch:
 
 def cell_fingerprint(cell, tech) -> str:
     """SHA-256 over the cell's CIF text and GDS bytes."""
-    obj = cell.build(tech)
+    return _fingerprint(cell.build(tech))
+
+
+def _fingerprint(obj) -> str:
     digest = hashlib.sha256()
     digest.update(dumps_cif(obj).encode("utf-8"))
     digest.update(dumps_gds(obj))
     return digest.hexdigest()
+
+
+def _built_cells(tech_name: str) -> Iterator[Tuple[str, LayoutObject]]:
+    """``(cell name, layout)`` for every golden cell *tech_name* supports."""
+    tech = get_technology(tech_name)
+    tracer = get_tracer()
+    for cell in GOLDEN_CELLS:
+        if not cell.supported(tech):
+            tracer.count("verify.golden.skipped")
+            continue
+        with tracer.span("verify.golden.cell", tech=tech_name, cell=cell.name):
+            obj = cell.build(tech)
+        tracer.count("verify.golden.cells")
+        yield cell.name, obj
 
 
 def compute_fingerprints(
@@ -68,20 +91,10 @@ def compute_fingerprints(
     """``{technology: {cell: sha256}}`` for every supported combination."""
     if tech_names is None:
         tech_names = sorted(BUILTIN_TECHNOLOGIES)
-    tracer = get_tracer()
-    fingerprints: Dict[str, Dict[str, str]] = {}
-    for tech_name in tech_names:
-        tech = get_technology(tech_name)
-        cells: Dict[str, str] = {}
-        for cell in GOLDEN_CELLS:
-            if not cell.supported(tech):
-                tracer.count("verify.golden.skipped")
-                continue
-            with tracer.span("verify.golden.cell", tech=tech_name, cell=cell.name):
-                cells[cell.name] = cell_fingerprint(cell, tech)
-            tracer.count("verify.golden.cells")
-        fingerprints[tech_name] = cells
-    return fingerprints
+    return {
+        tech_name: {name: _fingerprint(obj) for name, obj in _built_cells(tech_name)}
+        for tech_name in tech_names
+    }
 
 
 def load_golden(path: Path = GOLDEN_PATH) -> Dict[str, Dict[str, str]]:
@@ -108,10 +121,23 @@ def verify_golden(
     path: Path = GOLDEN_PATH,
     tech_names: Optional[Sequence[str]] = None,
 ) -> List[GoldenMismatch]:
-    """Compare current output against the recorded hashes."""
+    """Compare current output against the recorded hashes, and report
+    every cell that is not DRC-clean."""
+    if tech_names is None:
+        tech_names = sorted(BUILTIN_TECHNOLOGIES)
     recorded = load_golden(path)
-    current = compute_fingerprints(tech_names)
     mismatches: List[GoldenMismatch] = []
+    current: Dict[str, Dict[str, str]] = {}
+    for tech_name in tech_names:
+        cells = current[tech_name] = {}
+        for cell_name, obj in _built_cells(tech_name):
+            cells[cell_name] = _fingerprint(obj)
+            violations = run_drc(obj, include_latchup=False)
+            if violations:
+                summary = f"{len(violations)} violation(s), first: {violations[0]}"
+                mismatches.append(
+                    GoldenMismatch(tech_name, cell_name, "dirty", None, summary)
+                )
     for tech_name, cells in current.items():
         known = recorded.get(tech_name, {})
         for cell_name, digest in cells.items():

@@ -168,7 +168,7 @@ def inject_spacing_probe(obj: LayoutObject) -> Optional[Injection]:
     baseline = _baseline(obj)
     tech = obj.tech
     attempts = 0
-    for layer_a, layer_b, rule in tech.space_rules():
+    for layer_a, layer_b, rule in tech.space_rules:
         if layer_a != layer_b or rule < 2:
             continue
         layer = layer_a

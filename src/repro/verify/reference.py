@@ -45,7 +45,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 from ..compact import (
     Compactor,
     PairConstraint,
-    bridge_profile,
     gather_constraints_grouped,
     layer_frontier,
 )
@@ -705,14 +704,16 @@ class ScanCompactor(Compactor):
         tech = main.tech
         bridge_layer = bridge.layer
         for rect in main.nonempty_rects:
-            profile = bridge_profile(tech, bridge_layer, rect.layer)
-            if profile is None:
-                continue  # no spacing rule, no device rule: cannot block
-            connect, spacing, forms_device = profile
-            if connect and rect.net == net:
+            if tech.connectable(rect.layer, bridge_layer) and rect.net == net:
                 continue
-            if forms_device and bridge.intersects(rect):
-                return True
+            spacing = tech.min_space(bridge_layer, rect.layer)
+            if rect.layer == bridge_layer:
+                spacing = spacing or 0  # same layer: may touch, not overlap
+            elif bridge.intersects(rect) and (
+                tech.rules.extend(bridge_layer, rect.layer) is not None
+                or tech.rules.extend(rect.layer, bridge_layer) is not None
+            ):
+                return True  # overlap would form a device
             if spacing is not None and bridge.grown(spacing).intersects(rect):
                 return True
         return False

@@ -21,7 +21,7 @@ from repro.drc.index import DrcIndex
 from repro.geometry import Rect
 from repro.library import GOLDEN_CELLS
 from repro.obs import StatsSink, Tracer, activate
-from repro.tech import BUILTIN_TECHNOLOGIES
+from repro.tech import BUILTIN_TECHNOLOGIES, dumps_tech, loads_tech
 from repro.verify.reference import (
     CHECKS_BRUTE,
     check_enclosures_brute,
@@ -228,14 +228,30 @@ def test_swept_enclosures_equal_brute_on_cut_soups(tech_name, data):
 @given(st.data())
 def test_swept_enclosures_equal_brute_with_negative_margins(tech_name, data):
     """Technology files may declare negative ENCLOSE values; the sweep must
-    shrink (or flip, then normalise) each cut exactly as ``Rect.grown``."""
-    tech = BUILTIN_TECHNOLOGIES[tech_name]()
+    shrink (or flip, then normalise) each cut exactly as ``Rect.grown``.
+
+    A loaded technology is frozen, so the drawn margins go in through the
+    file format: the builtin's text with those ENCLOSE lines replaced."""
+    base = TECHS[tech_name]
+    margins = {}
     for cut_layer in ("contact", "via"):
-        size = tech.rules.cut_size(cut_layer)
-        conductors = {layer for pair in tech.connected_layers(cut_layer) for layer in pair}
+        size = base.rules.cut_size(cut_layer)
+        conductors = {layer for pair in base.connected_layers(cut_layer) for layer in pair}
         for layer in sorted(conductors):
             margin = data.draw(st.integers(min_value=-size, max_value=0))
-            tech.rules.set_enclose(layer, cut_layer, margin)
+            margins[(layer, cut_layer)] = margin
+    lines = [
+        line for line in dumps_tech(base).splitlines()
+        if not (line.startswith("RULE ENCLOSE ")
+                and tuple(line.split()[2:4]) in margins)
+    ]
+    lines += [
+        f"RULE ENCLOSE {outer} {inner} {margin / base.dbu_per_micron!r}"
+        for (outer, inner), margin in margins.items()
+    ]
+    tech = loads_tech("\n".join(lines))
+    for (outer, inner), margin in margins.items():
+        assert tech.rules.enclose(outer, inner) == margin
     obj = data.draw(cut_soups(tech))
     assert _ids(obj, check_enclosures(obj, DrcIndex(obj))) == _ids(
         obj, check_enclosures_brute(obj)

@@ -121,3 +121,12 @@ def test_capacitance_scales_with_area(tech):
 def test_capacitor_on_half_micron(tech05):
     cap = mos_capacitor(tech05, 10.0, 10.0)
     assert run_drc(cap, include_latchup=False) == []
+
+
+def test_resistor_without_metal1_spacing_is_rule_error(tech):
+    from repro.tech import dumps_tech, loads_tech
+
+    text = dumps_tech(tech).replace("RULE SPACE metal1 metal1 1.5\n", "")
+    assert "SPACE metal1 metal1" not in text
+    with pytest.raises(RuleError, match="metal1"):
+        poly_resistor(loads_tech(text), segments=2)

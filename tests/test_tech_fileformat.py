@@ -61,11 +61,40 @@ def test_layer_defaults():
         "TECH t\nRULE NONSENSE poly 1\n",
         "TECH t\nLAYER poly ten poly\n",
         "",
+        # rule values out of range (SPACE 0 and negative ENCLOSE stay legal)
+        "TECH t\nLAYER poly 10 poly\nRULE WIDTH poly 0\n",
+        "TECH t\nLAYER poly 10 poly\nRULE WIDTH poly -1.0\n",
+        "TECH t\nLAYER contact 40 cut\nRULE CUTSIZE contact 0\n",
+        "TECH t\nLAYER poly 10 poly\nRULE SPACE poly poly -0.5\n",
+        "TECH t\nLAYER metal1 30 metal\nRULE AREA metal1 -4.0\n",
+        # rules and connections naming an undefined layer
+        "TECH t\nLAYER poly 10 poly\nRULE WIDTH metal9 1.0\n",
+        "TECH t\nLAYER poly 10 poly\nRULE SPACE poly metal9 1.0\n",
+        "TECH t\nLAYER poly 10 poly\nRULE CAP metal9 60 50\n",
+        "TECH t\nLAYER poly 10 poly\nRULE SHEET metal9 25\n",
+        "TECH t\nLAYER poly 10 poly\nCONNECT contact poly metal1\n",
     ],
 )
 def test_malformed_inputs_raise(bad):
     with pytest.raises(TechFileError):
         loads_tech(bad)
+
+
+def test_rule_errors_name_the_line():
+    text = "TECH t\nLAYER contact 40 cut\n\nRULE CUTSIZE contact 0\n"
+    with pytest.raises(TechFileError, match=r"line 4: 'RULE CUTSIZE contact 0'"):
+        loads_tech(text)
+
+
+def test_hash_starts_a_comment_only_outside_the_colour_field():
+    tech = loads_tech(
+        "TECH t  # the name\n"
+        "LAYER poly 10 poly hatch-right #cc2222 # gate layer\n"
+        "RULE WIDTH poly 1.0 #1.5 was the old value\n"
+    )
+    assert tech.name == "t"
+    assert tech.layer("poly").color == "#cc2222"
+    assert tech.min_width("poly") == 1000
 
 
 @pytest.mark.parametrize("factory", [generic_bicmos_1u, generic_cmos_05u])
@@ -84,6 +113,9 @@ def test_builtin_roundtrip(factory):
         assert copy.gds_number == layer.gds_number
         assert copy.kind == layer.kind
         assert copy.fill_pattern == layer.fill_pattern
+        assert copy.color == layer.color
+    text = dumps_tech(original)
+    assert dumps_tech(loads_tech(text)) == text
 
 
 def test_dump_and_load_file(tmp_path):

@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.tech import Layer, LayerKind, RuleError, Technology
+from repro.tech import (
+    Layer,
+    LayerKind,
+    RuleError,
+    Technology,
+    dumps_tech,
+    generic_bicmos_1u,
+    generic_cmos_05u,
+)
 
 
 def make_tech():
@@ -108,3 +116,106 @@ def test_connection_requires_known_layers():
     tech = make_tech()
     with pytest.raises(RuleError):
         tech.add_connection("contact", "poly", "metal9")
+
+
+@pytest.mark.parametrize("factory", [generic_bicmos_1u, generic_cmos_05u])
+def test_compiled_table_equals_rule_set(factory):
+    """Every ordered layer pair's compiled answers are the RuleSet's."""
+    tech = factory()
+    rules = tech.rules
+    names = [layer.name for layer in tech.layers]
+    assert len(tech.table) == len(names) ** 2
+    for a in names:
+        for b in names:
+            entry = tech.table[(a, b)]
+            assert entry.space == rules.space(a, b) == tech.min_space(a, b)
+            assert entry.connectable == (
+                a == b or tech.cut_between(a, b) is not None
+            )
+            assert entry.conducting == (
+                tech.layer(a).conducting and tech.layer(b).conducting
+            )
+            assert entry.extend == rules.extend(a, b)
+            assert entry.extended_by == rules.extend(b, a)
+    assert tech.space_rules == tuple(
+        (a, b, value) for (a, b), value in rules.space_items()
+    )
+    assert tech.max_space_radius == max(v for _, _, v in tech.space_rules)
+
+
+def test_undefined_layer_pair_is_rule_error():
+    tech = generic_bicmos_1u()
+    with pytest.raises(RuleError):
+        tech.table[("poly", "metal9")]
+    with pytest.raises(RuleError):
+        tech.min_space("metal9", "poly")
+    with pytest.raises(RuleError):
+        tech.connectable("metal9", "metal9")
+
+
+@pytest.mark.parametrize(
+    "register",
+    [
+        lambda t: t.rules.set_width("poly", 1000),
+        lambda t: t.rules.set_space("poly", "poly", 1000),
+        lambda t: t.rules.set_enclose("metal1", "contact", 100),
+        lambda t: t.rules.set_extend("poly", "pdiff", 100),
+        lambda t: t.rules.set_cut_size("contact", 1000),
+        lambda t: t.rules.set_area("metal1", 1000),
+        lambda t: t.rules.set_latchup("subcontact", 1000),
+        lambda t: t.rules.set_capacitance("poly", 1.0, 1.0),
+        lambda t: t.rules.set_sheet("poly", 1.0),
+        lambda t: t.rule_width("poly", 1.0),
+        lambda t: t.rule_space("poly", "metal1", 1.0),
+        lambda t: t.rule_enclose("metal1", "contact", 1.0),
+        lambda t: t.rule_extend("poly", "pdiff", 1.0),
+        lambda t: t.rule_cut_size("contact", 1.0),
+        lambda t: t.rule_area("metal1", 1.0),
+        lambda t: t.rule_latchup("subcontact", 1.0),
+        lambda t: t.add_layer(Layer("metal3", 32, LayerKind.METAL)),
+        lambda t: t.add_connection("via", "metal1", "metal2"),
+        lambda t: t.add_overlap_connection("emitter", "buried"),
+    ],
+)
+def test_registration_after_freeze_raises(register):
+    tech = generic_bicmos_1u()
+    before = dumps_tech(tech)
+    with pytest.raises(RuleError):
+        register(tech)
+    assert dumps_tech(tech) == before
+
+
+def test_hand_built_technology_freezes_on_first_table_read():
+    tech = make_tech()
+    tech.rule_space("poly", "poly", 1.2)
+    assert not tech.rules.frozen
+    assert tech.min_space("poly", "poly") == 1200
+    assert tech.rules.frozen
+    with pytest.raises(RuleError):
+        tech.rule_space("metal1", "metal1", 1.0)
+
+
+@pytest.mark.parametrize(
+    "register",
+    [
+        lambda t: t.rule_width("poly", 0.0),
+        lambda t: t.rule_width("poly", -1.0),
+        lambda t: t.rule_cut_size("contact", 0.0),
+        lambda t: t.rule_space("poly", "poly", -0.5),
+        lambda t: t.rule_area("metal1", -1.0),
+        lambda t: t.rule_width("metal9", 1.0),
+        lambda t: t.rule_space("poly", "metal9", 1.0),
+    ],
+)
+def test_bad_rules_rejected_at_registration(register):
+    tech = make_tech()
+    with pytest.raises(RuleError):
+        register(tech)
+
+
+def test_zero_space_and_negative_enclose_stay_legal():
+    tech = make_tech()
+    tech.rule_space("poly", "metal1", 0.0)
+    tech.rule_enclose("poly", "contact", -0.2)
+    assert tech.min_space("poly", "metal1") == 0
+    assert tech.enclosure("poly", "contact") == -200

@@ -55,3 +55,25 @@ def test_verify_golden_detects_changes(tmp_path):
     assert (cell_name, "changed") in kinds
     assert (removed, "missing") in kinds
     assert ("no_such_cell", "stale") in kinds
+
+
+def test_verify_golden_reports_drc_dirty_cells(tmp_path, monkeypatch):
+    """A cell whose hash matches still fails when it is not DRC-clean."""
+    from repro.db import LayoutObject
+    from repro.geometry import Rect
+    from repro.library import CellSpec
+    from repro.verify import golden
+
+    def thin_wire(tech):
+        obj = LayoutObject("thin", tech)
+        obj.add_rect(Rect(0, 0, 10_000, 100, "metal1", "n"))
+        return obj
+
+    monkeypatch.setattr(golden, "GOLDEN_CELLS", (CellSpec("thin_wire", thin_wire),))
+    path = tmp_path / "golden.json"
+    techs = ["generic_cmos_05u"]
+    update_golden(path=path, tech_names=techs)
+    mismatches = verify_golden(path=path, tech_names=techs)
+    assert [(m.cell, m.kind) for m in mismatches] == [("thin_wire", "dirty")]
+    assert "not DRC-clean" in str(mismatches[0])
+    assert "100 dbu wide" in str(mismatches[0])

@@ -352,8 +352,9 @@ def _pipeline_selfcheck(tech: Technology) -> None:
     ]
     result = OrderOptimizer().optimize("order_demo", tech, steps)
     log.info(
-        "selfcheck: order search best=%s score=%.0f (%d trials)",
+        "selfcheck: order search best=%s score=%.0f (%d trials, exact=%s)",
         list(result.best_order), result.best_score, result.evaluated,
+        result.exact,
     )
 
 

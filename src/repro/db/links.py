@@ -77,14 +77,6 @@ class InsideLink(Link):
         """Permanently exempt one inner edge from enclosure clamping."""
         self.released.add(direction)
 
-    def inner_bound(self, direction: Direction) -> int:
-        """Tightest coordinate the inner's *direction* edge may reach."""
-        bounds = [
-            outer.edge_coord(direction) - direction.dx * margin - direction.dy * margin
-            for outer, margin in self.outers
-        ]
-        return min(bounds) if direction.is_positive else max(bounds)
-
     def involved_rects(self) -> List[Rect]:
         return [self.inner] + [outer for outer, _ in self.outers]
 
@@ -141,10 +133,6 @@ class ArrayLink(Link):
         if x2 < x1 or y2 < y1:
             return None
         return Rect(x1, y1, x2, y2, self.cut_layer, self.net)
-
-    def min_region_extent(self) -> int:
-        """Smallest region side still admitting one cut."""
-        return self.cut_size
 
     def count(self, extent: int) -> int:
         """Maximum cuts along one axis of the given extent."""

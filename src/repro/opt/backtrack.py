@@ -16,10 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..compact import Compactor
 from ..db import LayoutObject
-from ..tech import RuleError, Technology
-from .prefix_tree import PrefixTree
+from ..tech import RuleError
 from .rating import Rating
 
 VariantBuilder = Callable[[], LayoutObject]
@@ -79,49 +77,4 @@ def select_variant(
     if best is None:
         messages = "; ".join(f"variant {i}: {msg}" for i, _, msg in trials)
         raise BacktrackError(f"all topology variants failed: {messages}")
-    return VariantResult(best, best_index, best_score, trials)
-
-
-def select_order_variants(
-    name: str,
-    tech: Technology,
-    steps: Sequence["Step"],  # noqa: F821 - repro.opt.order.Step
-    orders: Sequence[Sequence[int]],
-    rating: Optional[Rating] = None,
-    compactor: Optional[Compactor] = None,
-) -> VariantResult:
-    """Rate topology variants expressed as compaction orders, sharing prefixes.
-
-    Each variant is a sequence of indices into the shared *steps* pool (a
-    subset or reordering — different topology alternatives of one module are
-    usually the same parts compacted differently).  All variants are built
-    through one :class:`PrefixTree`, so variants sharing an order prefix
-    compact that prefix only once; a variant whose compaction violates a
-    design rule (``RuleError``) backtracks to the next, exactly like
-    :func:`select_variant`.
-    """
-    if not orders:
-        raise ValueError("no variant orders supplied")
-    rating = rating if rating is not None else Rating()
-    tree = PrefixTree(name, tech, steps, compactor)
-
-    trials: List[Tuple[int, Optional[float], Optional[str]]] = []
-    best: Optional[LayoutObject] = None
-    best_index = -1
-    best_score = float("inf")
-
-    for index, order in enumerate(orders):
-        try:
-            candidate = tree.realize(order)
-        except RuleError as error:
-            trials.append((index, None, str(error)))
-            continue
-        score = rating.evaluate(candidate)
-        trials.append((index, score, None))
-        if score < best_score:
-            best, best_index, best_score = candidate, index, score
-
-    if best is None:
-        messages = "; ".join(f"variant {i}: {msg}" for i, _, msg in trials)
-        raise BacktrackError(f"all order variants failed: {messages}")
     return VariantResult(best, best_index, best_score, trials)

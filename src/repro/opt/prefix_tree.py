@@ -10,23 +10,17 @@ prefix instead of one per (permutation × step).  Badaoui & Vemuri's
 multi-placement structures use the same idea for enumerative analog
 placement.
 
-The tree serves three clients:
-
-* :class:`~repro.opt.order.OrderOptimizer` walks it depth-first with
-  branch and bound, evicting finished subtrees so memory stays O(n), or
-  as a width-limited beam frontier above its exhaustive limit;
-* :func:`~repro.opt.backtrack.select_order_variants` keeps the cache alive
-  across topology variants so variants sharing a step prefix share the
-  compaction work;
-* :class:`~repro.opt.anneal.AnnealingOrderOptimizer` keeps shallow
-  prefixes cached across annealing moves.
+Its one client is :class:`~repro.opt.order.OrderOptimizer`.  Up to its
+exhaustive limit it walks the tree depth-first with branch and bound,
+evicting finished subtrees so memory stays O(n); above it, the annealer
+keeps shallow prefixes cached across moves (:meth:`PrefixTree.prune_depth`).
 
 Many *different* prefixes compact to the *same* partial layout (placing
 two devices in either order often lands both in the same spot).
 :func:`state_key` names a partial layout by what it contains — the set of
 placed steps and the multiset of its rects — so the exhaustive search
-and the beam can recognise such transpositions; :func:`transposable`
-says whether an input's states may be merged at all.
+can recognise such transpositions; :func:`transposable` says whether an
+input's states may be merged at all.
 """
 
 from __future__ import annotations
@@ -116,8 +110,9 @@ class PrefixTree:
         """The compacted partial layout of *prefix* (cached).
 
         Returns the tree's internal state object — callers must NOT mutate
-        it; use :meth:`realize` for an independent copy.  Missing ancestors
-        are computed on demand, one compaction step each.
+        it; take a :meth:`~repro.db.LayoutObject.snapshot` for an
+        independent copy.  Missing ancestors are computed on demand, one
+        compaction step each.
         """
         prefix = tuple(prefix)
         cached = self._cache.get(prefix)
@@ -141,10 +136,6 @@ class PrefixTree:
             tracer.count("opt.tree.compacts")
         self._cache[prefix] = state
         return state
-
-    def realize(self, prefix: Sequence[int]) -> LayoutObject:
-        """An independent copy of the prefix's layout (safe to mutate)."""
-        return self.layout(prefix).snapshot()
 
     def advance(self, prefix: Sequence[int], index: int) -> LayoutObject:
         """``layout(prefix + (index,))``, donating the parent state.
@@ -199,8 +190,8 @@ class PrefixTree:
     def prune_depth(self, max_depth: int) -> int:
         """Drop every cached prefix longer than *max_depth* entries.
 
-        Bounds memory for long-running clients (annealing) that want shallow
-        prefixes to stay shared across many evaluations.
+        Bounds the annealer's memory while its shallow prefixes stay
+        shared across many evaluations.
         """
         doomed = [key for key in self._cache if len(key) > max_depth]
         for key in doomed:

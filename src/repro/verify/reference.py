@@ -8,8 +8,7 @@ The equivalence suites and the benchmarks race the two.  Nothing outside
 
 * :class:`ReplayOrderOptimizer` — the Sec. 2.4 order search as the paper
   describes it: every permutation is recompacted from an empty layout
-  (O(n!·n) compaction steps), and beyond ``exhaustive_limit`` a beam search
-  copies each partial layout once per expansion.
+  (O(n!·n) compaction steps).  Up to its exhaustive limit,
   :class:`repro.opt.OrderOptimizer` must return the same ``best_order``,
   ``best_score`` and geometry, and every score it records must equal the
   score recorded here.
@@ -65,7 +64,7 @@ from ..drc.violations import Violation
 from ..geometry import Direction, Rect, bounding_box, covered_by
 from ..obs import get_tracer
 from ..opt import OrderResult, Rating, Step
-from ..opt.prefix_tree import state_key, transposable
+from ..opt.prefix_tree import state_key
 from ..tech import Technology
 from ..tech.layer import LayerKind
 
@@ -190,28 +189,20 @@ def check_state_keys(
 
 
 class ReplayOrderOptimizer:
-    """Order search by full replay; same constructor as ``OrderOptimizer``.
+    """Exhaustive order search by full replay.
 
-    Up to ``exhaustive_limit`` steps every permutation is replayed in
-    lexicographic order and the first strictly better score wins, so ties
-    go to the lexicographically smallest order; ``scores`` holds all n!
-    orders.  Above it, beam search keeps the ``beam_width`` best partial
-    layouts by ``(score, order)`` per round, the first of each production
-    :func:`~repro.opt.prefix_tree.state_key` only, and records the complete
-    orders of the final round.
+    Every permutation is replayed in lexicographic order and the first
+    strictly better score wins, so ties go to the lexicographically
+    smallest order; ``scores`` holds all n! orders.
     """
 
     def __init__(
         self,
         compactor: Optional[Compactor] = None,
         rating: Optional[Rating] = None,
-        exhaustive_limit: int = 6,
-        beam_width: int = 4,
     ) -> None:
         self.compactor = compactor if compactor is not None else Compactor()
         self.rating = rating if rating is not None else Rating()
-        self.exhaustive_limit = exhaustive_limit
-        self.beam_width = beam_width
 
     def optimize(
         self, name: str, tech: Technology, steps: Sequence[Step]
@@ -219,71 +210,20 @@ class ReplayOrderOptimizer:
         steps = list(steps)
         if not steps:
             raise ValueError("no compaction steps to optimize")
-        if len(steps) <= self.exhaustive_limit:
-            return self._exhaustive(name, tech, steps)
-        return self._beam(name, tech, steps)
-
-    def _rate(self, layout: LayoutObject) -> float:
         tracer = get_tracer()
-        with tracer.span("opt.rate"):
-            score = self.rating.evaluate(layout)
-        tracer.count("opt.trials")
-        return score
-
-    def _exhaustive(
-        self, name: str, tech: Technology, steps: List[Step]
-    ) -> OrderResult:
         best: Optional[LayoutObject] = None
         best_order: Tuple[int, ...] = ()
         best_score = float("inf")
         scores: Dict[Tuple[int, ...], float] = {}
         for order in itertools.permutations(range(len(steps))):
             candidate = replay(name, tech, steps, order, self.compactor)
-            score = scores[order] = self._rate(candidate)
+            with tracer.span("opt.rate"):
+                score = scores[order] = self.rating.evaluate(candidate)
+            tracer.count("opt.trials")
             if score < best_score:
                 best, best_order, best_score = candidate, order, score
         assert best is not None
         return OrderResult(best, best_order, best_score, len(scores), scores)
-
-    def _beam(self, name: str, tech: Technology, steps: List[Step]) -> OrderResult:
-        # Partial states: (score-so-far, order, object).
-        beam: List[Tuple[float, Tuple[int, ...], LayoutObject]] = [
-            (0.0, (), LayoutObject(name, tech))
-        ]
-        evaluated = 0
-        terminal_scores: Dict[Tuple[int, ...], float] = {}
-        keyed = transposable(steps, self.rating)
-        for _ in range(len(steps)):
-            expanded: List[Tuple[float, Tuple[int, ...], LayoutObject]] = []
-            for _, order, partial in beam:
-                for index in range(len(steps)):
-                    if index in order:
-                        continue
-                    candidate = partial.copy()
-                    step = steps[index].fresh()
-                    self.compactor.compact(
-                        candidate, step.obj, step.direction, step.ignore
-                    )
-                    score = self._rate(candidate)
-                    evaluated += 1
-                    new_order = order + (index,)
-                    expanded.append((score, new_order, candidate))
-                    if len(new_order) == len(steps):
-                        terminal_scores[new_order] = score
-            expanded.sort(key=lambda item: (item[0], item[1]))
-            # Transpositions of one partial layout take one place in the
-            # beam: the first by (score, order) per production state key.
-            beam = []
-            seen = set()
-            for item in expanded:
-                if len(beam) == self.beam_width:
-                    break
-                key = state_key(item[1], item[2]) if keyed else None
-                if key is None or key not in seen:
-                    seen.add(key)
-                    beam.append(item)
-        best_score, best_order, best = beam[0]
-        return OrderResult(best, best_order, best_score, evaluated, terminal_scores)
 
 
 # ======================================================================

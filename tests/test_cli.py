@@ -1,9 +1,12 @@
 """Command-line interface."""
 
+import logging
+
 import pytest
 
-from repro.cli import main
+from repro.cli import _pipeline_selfcheck, main
 from repro.library import CONTACT_ROW_SOURCE, DIFF_PAIR_SOURCE
+from repro.tech import generic_bicmos_1u
 
 
 @pytest.fixture
@@ -189,3 +192,23 @@ def test_report_restores_process_recorder(tmp_path):
                  str(tmp_path / "r.html")]) == 0
     assert get_recorder() is before
     assert not get_recorder().enabled
+
+
+def test_selfcheck_logs_whether_the_order_search_was_exact():
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("repro.cli")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        _pipeline_selfcheck(generic_bicmos_1u())
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    lines = [r.getMessage() for r in records if "order search" in r.getMessage()]
+    assert len(lines) == 1
+    # Three steps are within the exhaustive limit: every order is covered.
+    assert lines[0].endswith(", exact=True)")
+

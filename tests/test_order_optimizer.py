@@ -32,8 +32,6 @@ def test_requires_steps(tech):
 def test_parameter_validation():
     with pytest.raises(ValueError):
         OrderOptimizer(exhaustive_limit=0)
-    with pytest.raises(ValueError):
-        OrderOptimizer(beam_width=0)
 
 
 def test_exhaustive_covers_all_permutations(tech):
@@ -80,23 +78,6 @@ def test_run_order_reproduces_best(tech):
     result = optimizer.optimize("m", tech, steps)
     rebuilt = optimizer.run_order("m", tech, steps, result.best_order)
     assert Rating().evaluate(rebuilt) == pytest.approx(result.best_score)
-
-
-def test_beam_search_used_beyond_limit(tech):
-    steps = make_steps(tech, [(2000 + 500 * i, 2000) for i in range(5)])
-    optimizer = OrderOptimizer(exhaustive_limit=3, beam_width=2)
-    result = optimizer.optimize("m", tech, steps)
-    assert len(result.best_order) == 5
-    assert sorted(result.best_order) == list(range(5))
-    # Beam evaluates far fewer states than 5! = 120 full layouts.
-    assert result.evaluated <= 2 * 5 * 5
-
-
-def test_beam_matches_exhaustive_on_easy_case(tech):
-    steps = make_steps(tech, [(2000, 2000)] * 3)
-    exhaustive = OrderOptimizer().optimize("m", tech, steps)
-    beam = OrderOptimizer(exhaustive_limit=1, beam_width=3).optimize("m", tech, steps)
-    assert beam.best_score == pytest.approx(exhaustive.best_score)
 
 
 def test_realistic_module_order_sweep(tech, compactor):

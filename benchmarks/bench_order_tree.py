@@ -105,7 +105,7 @@ def _timed(optimize, name, tech, steps):
     The per-stage split comes from the obs timers: ``compact_s`` is time in
     :meth:`Compactor.compact` steps (``compact.step`` spans), ``rating_s``
     is candidate evaluation (``opt.rate`` spans), and ``bookkeeping_s`` is
-    the remainder — snapshots, cache management, permutation walking.
+    the remainder — snapshots, state keys, permutation walking.
     """
     tracer = Tracer(enabled=True)
     stats = StatsSink()
@@ -121,7 +121,6 @@ def _timed(optimize, name, tech, steps):
         "rating_s": rating_s,
         "bookkeeping_s": max(0.0, wall - compact_s - rating_s),
         "snapshots": stats.counter("opt.tree.snapshots"),
-        "cache_hits": stats.counter("opt.tree.cache_hits"),
         "states": stats.counter("opt.nodes_expanded"),
     }
     return wall, result, stages

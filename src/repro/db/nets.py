@@ -94,12 +94,20 @@ def estimate_net_capacitance(
     """Area + perimeter capacitance of all geometry on *net* (aF)."""
     total = 0.0
     for rect in rects:
-        if rect.net != net or rect.is_empty:
-            continue
-        model = tech.capacitance(rect.layer)
-        total += model.area * rect.area
-        total += model.perimeter * 2 * (rect.width + rect.height)
+        if rect.net == net and not rect.is_empty:
+            total = _add_capacitance(total, rect, tech)
     return total
+
+
+def _add_capacitance(total: float, rect: Rect, tech: Technology) -> float:
+    """*total* plus *rect*'s area, then its perimeter capacitance (aF).
+
+    Every capacitance sum goes through here, so the per-net totals of the
+    reports equal the single-net estimate bit for bit.
+    """
+    model = tech.capacitance(rect.layer)
+    total += model.area * rect.area
+    return total + model.perimeter * 2 * (rect.width + rect.height)
 
 
 def capacitance_report(
@@ -114,12 +122,7 @@ def capacitance_report(
     for rect in rects:
         if not rect.net or rect.is_empty:
             continue
-        model = tech.capacitance(rect.layer)
-        # Two separate additions, exactly as estimate_net_capacitance sums.
-        total = totals.get(rect.net, 0.0)
-        total += model.area * rect.area
-        total += model.perimeter * 2 * (rect.width + rect.height)
-        totals[rect.net] = total
+        totals[rect.net] = _add_capacitance(totals.get(rect.net, 0.0), rect, tech)
     return {net: totals[net] for net in sorted(totals)}
 
 
@@ -135,15 +138,19 @@ def estimate_net_resistance(
     """
     total = 0.0
     for rect in rects:
-        if rect.net != net or rect.is_empty:
-            continue
-        rho = tech.sheet_rho(rect.layer)
-        if rho <= 0:
-            continue
-        long_side = max(rect.width, rect.height)
-        short_side = min(rect.width, rect.height)
-        total += rho * long_side / short_side
+        if rect.net == net and not rect.is_empty:
+            total = _add_resistance(total, rect, tech)
     return total
+
+
+def _add_resistance(total: float, rect: Rect, tech: Technology) -> float:
+    """*total* plus *rect*'s sheet resistance times its squares (Ω)."""
+    rho = tech.sheet_rho(rect.layer)
+    if rho <= 0:
+        return total
+    long_side = max(rect.width, rect.height)
+    short_side = min(rect.width, rect.height)
+    return total + rho * long_side / short_side
 
 
 def rc_report(
@@ -161,17 +168,8 @@ def rc_report(
         if not rect.net or rect.is_empty:
             continue
         net = rect.net
-        model = tech.capacitance(rect.layer)
-        capacitance = capacitances.get(net, 0.0)
-        capacitance += model.area * rect.area
-        capacitance += model.perimeter * 2 * (rect.width + rect.height)
-        capacitances[net] = capacitance
-        resistances.setdefault(net, 0.0)
-        rho = tech.sheet_rho(rect.layer)
-        if rho > 0:
-            long_side = max(rect.width, rect.height)
-            short_side = min(rect.width, rect.height)
-            resistances[net] += rho * long_side / short_side
+        capacitances[net] = _add_capacitance(capacitances.get(net, 0.0), rect, tech)
+        resistances[net] = _add_resistance(resistances.get(net, 0.0), rect, tech)
     report: Dict[str, Tuple[float, float, float]] = {}
     for net in sorted(capacitances):
         resistance = resistances[net]

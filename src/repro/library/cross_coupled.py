@@ -20,7 +20,7 @@ from ..compact import Compactor
 from ..db import LayoutObject
 from ..geometry import Rect
 from ..route import via_stack, wire
-from ..tech import Technology
+from ..tech import RuleError, Technology
 from .interdigitated import DeviceNets, patterned_row, via_landing_um
 from ..obs.provenance import provenance_entity
 
@@ -38,9 +38,15 @@ def cross_coupled_pair(
     compactor: Optional[Compactor] = None,
     name: str = "CrossCoupled",
 ) -> LayoutObject:
-    """Cross-coupled pair with palindromic finger pattern (e.g. ABBA)."""
+    """Cross-coupled pair with palindromic finger pattern (e.g. ABBA).
+
+    Raises :class:`~repro.tech.RuleError` before building anything when
+    *w* or *length* (µm) is too small for a clean, connected pair (see
+    :func:`_check_size`).
+    """
     if fingers_per_device < 1:
         raise ValueError("fingers_per_device must be >= 1")
+    _check_size(tech, w, length)
     if compactor is None:
         compactor = Compactor()
     pattern = _centroid_pattern(fingers_per_device)
@@ -74,6 +80,34 @@ def cross_coupled_pair(
         for y, net in zip((low, high), drain_nets):
             _tie_columns_metal2(pair, tech, net, y)
     return pair
+
+
+def _check_size(tech: Technology, w: float, length: float) -> None:
+    """Reject a channel width or length no clean pair can be drawn with.
+
+    Each drain column holds at least one contact, so its diffusion is at
+    least a contact plus its diffusion enclosure tall; a narrower channel
+    leaves the column taller than the gate's endcaps allow.  The gate rows
+    are at least a via landing wide, and the drain columns keep the metal1
+    spacing from them; the channel diffusion (the gate plus its extension
+    on each side) must reach that far, or it stops short of the columns.
+    """
+    min_w = tech.cut_size("contact") + 2 * tech.enclosure_or_zero("pdiff", "contact")
+    if tech.um(w) < min_w:
+        raise RuleError(
+            f"cross_coupled_pair: W {w} um is below one drain contact"
+            f" ({min_w / tech.dbu_per_micron} um)"
+        )
+    gate = tech.um(length)
+    row = max(gate, tech.cut_size("via") + 2 * tech.enclosure_or_zero("metal1", "via"))
+    reach = gate + 2 * tech.extension("pdiff", "poly")
+    needed = row + 2 * (tech.min_space("metal1", "metal1") or 0)
+    if reach < needed:
+        raise RuleError(
+            f"cross_coupled_pair: L {length} um leaves the channel diffusion"
+            f" {(needed - reach) / tech.dbu_per_micron} um short of the drain"
+            " columns"
+        )
 
 
 def _bridge_heights(band: Tuple[int, int], pitch: int) -> Tuple[int, int]:
@@ -134,11 +168,11 @@ def _tie_gate_rail(
 def _drain_column_band(
     obj: LayoutObject, drain_nets: Tuple[str, str]
 ) -> Tuple[int, int]:
-    """Common y-range of the drain column metals (the bridging zone)."""
-    columns = [
-        r for r in obj.rects_on("metal1")
-        if r.net in drain_nets and r.height > r.width
-    ]
+    """Common y-range of the drain column metals (the bridging zone).
+
+    Before any wiring, the drain nets' metal1 rects are their columns.
+    """
+    columns = [r for r in obj.rects_on("metal1") if r.net in drain_nets]
     if not columns:
         return (0, 0)
     return (max(r.y1 for r in columns), min(r.y2 for r in columns))
@@ -148,10 +182,9 @@ def _tie_columns_metal2(
     obj: LayoutObject, tech: Technology, net: str, y: int
 ) -> None:
     """Bridge same-net drain columns with a metal2 wire plus via stacks at
-    height *y* (see :func:`_bridge_heights`)."""
-    columns = [
-        r for r in obj.rects_on("metal1") if r.net == net and r.height > r.width
-    ]
+    height *y* (see :func:`_bridge_heights`).  Call it before any other
+    metal1 is drawn on *net*, so its metal1 rects are the columns."""
+    columns = [r for r in obj.rects_on("metal1") if r.net == net]
     if len(columns) < 2:
         return
     columns.sort(key=lambda r: r.x1)

@@ -61,7 +61,7 @@ from .sinks import (
     StatsSink,
     validate_chrome_trace,
 )
-from .tracer import SpanRecord, Tracer, activate, get_tracer, set_tracer, traced
+from .tracer import SpanRecord, Tracer, activate, get_tracer, set_tracer
 
 # NOTE: repro.obs.report is deliberately not imported here — it depends on
 # repro.drc (which itself imports repro.obs); access it as repro.obs.report.
@@ -73,7 +73,6 @@ __all__ = [
     "get_tracer",
     "set_tracer",
     "activate",
-    "traced",
     "Sink",
     "StatsSink",
     "SpanStats",

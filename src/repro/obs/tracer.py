@@ -3,8 +3,8 @@
 The tracer is the write side of the observability layer.  Instrumented code
 asks for the process-local tracer with :func:`get_tracer` and emits
 
-* **spans** — named, nestable time intervals (``with tracer.span("x"): ...``
-  or the :func:`traced` decorator), timed on the monotonic clock;
+* **spans** — named, nestable time intervals (``with tracer.span("x"): ...``),
+  timed on the monotonic clock;
 * **counters** — named monotonically accumulated integers
   (``tracer.count("compact.relaxed_edges", 3)``).
 
@@ -20,10 +20,9 @@ so spans nest correctly under concurrency.
 
 from __future__ import annotations
 
-import functools
 import threading
 import time
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from .sinks import Sink
 
@@ -33,7 +32,6 @@ __all__ = [
     "get_tracer",
     "set_tracer",
     "activate",
-    "traced",
 ]
 
 
@@ -217,26 +215,3 @@ class activate:
         set_tracer(self._previous)
         return False
 
-
-def traced(name: Optional[str] = None, **span_attrs: Any) -> Callable:
-    """Decorator: run the function under a span on the process tracer.
-
-    ``@traced()`` names the span after the function's qualified name;
-    ``@traced("interp.entity")`` names it explicitly.  With the process
-    tracer disabled the wrapper adds one attribute check per call.
-    """
-
-    def decorate(func: Callable) -> Callable:
-        label = name if name is not None else func.__qualname__
-
-        @functools.wraps(func)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            tracer = _PROCESS_TRACER
-            if not tracer.enabled:
-                return func(*args, **kwargs)
-            with tracer.span(label, **span_attrs):
-                return func(*args, **kwargs)
-
-        return wrapper
-
-    return decorate

@@ -2,7 +2,6 @@
 
 from .backtrack import BacktrackError, VariantResult, select_variant
 from .order import OrderOptimizer, OrderResult, Step
-from .prefix_tree import PrefixTree
 from .rating import Rating
 
 __all__ = [
@@ -11,7 +10,6 @@ __all__ = [
     "select_variant",
     "OrderOptimizer",
     "OrderResult",
-    "PrefixTree",
     "Step",
     "Rating",
 ]

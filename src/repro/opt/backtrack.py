@@ -43,14 +43,12 @@ class VariantResult:
 def select_variant(
     variants: Sequence[VariantBuilder],
     rating: Optional[Rating] = None,
-    first_feasible: bool = False,
 ) -> VariantResult:
-    """Build the variants and pick the winner.
+    """Build every variant and let the rating function pick the winner.
 
-    With ``first_feasible=True`` the engine stops at the first variant whose
-    rules hold (pure backtracking, the PLDL ``ALT`` semantics); otherwise all
-    feasible variants are built and the rating function selects the best
-    (Sec. 2.4 variant selection).
+    Variants whose rules fail are skipped (Sec. 2.4 variant selection).  The
+    PLDL ``ALT`` statement's first-feasible backtracking lives in the
+    interpreter (``Runtime.alt``), not here.
     """
     if not variants:
         raise ValueError("no variants supplied")
@@ -71,8 +69,6 @@ def select_variant(
         trials.append((index, score, None))
         if score < best_score:
             best, best_index, best_score = candidate, index, score
-        if first_feasible:
-            break
 
     if best is None:
         messages = "; ".join(f"variant {i}: {msg}" for i, _, msg in trials)

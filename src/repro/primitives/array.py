@@ -15,7 +15,7 @@ from ..db import ArrayLink, LayoutObject
 from ..geometry import Axis, Rect
 from ..obs.provenance import builtin_call
 from ..tech import RuleError
-from .util import enclosure_margin, expand_outers
+from .util import enclosure_margin, expand_outers, inner_region
 
 
 @builtin_call("ARRAY")
@@ -49,14 +49,10 @@ def array(
     )
 
     # Expand the outers until at least one cut fits along each axis.
-    region = link.region()
-    if region is None or region.width < cut_size:
-        have = region.width if region is not None else _region_extent(link, Axis.HORIZONTAL)
-        expand_outers(obj, outers, Axis.HORIZONTAL, cut_size - have)
-    region = link.region()
-    if region is None or region.height < cut_size:
-        have = region.height if region is not None else _region_extent(link, Axis.VERTICAL)
-        expand_outers(obj, outers, Axis.VERTICAL, cut_size - have)
+    x1, _, x2, _ = inner_region(obj, layer, outers)  # type: ignore[misc]
+    expand_outers(obj, outers, Axis.HORIZONTAL, cut_size - (x2 - x1))
+    _, y1, _, y2 = inner_region(obj, layer, outers)  # type: ignore[misc]
+    expand_outers(obj, outers, Axis.VERTICAL, cut_size - (y2 - y1))
 
     link.rebuild()
     assert link.rects, "ARRAY expansion must yield at least one cut"
@@ -66,13 +62,3 @@ def array(
     obj.add_link(link)
     return list(link.rects)
 
-
-def _region_extent(link: ArrayLink, axis: Axis) -> int:
-    """Signed extent of the (possibly inverted) array region along *axis*."""
-    if axis is Axis.HORIZONTAL:
-        lo = max(o.x1 + m for o, m in link.outers)
-        hi = min(o.x2 - m for o, m in link.outers)
-    else:
-        lo = max(o.y1 + m for o, m in link.outers)
-        hi = min(o.y2 - m for o, m in link.outers)
-    return hi - lo

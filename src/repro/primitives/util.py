@@ -28,10 +28,11 @@ def inner_region(
     """
     if not outers:
         return None
-    x1 = max(o.x1 + enclosure_margin(obj, o.layer, inner_layer) for o in outers)
-    y1 = max(o.y1 + enclosure_margin(obj, o.layer, inner_layer) for o in outers)
-    x2 = min(o.x2 - enclosure_margin(obj, o.layer, inner_layer) for o in outers)
-    y2 = min(o.y2 - enclosure_margin(obj, o.layer, inner_layer) for o in outers)
+    shrunk = [(o, enclosure_margin(obj, o.layer, inner_layer)) for o in outers]
+    x1 = max(o.x1 + m for o, m in shrunk)
+    y1 = max(o.y1 + m for o, m in shrunk)
+    x2 = min(o.x2 - m for o, m in shrunk)
+    y2 = min(o.y2 - m for o, m in shrunk)
     return (x1, y1, x2, y2)
 
 

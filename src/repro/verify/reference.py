@@ -13,7 +13,7 @@ The equivalence suites and the benchmarks race the two.  Nothing outside
   ``best_score`` and geometry, and every score it records must equal the
   score recorded here.
 * :func:`check_state_keys` — the soundness of
-  :func:`repro.opt.prefix_tree.state_key`, by replay: prefixes with one key
+  :func:`repro.opt.order.state_key`, by replay: prefixes with one key
   must give identical geometry and score under every completion, since
   the tree search replays one's subtree for the other.
 * :func:`solve_links_fixpoint` — the Sec. 2.3 link rebuild as a fixpoint:
@@ -64,7 +64,7 @@ from ..drc.violations import Violation
 from ..geometry import Direction, Rect, bounding_box, covered_by
 from ..obs import get_tracer
 from ..opt import OrderResult, Rating, Step
-from ..opt.prefix_tree import state_key
+from ..opt.order import state_key
 from ..tech import Technology
 from ..tech.layer import LayerKind
 
@@ -141,14 +141,14 @@ def check_state_keys(
     """Assert that equal state keys mean equal futures; count the merges.
 
     Replays every prefix of *steps* from an empty layout and groups the
-    prefixes by the production :func:`~repro.opt.prefix_tree.state_key`.
+    prefixes by the production :func:`~repro.opt.order.state_key`.
     Within a group, every completion of every member must give the same
     rect multiset and the same *rating* score.  Returns how many prefixes
     share their key with an earlier one: the transpositions a search over
     the whole tree could merge.
 
     The key is checked on any input, linked ones too, although the search
-    merges only the inputs :func:`~repro.opt.prefix_tree.transposable`
+    merges only the inputs :func:`~repro.opt.order.transposable`
     admits.  A rating that weights the capacitance of a net drawn by
     several steps may fail on score: that sum depends on rect order.
     """

@@ -9,7 +9,13 @@ from repro.amplifier import (
     build_amplifier,
     measure_amplifier,
 )
-from repro.db import net_is_connected
+from repro.db import (
+    capacitance_report,
+    estimate_net_capacitance,
+    estimate_net_resistance,
+    net_is_connected,
+    rc_report,
+)
 from repro.drc import run_drc
 
 
@@ -84,6 +90,20 @@ def test_internal_node_parasitics_are_matched(amplifier):
     c1 = report.net_capacitance_af["n1"]
     c2 = report.net_capacitance_af["n2"]
     assert abs(c1 - c2) / max(c1, c2) < 0.25
+
+
+def test_parasitic_reports_equal_single_net_estimates(amplifier, tech):
+    """All three parasitic views sum one formula in one order: exact ``==``."""
+    rects = amplifier.rects
+    report = rc_report(rects, tech)
+    capacitances = capacitance_report(rects, tech)
+    assert list(report) == list(capacitances)
+    assert len(report) > 10
+    for net, (resistance, capacitance, rc) in report.items():
+        assert capacitance == estimate_net_capacitance(rects, tech, net), net
+        assert capacitance == capacitances[net], net
+        assert resistance == estimate_net_resistance(rects, tech, net), net
+        assert rc == resistance * capacitance * 1e-6, net
 
 
 def test_build_without_routing_or_ring(tech):

@@ -57,26 +57,6 @@ def test_all_variants_failing_raises(tech):
         )
 
 
-def test_first_feasible_mode_stops_early(tech):
-    calls = []
-
-    def tracked(width, fail=False):
-        inner = make_builder(tech, width, width, fail)
-
-        def build():
-            calls.append(width)
-            return inner()
-
-        return build
-
-    result = select_variant(
-        [tracked(9000, fail=True), tracked(8000), tracked(1000)],
-        first_feasible=True,
-    )
-    assert result.best_index == 1  # 1000-variant never built
-    assert calls == [9000, 8000]
-
-
 def test_custom_rating_drives_selection(tech):
     # Prefer the variant with less capacitance on a marked net even though
     # its area is larger.

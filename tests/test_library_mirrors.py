@@ -11,6 +11,7 @@ from repro.library import (
     symmetric_current_mirror,
 )
 from repro.obs import ProvenanceRecorder, recording
+from repro.tech import RuleError, generic_bicmos_1u, generic_cmos_05u
 
 
 def test_simple_mirror(tech):
@@ -103,6 +104,30 @@ def test_cross_coupled_wiring_optional(tech):
     bare = cross_coupled_pair(tech, 10.0, 1.0, wiring=False)
     assert not net_is_connected(bare.rects, tech, "dA")
     assert run_drc(bare, include_latchup=False) == []
+
+
+@pytest.mark.parametrize("length", [0.5, 1.0, 1.2, 2.0])
+@pytest.mark.parametrize("make_tech", [generic_bicmos_1u, generic_cmos_05u])
+def test_cross_coupled_parameter_grid_is_clean_or_rejected(make_tech, length):
+    """Every draw is DRC-clean with its gate and drain nets connected, or
+    raises before building.  The sources (vss) are not tied by the cell."""
+    tech = make_tech()
+    for w in (2, 3, 4, 5, 6, 8, 10, 14, 20):
+        try:
+            pair = cross_coupled_pair(tech, w, length)
+        except RuleError:
+            continue
+        assert run_drc(pair, include_latchup=False) == [], (w, length)
+        for net in ("gA", "gB", "dA", "dB"):
+            assert net_is_connected(pair.rects, tech, net), (w, length, net)
+
+
+def test_cross_coupled_rejects_small_draws():
+    with pytest.raises(RuleError, match=r"W 2\.0 um"):
+        cross_coupled_pair(generic_bicmos_1u(), 2.0, 1.0)
+    for make_tech in (generic_bicmos_1u, generic_cmos_05u):
+        with pytest.raises(RuleError, match=r"L 0\.5 um"):
+            cross_coupled_pair(make_tech(), 8.0, 0.5)
 
 
 def test_cross_coupled_validation(tech):

@@ -21,7 +21,6 @@ from repro.obs import (
     get_logger,
     get_tracer,
     set_tracer,
-    traced,
     validate_chrome_trace,
 )
 
@@ -101,21 +100,6 @@ def test_span_attrs_and_set(tracer):
     with tracer.span("s", a=1) as span:
         span.set(b=2)
     assert sink.spans[0].attrs == {"a": 1, "b": 2}
-
-
-def test_traced_decorator(tracer):
-    tracer, sink = tracer
-
-    @traced("my.func", kind="test")
-    def work(x):
-        return x * 2
-
-    assert work(3) == 6  # disabled process tracer: no span, result intact
-    assert sink.spans == []
-    with activate(tracer):
-        assert work(5) == 10
-    assert [r.name for r in sink.spans] == ["my.func"]
-    assert sink.spans[0].attrs == {"kind": "test"}
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,10 @@ per child of each distinct partial layout it searches.  Prefixes that
 compact to one partial layout share a state key; the search replays the
 first one's subtree for the others, and
 :func:`repro.verify.reference.check_state_keys` checks that this is sound.
-Above the limit the annealer rates orders through the same tree: every
-score it records must equal a full replay's, and on the committed
-above-limit inputs it must score no worse than the beam search it
-replaced.
+Above the limit the annealer rates orders through its own cache of
+shallow prefixes: every score it records must equal a full replay's, and
+on the committed above-limit inputs it must score no worse than the beam
+search it replaced.
 """
 
 import itertools
@@ -27,8 +27,8 @@ from repro.compact import Compactor
 from repro.db import LayoutObject
 from repro.geometry import Direction, Rect
 from repro.library import contact_row, diff_pair
-from repro.opt import OrderOptimizer, PrefixTree, Rating, Step
-from repro.opt.prefix_tree import state_key, transposable
+from repro.opt import OrderOptimizer, Rating, Step
+from repro.opt.order import state_key, transposable
 from repro.tech import generic_bicmos_1u
 from repro.verify.reference import ReplayOrderOptimizer, check_state_keys, replay
 
@@ -345,56 +345,6 @@ def test_negative_weight_disables_pruning_not_correctness(tech):
     result, _ = assert_agrees_with_reference(tech, steps, rating=rating)
     assert result.pruned == 0
     assert result.evaluated == math.factorial(len(steps))
-
-
-# ----------------------------------------------------------------------
-# PrefixTree unit behaviour
-# ----------------------------------------------------------------------
-def test_prefix_tree_caches_and_counts(tech):
-    steps = heterogeneous_steps(tech)
-    tree = PrefixTree("m", tech, steps)
-    first = tree.layout((0, 1))
-    assert tree.compact_calls == 2  # (0,) then (0, 1)
-    assert tree.layout((0, 1)) is first  # cached, no recompaction
-    assert tree.compact_calls == 2
-    tree.layout((0, 2))
-    assert tree.compact_calls == 3  # shares the (0,) prefix
-
-
-def test_prefix_tree_advance_donates_parent(tech):
-    steps = heterogeneous_steps(tech)
-    tree = PrefixTree("m", tech, steps)
-    parent = tree.layout((0,))
-    child = tree.advance((0,), 1)
-    assert child is parent  # compacted in place, no snapshot
-    assert tree.cached_prefixes() == 2  # root + (0, 1); (0,) was consumed
-    assert tree.layout((0, 1)) is child
-
-
-def test_prefix_tree_advance_bad_index_restores_parent(tech):
-    steps = heterogeneous_steps(tech)
-    tree = PrefixTree("m", tech, steps)
-    tree.layout((0,))
-    before = tree.compact_calls
-    with pytest.raises(IndexError):
-        tree.advance((0,), 99)
-    assert tree.compact_calls == before
-    assert tree.layout((0,)) is not None  # parent still resident
-
-
-def test_prefix_tree_evict_and_prune_depth(tech):
-    steps = heterogeneous_steps(tech)
-    tree = PrefixTree("m", tech, steps)
-    tree.layout((0, 1, 2))
-    tree.layout((0, 2))
-    assert tree.evict((0, 1)) == 2  # (0, 1) and (0, 1, 2)
-    assert tree.cached_prefixes() == 3  # root, (0,), (0, 2)
-    tree.layout((1, 0, 2))
-    assert tree.prune_depth(1) > 0
-    assert tree.cached_prefixes() == 3  # root, (0,), (1,) survive
-    before = tree.compact_calls
-    tree.layout((0, 1))  # recomputable after eviction, one new step
-    assert tree.compact_calls == before + 1
 
 
 # ----------------------------------------------------------------------

@@ -51,7 +51,6 @@ COUNTERS = (
     ("frontier_dropped", "compact.frontier_dropped"),
     ("window_dropped", "compact.index_window_dropped"),
     ("sweeps", "compact.index_sweeps"),
-    ("sweep_hits", "compact.index_sweep_hits"),
     ("rebuilds", "db.store_builds"),
 )
 

@@ -2,7 +2,8 @@
 
 Runs the paper's three-line PLDL source for the three parameterizations of
 Fig. 3 (both omitted / only W / W and L) and reports the resulting module
-dimensions and contact counts; benchmarks interpretation + generation.
+dimensions and contact counts; benchmarks translation-based interpretation
++ generation against the tree-walking oracle.
 """
 
 import pytest
@@ -68,31 +69,29 @@ def test_f2_f3_three_parameterizations(tech, interpreter, record, benchmark):
 
 
 def test_f2_translated_generation_speed(tech, interpreter, record, benchmark):
-    """The paper translates module source to C; we translate to Python —
-    compare interpreted vs translated generation speed."""
+    """The paper translates module source to C; we translate to Python and
+    run the result.  Compare the production interpreter (translated code)
+    with the tree-walking oracle that interprets the syntax tree."""
     import time
 
-    from repro.lang import Runtime, translate
+    from repro.verify.reference import TreeWalker
 
-    namespace = {}
-    exec(compile(translate(CONTACT_ROW_SOURCE), "<gen>", "exec"), namespace)
-    runtime = Runtime(tech)
+    walker = TreeWalker(tech)
+    walker.load(CONTACT_ROW_SOURCE)
 
-    translated = benchmark(
-        lambda: namespace["ContactRow"](runtime, layer="poly", W=1.0, L=10.0)
-    )
+    benchmark(lambda: interpreter.call("ContactRow", layer="poly", W=1.0, L=10.0))
+    start = time.perf_counter()
+    for _ in range(20):
+        walker.call("ContactRow", layer="poly", W=1.0, L=10.0)
+    walked_ms = (time.perf_counter() - start) / 20 * 1e3
     start = time.perf_counter()
     for _ in range(20):
         interpreter.call("ContactRow", layer="poly", W=1.0, L=10.0)
-    interpreted_ms = (time.perf_counter() - start) / 20 * 1e3
-    start = time.perf_counter()
-    for _ in range(20):
-        namespace["ContactRow"](runtime, layer="poly", W=1.0, L=10.0)
     translated_ms = (time.perf_counter() - start) / 20 * 1e3
     record("f2_translation_speed", [
         "Sec. 2.1 — 'the source code is automatically translated into C':",
-        f"  interpreted generation: {interpreted_ms:7.3f} ms/module",
+        f"  tree-walking oracle:    {walked_ms:7.3f} ms/module",
         f"  translated (Python):    {translated_ms:7.3f} ms/module",
-        f"  speedup: {interpreted_ms / max(translated_ms, 1e-9):.2f}x",
+        f"  speedup: {walked_ms / max(translated_ms, 1e-9):.2f}x",
         "shape: the translated form is at least as fast as interpretation.",
     ])

@@ -1,7 +1,6 @@
 """Generated from PLDL by repro.lang.translate — do not edit."""
 
 from repro.geometry import Direction
-from repro.lang.runtime import Runtime
 
 NORTH = Direction.NORTH
 SOUTH = Direction.SOUTH
@@ -10,51 +9,55 @@ WEST = Direction.WEST
 
 def ContactRow(rt, layer, W=None, L=None):
     """Generated from entity ContactRow."""
-    obj = rt.begin("ContactRow", layer=layer, W=W, L=L)
+    v = {'layer': layer, 'W': W, 'L': L}
+    obj = rt.begin('ContactRow', v)
     try:
-        rt.INBOX(obj, layer, W, L)
-        rt.INBOX(obj, 'metal1')
-        rt.ARRAY(obj, 'contact')
+        rt.INBOX(obj, v['layer'], v['W'], v['L'])  # line 6
+        rt.step(6, obj)
+        rt.INBOX(obj, 'metal1')  # line 7
+        rt.step(7, obj)
+        rt.ARRAY(obj, 'contact')  # line 8
+        rt.step(8, obj)
     finally:
-        rt.end(obj)
+        rt.end()
     return obj
 
 def Snake(rt, NSEG=None, WIDE=None):
     """Generated from entity Snake."""
-    obj = rt.begin("Snake", NSEG=NSEG, WIDE=WIDE)
+    v = {'NSEG': NSEG, 'WIDE': WIDE}
+    obj = rt.begin('Snake', v)
     try:
-        for i in rt.frange(0.0, rt.arith('-', NSEG, 1.0), 1.0):
-            rt.WIRE(obj, 'poly', 0.0, rt.arith('*', i, 4.0), 12.0, rt.arith('*', i, 4.0), 1.0)
-            if rt.arith('<', i, rt.arith('-', NSEG, 1.0)):
-                if (rt.arith('/', i, 2.0) == rt.arith('/', i, 2.0)):
-                    rt.WIRE(obj, 'poly', 12.0, rt.arith('*', i, 4.0), 12.0, rt.arith('+', rt.arith('*', i, 4.0), 4.0), 1.0)
+        for v['i'] in rt.frange(0.0, rt.arith('-', v['NSEG'], 1.0), 1.0):  # line 12
+            rt.WIRE(obj, 'poly', 0.0, rt.arith('*', v['i'], 4.0), 12.0, rt.arith('*', v['i'], 4.0), 1.0)  # line 13
+            rt.step(13, obj)
+            if rt.arith('<', v['i'], rt.arith('-', v['NSEG'], 1.0)):  # line 14
+                if (rt.arith('/', v['i'], 2.0) == rt.arith('/', v['i'], 2.0)):  # line 15
+                    rt.WIRE(obj, 'poly', 12.0, rt.arith('*', v['i'], 4.0), 12.0, rt.arith('+', rt.arith('*', v['i'], 4.0), 4.0), 1.0)  # line 16
+                    rt.step(16, obj)
+                rt.step(15, obj)
+            rt.step(14, obj)
+        rt.step(12, obj)
         def _alt1_branch0():
-            if (WIDE == 0.0):
-                rt.ERROR('narrow variant requested')
-            rt.WIRE(obj, 'metal1', 0.0, 0.0, 0.0, rt.arith('*', rt.arith('-', NSEG, 1.0), 4.0), 3.0)
+            if (v['WIDE'] == 0.0):  # line 22
+                rt.ERROR('narrow variant requested')  # line 23
+                rt.step(23, obj)
+            rt.step(22, obj)
+            rt.WIRE(obj, 'metal1', 0.0, 0.0, 0.0, rt.arith('*', rt.arith('-', v['NSEG'], 1.0), 4.0), 3.0)  # line 25
+            rt.step(25, obj)
         def _alt1_branch1():
-            rt.WIRE(obj, 'metal1', 0.0, 0.0, 0.0, rt.arith('*', rt.arith('-', NSEG, 1.0), 4.0), 1.5)
-        def _alt1_save():
-            _state = {}
-            try:
-                _state['NSEG'] = NSEG
-            except NameError:
-                pass
-            try:
-                _state['WIDE'] = WIDE
-            except NameError:
-                pass
-            return rt.alt_state(_state)
-        def _alt1_restore(_state):
-            nonlocal NSEG, WIDE
-            NSEG = _state.get('NSEG')
-            WIDE = _state.get('WIDE')
-        rt.alt(obj, [_alt1_branch0, _alt1_branch1], save=_alt1_save, restore=_alt1_restore)
+            rt.WIRE(obj, 'metal1', 0.0, 0.0, 0.0, rt.arith('*', rt.arith('-', v['NSEG'], 1.0), 4.0), 1.5)  # line 27
+            rt.step(27, obj)
+        rt.alt(obj, [_alt1_branch0, _alt1_branch1], v, ('NSEG', 'WIDE'), 20)  # line 20
+        rt.step(20, obj)
     finally:
-        rt.end(obj)
+        rt.end()
     return obj
 
 def main(rt):
-    """Top-level calling sequence of the source file."""
-    narrow = Snake(rt, NSEG=5.0, WIDE=0.0)
-    wide = Snake(rt, NSEG=5.0, WIDE=1.0)
+    """Top-level calling sequence; returns its bindings."""
+    v = {}
+    v['narrow'] = Snake(rt, NSEG=5.0, WIDE=0.0)  # line 31
+    rt.step(31, None)
+    v['wide'] = Snake(rt, NSEG=5.0, WIDE=1.0)  # line 32
+    rt.step(32, None)
+    return v

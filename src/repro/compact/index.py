@@ -4,10 +4,9 @@ The paper's central speed-up is that "only outer edges of the main object
 have to be kept in the data structure".  Every compaction step (and every
 variable-edge shrink round) asks the main object's
 :class:`~repro.db.store.RectStore` for the frontier facing the arrival
-(:func:`frontier_groups`, cached per layer until the layer changes), the
+(:func:`frontier_groups`, one sweep per layer the store holds), the
 same-net residents it may auto-connect to (the ``(net, layer)`` buckets)
-and whether a stretch bridge would break a rule (:func:`bridge_blocked`),
-so a step only pays for the layers it touched.
+and whether a stretch bridge would break a rule (:func:`bridge_blocked`).
 
 Exactness contract: every query reproduces the from-scratch result *in the
 same order*.  Property tests pin this against the oracle
@@ -28,9 +27,6 @@ from .separation import layer_frontier
 
 __all__ = ["bridge_blocked", "frontier_groups"]
 
-_NO_NETS: FrozenSet[str] = frozenset()
-
-
 def frontier_groups(
     store: RectStore, direction: Direction, arrival_nets: FrozenSet[str]
 ) -> List[Tuple[str, List[Rect]]]:
@@ -44,22 +40,8 @@ def frontier_groups(
     rects = store.rects
     groups: List[Tuple[str, List[Rect]]] = []
     for layer in store.layers():
-        # Only nets present on the layer can alter the sweep, so arrivals
-        # with disjoint nets share one cache entry.
-        nets = store.buckets[layer].nets
-        if arrival_nets and nets:
-            relevant = frozenset(n for n in arrival_nets if n in nets)
-        else:
-            relevant = _NO_NETS
-        key = (direction, relevant)
-        survivors = store.cached(layer, key)
-        if survivors is None:
-            survivors = store.cache(layer, key, tuple(layer_frontier(
-                rects, store.seqs_on(layer), direction, arrival_nets
-            )))
-            tracer.count("compact.index_sweeps")
-        else:
-            tracer.count("compact.index_sweep_hits")
+        survivors = layer_frontier(rects, store.seqs_on(layer), direction, arrival_nets)
+        tracer.count("compact.index_sweeps")
         groups.append((layer, [rects[seq] for seq in survivors]))
     return groups
 

@@ -7,8 +7,8 @@ object's own ``bbox``, ``is_empty``, ``rects_on``, ``rects_on_net``,
 ``nets`` and ``layers``.  A rect is addressed by its *seq*, its position
 in ``rects``; rects are only appended, so a seq never moves.  Each layer's
 :class:`Bucket` carries a *version* that any change to a member bumps;
-views derived from a layer (frontier survivors, DRC's x1 order) live in
-one cache, stamped with that version, and are reused until it moves.
+views derived from a layer (DRC's x1 order) live in one cache, stamped
+with that version, and are reused until it moves.
 
 One staleness rule: ``LayoutObject`` methods keep the store exact, and a
 replaced or shortened ``rects`` list is detected.  Any other write — a
@@ -55,13 +55,11 @@ def _shift(box: Optional[List[int]], dx: int, dy: int) -> None:
 class Bucket:
     """The rects of one layer, by seq, and what its views depend on."""
 
-    __slots__ = ("seqs", "nets", "envelope", "version")
+    __slots__ = ("seqs", "envelope", "version")
 
     def __init__(self) -> None:
         #: Member seqs in seq order (empty rects included).
         self.seqs: List[int] = []
-        #: Every net ever seen on the layer (grow-only).
-        self.nets: Set[str] = set()
         #: Grow-only box over every coordinate any member occupied since
         #: it was first asked for (None until then; see RectStore.envelope).
         self.envelope: Optional[List[int]] = None
@@ -71,7 +69,6 @@ class Bucket:
     def copy(self) -> "Bucket":
         twin = Bucket.__new__(Bucket)
         twin.seqs = self.seqs.copy()
-        twin.nets = self.nets.copy()
         twin.envelope = None if self.envelope is None else self.envelope.copy()
         twin.version = self.version
         return twin
@@ -127,7 +124,6 @@ class RectStore:
             if bucket.envelope is not None:
                 _grow(bucket.envelope, rect)
             if rect.net is not None:
-                bucket.nets.add(rect.net)
                 net_seqs.setdefault((rect.net, layer), []).append(seq)
             if where is not None:
                 where[id(rect)] = seq

@@ -2,7 +2,7 @@
 
 from .ast_nodes import Alt, Assign, Call, Entity, ExprStatement, For, If, Program
 from .errors import EvalError, LexError, ParseError, PldlError
-from .interpreter import Frame, Interpreter
+from .interpreter import Interpreter
 from .parser import parse
 from .runtime import BUILTIN_NAMES, Runtime
 from .tokens import Token, TokenKind, tokenize
@@ -22,7 +22,6 @@ __all__ = [
     "ParseError",
     "PldlError",
     "BUILTIN_NAMES",
-    "Frame",
     "Interpreter",
     "parse",
     "Runtime",

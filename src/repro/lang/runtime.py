@@ -1,29 +1,28 @@
 """The PLDL runtime: the one implementation of every builtin.
 
-The paper's environment both interprets module source and translates it
-into C (Sec. 2.1).  Both of our execution paths run on this module.  The
-interpreter binds each builtin call through :data:`BUILTINS` and calls the
-named :class:`Runtime` method; code emitted by :mod:`repro.lang.translate`
-calls the same methods directly, its call shapes checked against the same
-table when it is translated.  Arithmetic (:meth:`Runtime.arith`), FOR
-ranges (:meth:`Runtime.frange`), attribute reads (:meth:`Runtime.attr`) and
-ALT rollback (:meth:`Runtime.alt`) are shared the same way, so a program
-means the same on both paths, down to the
-:class:`~repro.lang.errors.EvalError` a malformed call raises.  Dimensions
-are microns.
+Code emitted by :mod:`repro.lang.translate` runs on this module, whether
+:class:`~repro.lang.interpreter.Interpreter` compiled it or it was written
+to disk.  A builtin call is a call of the :class:`Runtime` method of its
+name, its shape checked against :data:`BUILTINS` at translation.
+Arithmetic, FOR ranges, attribute reads, ALT rollback, entity frames and
+the ``interp.*`` spans and counters live here too.  Dimensions are microns.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 import operator
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+import sys
+from typing import (
+    Any, Callable, Container, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 from ..compact import Compactor
 from ..db import LayoutObject
 from ..geometry import Direction, Rect
-from ..obs import get_logger
+from ..obs import get_logger, get_tracer
 from ..obs.provenance import get_recorder
 from ..primitives import angle_adaptor, around, array, inbox, ring, tworects
 from ..route import via_stack, wire
@@ -41,10 +40,8 @@ TARGETS = "targets"
 
 
 class Builtin(NamedTuple):
-    """How one builtin name binds to :class:`Runtime`."""
+    """How one builtin name binds to its :class:`Runtime` method."""
 
-    #: The :class:`Runtime` method that implements it.
-    method: str
     #: Parameter names in positional order, each also accepted as a
     #: keyword; None when the builtin takes positional arguments only.
     keywords: Optional[Tuple[str, ...]]
@@ -53,38 +50,34 @@ class Builtin(NamedTuple):
     structure: Optional[str]
 
 
-#: Every builtin of the language, for the interpreter and the translator.
+#: Every builtin of the language, each a :class:`Runtime` method of its name.
 BUILTINS: Dict[str, Builtin] = {
-    "INBOX": Builtin("INBOX", ("layer", "W", "L", "net", "variable"), BUILDS),
-    "ARRAY": Builtin("ARRAY", ("layer", "net"), BUILDS),
-    "TWORECTS": Builtin(
-        "TWORECTS", ("gate", "body", "W", "L", "gatenet", "bodynet"), BUILDS
-    ),
-    "AROUND": Builtin("AROUND", ("layer", "margin", "net"), BUILDS),
-    "RING": Builtin("RING", ("layer", "width", "gap", "net"), BUILDS),
-    "ADAPTOR": Builtin(
-        "ADAPTOR", ("hlayer", "vlayer", "x", "y", "hwidth", "vwidth", "net"), BUILDS
-    ),
-    "WIRE": Builtin("WIRE", ("layer", "x1", "y1", "x2", "y2", "width", "net"), BUILDS),
-    "VIA": Builtin("VIA", ("x", "y", "bottom", "top", "net"), BUILDS),
-    "compact": Builtin("compact", None, BUILDS),
-    "COMPACT": Builtin("compact", None, BUILDS),
-    "COPY": Builtin("COPY", None, None),
-    "MOVE": Builtin("MOVE", None, None),
-    "MIRRORX": Builtin("MIRRORX", None, None),
-    "MIRRORY": Builtin("MIRRORY", None, None),
-    "SETNET": Builtin("SETNET", None, None),
-    "VARIABLE": Builtin("VARIABLE", None, TARGETS),
-    "FIXED": Builtin("FIXED", None, TARGETS),
-    "ERROR": Builtin("ERROR", None, None),
-    "LABEL": Builtin("LABEL", None, BUILDS),
-    "WIDTHRULE": Builtin("WIDTHRULE", None, None),
-    "SPACERULE": Builtin("SPACERULE", None, None),
-    "MOD": Builtin("MOD", None, None),
-    "FLOOR": Builtin("FLOOR", None, None),
-    "ABS": Builtin("ABS", None, None),
-    "MIN": Builtin("MIN", None, None),
-    "MAX": Builtin("MAX", None, None),
+    "INBOX": Builtin(("layer", "W", "L", "net", "variable"), BUILDS),
+    "ARRAY": Builtin(("layer", "net"), BUILDS),
+    "TWORECTS": Builtin(("gate", "body", "W", "L", "gatenet", "bodynet"), BUILDS),
+    "AROUND": Builtin(("layer", "margin", "net"), BUILDS),
+    "RING": Builtin(("layer", "width", "gap", "net"), BUILDS),
+    "ADAPTOR": Builtin(("hlayer", "vlayer", "x", "y", "hwidth", "vwidth", "net"), BUILDS),
+    "WIRE": Builtin(("layer", "x1", "y1", "x2", "y2", "width", "net"), BUILDS),
+    "VIA": Builtin(("x", "y", "bottom", "top", "net"), BUILDS),
+    "compact": Builtin(None, BUILDS),
+    "COMPACT": Builtin(None, BUILDS),
+    "COPY": Builtin(None, None),
+    "MOVE": Builtin(None, None),
+    "MIRRORX": Builtin(None, None),
+    "MIRRORY": Builtin(None, None),
+    "SETNET": Builtin(None, None),
+    "VARIABLE": Builtin(None, TARGETS),
+    "FIXED": Builtin(None, TARGETS),
+    "ERROR": Builtin(None, None),
+    "LABEL": Builtin(None, BUILDS),
+    "WIDTHRULE": Builtin(None, None),
+    "SPACERULE": Builtin(None, None),
+    "MOD": Builtin(None, None),
+    "FLOOR": Builtin(None, None),
+    "ABS": Builtin(None, None),
+    "MIN": Builtin(None, None),
+    "MAX": Builtin(None, None),
 }
 
 #: Public list of builtin names (used by the docs and tests).
@@ -112,7 +105,7 @@ def check_call(
     if spec.keywords is None:
         if keywords:
             raise EvalError(f"{name} takes no keyword arguments", line)
-        low, high = _ARITY[spec.method]
+        low, high = _ARITY[name]
         if positional < low or (high is not None and positional > high):
             if high is None:
                 wanted = f"at least {low}"
@@ -122,20 +115,34 @@ def check_call(
                 f"{name} takes {wanted} arguments, got {positional}", line
             )
         return spec
-    if positional > len(spec.keywords):
+    bind_keywords(name, spec.keywords, positional, keywords, line)
+    return spec
+
+
+def bind_keywords(
+    name: str,
+    names: Sequence[str],
+    positional: int,
+    keywords: Sequence[str],
+    line: Optional[int],
+) -> Set[str]:
+    """The *names* a call of *name* binds with *positional* arguments then
+    *keywords*; too many positionals and an unknown or repeated keyword are
+    an ``EvalError``."""
+    if positional > len(names):
         raise EvalError(
-            f"{name} takes at most {len(spec.keywords)} positional"
-            f" arguments ({', '.join(spec.keywords)})",
+            f"{name} takes at most {len(names)} positional"
+            f" arguments ({', '.join(names)})",
             line,
         )
-    given = set(spec.keywords[:positional])
+    given = set(names[:positional])
     for key in keywords:
-        if key not in spec.keywords:
+        if key not in names:
             raise EvalError(f"{name}: unknown argument {key!r}", line)
         if key in given:
             raise EvalError(f"{name}: argument {key!r} given twice", line)
         given.add(key)
-    return spec
+    return given
 
 
 #: The binary operators :meth:`Runtime.arith` evaluates.
@@ -165,38 +172,66 @@ def _expect_obj(value: Any, usage: str) -> LayoutObject:
     return value
 
 
+#: Maximum entity-call nesting: a recursive module definition would
+#: otherwise exhaust the Python stack with an unhelpful error.
+MAX_CALL_DEPTH = 64
+
+#: Statement-trace callback: (line number, entity structure or None).
+TraceHook = Callable[[int, Optional[LayoutObject]], None]
+
+
 class Runtime:
     """Execution context of PLDL code on one technology."""
 
     def __init__(self, tech: Technology, compactor: Optional[Compactor] = None) -> None:
         self.tech = tech
         self.compactor = compactor if compactor is not None else Compactor()
-        self._counter = 0
-        #: Provenance frame depth per live entity object (see begin/end).
-        self._prov_frames: dict = {}
+        #: Called by :meth:`step` after every statement when set.
+        self.trace: Optional[TraceHook] = None
+        #: Instances built so far per entity name (structure ``{name}_{n}``).
+        self._instances: Dict[str, int] = {}
+        #: The span and provenance contexts of each entity call in progress.
+        self._frames: List[Tuple[Any, Any]] = []
 
     # ------------------------------------------------------------------
-    def begin(self, entity_name: str, **params: Any) -> LayoutObject:
-        """Create the structure a translated entity builds into.
+    # entity frames and statement trace
+    # ------------------------------------------------------------------
+    def begin(self, entity_name: str, params: Dict[str, Any]) -> LayoutObject:
+        """Open a call of entity *entity_name* bound to *params*: its
+        structure, ``interp.entity`` span and provenance frame.
 
-        When the provenance recorder is live, an entity frame is pushed with
-        the caller's parameter bindings; :meth:`end` pops it.  Older
-        generated modules call ``begin`` without parameters and never call
-        ``end`` — the depth-token pop keeps those tolerable (their frames
-        are truncated by the next outer ``end``).
+        Every generated entity body runs between ``begin`` and an
+        :meth:`end` in a ``finally`` clause.  A call nested deeper than
+        :data:`MAX_CALL_DEPTH` is an :class:`EvalError`.
         """
-        obj = LayoutObject(f"{entity_name}_{self._counter}", self.tech)
-        self._counter += 1
-        recorder = get_recorder()
-        if recorder.enabled:
-            self._prov_frames[id(obj)] = recorder.push_entity(entity_name, params)
-        return obj
+        depth = len(self._frames) + 1
+        if depth > MAX_CALL_DEPTH:
+            raise EvalError(
+                f"{entity_name}: entity call depth exceeds {MAX_CALL_DEPTH}"
+                " (recursive module definition?)"
+            )
+        index = self._instances.get(entity_name, 0)
+        self._instances[entity_name] = index + 1
+        tracer = get_tracer()
+        tracer.count("interp.entity_calls")
+        frame = (
+            tracer.span("interp.entity", entity=entity_name, depth=depth),
+            get_recorder().entity(entity_name, params),
+        )
+        for context in frame:
+            context.__enter__()
+        self._frames.append(frame)
+        return LayoutObject(f"{entity_name}_{index}", self.tech)
 
-    def end(self, obj: LayoutObject) -> None:
-        """Close the provenance frame opened by :meth:`begin` for *obj*."""
-        depth = self._prov_frames.pop(id(obj), None)
-        if depth is not None:
-            get_recorder().pop_entity(depth)
+    def end(self) -> None:
+        """Close the innermost entity call opened by :meth:`begin`."""
+        for context in reversed(self._frames.pop()):
+            context.__exit__(*sys.exc_info())
+
+    def step(self, line: int, obj: Optional[LayoutObject]) -> None:
+        """Statement *line* finished, building *obj* (None at top level)."""
+        if self.trace is not None:
+            self.trace(line, obj)
 
     def _dbu(self, value: Any) -> Optional[int]:
         """Microns to database units; NIL passes through."""
@@ -340,7 +375,7 @@ class Runtime:
     # structural builtins
     # ------------------------------------------------------------------
     def compact(self, obj: LayoutObject, child: Any, direction: Any, *ignore: Any) -> None:
-        """compact(obj, DIRECTION, ignored layers...)."""
+        """compact(obj, DIRECTION, ignored layers...); COMPACT is the same."""
         child = _expect_obj(child, "compact(obj, DIRECTION, ignored layers...)")
         if isinstance(direction, str):
             try:
@@ -351,6 +386,8 @@ class Runtime:
             raise EvalError("compact: second argument must be a direction")
         layers = tuple(_expect_str(layer, "ignored layer") for layer in ignore)
         self.compactor.compact(obj, child, direction, layers)
+
+    COMPACT = compact
 
     def COPY(self, child: Any) -> LayoutObject:
         """COPY(obj)."""
@@ -515,41 +552,68 @@ class Runtime:
         self,
         obj: LayoutObject,
         branches: Sequence[Callable[[], None]],
-        save: Callable[[], dict],
-        restore: Callable[[dict], None],
+        variables: Dict[str, Any],
+        names: Container[str],
+        line: int,
     ) -> None:
-        """ALT: try *branches* in order until one fulfils its design rules.
+        """ALT at *line*: try *branches* in order until one fulfils its rules.
 
-        Before each branch the structure *obj* and the caller's variables
-        (``save()``, see :meth:`alt_state`) are snapshotted; a branch that
-        raises :class:`RuleError` is rolled back in place, so outer
-        references to *obj* stay valid, and ``restore`` gets the variables
-        back.  When every branch fails, a ``RuleError`` naming the last
-        failure propagates.
+        Before each branch the structure *obj* and the *names* of the
+        caller's *variables* (those bound; layout objects copied) are
+        snapshotted.  A branch that raises :class:`RuleError` is rolled back
+        in place, so outer references to *obj* stay valid, and each of the
+        *names* gets its value back, or is unbound again if it was unbound.
+        When every branch fails, a ``RuleError`` naming the line and the
+        last failure propagates.
         """
+        tracer = get_tracer()
         last: Optional[RuleError] = None
-        for index, branch in enumerate(branches):
-            snapshot = obj.copy()
-            state = save()
-            try:
-                branch()
+        with tracer.span("interp.alt", line=line) as span:
+            for index, branch in enumerate(branches):
+                snapshot = obj.copy()
+                state = {
+                    name: value.copy() if isinstance(value, LayoutObject) else value
+                    for name, value in variables.items() if name in names
+                }
+                tracer.count("interp.alt_attempts")
+                try:
+                    branch()
+                except RuleError as error:
+                    last = error
+                    log.debug("ALT branch %d rolled back (%s)", index, error)
+                    obj.rects = snapshot.rects
+                    obj.links = snapshot.links
+                    obj.labels = snapshot.labels
+                    tracer.count("interp.alt_rollbacks")
+                    for name in [name for name in variables if name in names]:
+                        del variables[name]
+                    variables.update(state)
+                    continue
+                span.set(taken=index)
                 return
-            except RuleError as error:
-                last = error
-                log.debug("ALT branch %d rolled back (%s)", index, error)
-                obj.rects = snapshot.rects
-                obj.links = snapshot.links
-                obj.labels = snapshot.labels
-                restore(state)
-        raise RuleError(f"all ALT branches failed (last: {last})")
+            tracer.count("interp.alt_exhausted")
+            raise RuleError(f"line {line}: all ALT branches failed (last: {last})")
 
-    @staticmethod
-    def alt_state(values: dict) -> dict:
-        """Copy an ALT variable snapshot, cloning mutable layout objects."""
-        return {
-            name: value.copy() if isinstance(value, LayoutObject) else value
-            for name, value in values.items()
-        }
+
+def _traced(name: str, method: Callable[..., Any]) -> Callable[..., Any]:
+    """*method* as builtin *name*: an ``interp.builtin`` span when tracing."""
+
+    @functools.wraps(method)
+    def builtin(self: Runtime, *args: Any, **kwargs: Any) -> Any:
+        tracer = get_tracer()
+        if not tracer.enabled:
+            return method(self, *args, **kwargs)
+        with tracer.span("interp.builtin", builtin=name):
+            result = method(self, *args, **kwargs)
+        tracer.count("interp.builtin_calls")
+        tracer.count(f"interp.builtin.{name}")
+        return result
+
+    return builtin
+
+
+for _name in BUILTINS:
+    setattr(Runtime, _name, _traced(_name, vars(Runtime)[_name]))
 
 
 def _arity(method: Callable[..., Any], structure: Optional[str]) -> Tuple[int, Optional[int]]:
@@ -561,9 +625,9 @@ def _arity(method: Callable[..., Any], structure: Optional[str]) -> Tuple[int, O
     return required, None if variadic else len(params)
 
 
-#: Positional arity per positional-only method, read off its signature.
+#: Positional arity per positional-only builtin, read off its signature.
 _ARITY: Dict[str, Tuple[int, Optional[int]]] = {
-    spec.method: _arity(getattr(Runtime, spec.method), spec.structure)
-    for spec in BUILTINS.values()
+    name: _arity(getattr(Runtime, name), spec.structure)
+    for name, spec in BUILTINS.items()
     if spec.keywords is None
 }

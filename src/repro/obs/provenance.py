@@ -5,8 +5,8 @@ Every rectangle and wire in a layout can carry a cheap, optional
 aggregate counters cannot:
 
 * which PLDL **entity stack** (with parameter bindings) was executing when
-  the rect was created — captured by the interpreter, the translate runtime
-  and the Python library builders;
+  the rect was created — captured by the PLDL runtime and the Python
+  library builders;
 * which **builtin** produced it (``INBOX``, ``ARRAY``, ``TWORECTS``, a
   ``WIRE``/``VIA`` route call, ...);
 * which **compaction step** merged it into its final structure;
@@ -176,11 +176,16 @@ class _EntityContext:
         self._params = params
 
     def __enter__(self) -> "_EntityContext":
-        self._recorder.push_entity(self._name, self._params)
+        recorder = self._recorder
+        recorder._frames.append((self._name, _freeze_params(self._params)))
+        recorder._cache = None
+        recorder.entity_calls += 1
         return self
 
     def __exit__(self, *exc: Any) -> bool:
-        self._recorder.pop_entity(len(self._recorder._frames) - 1)
+        recorder = self._recorder
+        recorder._frames.pop()
+        recorder._cache = None
         return False
 
 
@@ -252,26 +257,6 @@ class ProvenanceRecorder:
         if not self.enabled:
             return _NULL_CONTEXT
         return _BuiltinContext(self, name)
-
-    def push_entity(self, name: str, params: Optional[Dict[str, Any]] = None) -> int:
-        """Push a frame; returns its depth (for :meth:`pop_entity`).
-
-        The depth-token protocol exists for the translate runtime, whose
-        generated entities call ``rt.begin``/``rt.end`` rather than nesting
-        a ``with`` block; popping truncates to the recorded depth so a
-        missed ``end`` (older generated modules) cannot corrupt deeper pops.
-        """
-        depth = len(self._frames)
-        self._frames.append((name, _freeze_params(params)))
-        self._cache = None
-        self.entity_calls += 1
-        return depth
-
-    def pop_entity(self, depth: int) -> None:
-        """Pop back to *depth* (tolerant of already-popped frames)."""
-        if depth < len(self._frames):
-            del self._frames[depth:]
-            self._cache = None
 
     # ------------------------------------------------------------------
     # record construction and stamping
@@ -385,8 +370,8 @@ def builtin_call(name: str) -> Callable:
     """Decorator: mark every rect the function creates as built by *name*.
 
     Applied to the geometry primitives (``INBOX``, ``ARRAY``, ``WIRE``, ...)
-    so the originating builtin is captured no matter the entry path —
-    interpreter, translate runtime or direct Python.  Nested primitives
+    so the originating builtin is captured no matter the entry path — PLDL
+    or direct Python.  Nested primitives
     (a via stack drawing plates) record the innermost builtin.
     """
 

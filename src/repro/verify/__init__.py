@@ -5,8 +5,8 @@ promise (see ``docs/verification.md``):
 
 * :mod:`~repro.verify.oracles` — post-build invariant checks;
 * :mod:`~repro.verify.differential` — successive vs. graph compaction;
-* :mod:`~repro.verify.fuzzer` — random PLDL programs through both the
-  interpreter and the translate-to-Python pipeline;
+* :mod:`~repro.verify.fuzzer` — random PLDL programs through the
+  production interpreter and the tree-walking oracle;
 * :mod:`~repro.verify.golden` — content-hash regression over every
   library cell × builtin technology.
 """

@@ -2,12 +2,13 @@
 
 Generates programs exercising entities, parameters, assignments, FOR loops,
 IF/ELSE conditionals, ALT rollback, geometry builtins and entity calls (and,
-in one program of ten, a malformed builtin call), then runs each through
-*both* execution paths — the tree-walking interpreter and the
-translate-to-Python pipeline — asserting:
+in one program of ten, a malformed builtin or entity call), then races the
+oracle :class:`~repro.verify.reference.TreeWalker`, which walks the syntax
+tree, against the production :class:`~repro.lang.Interpreter`, which runs
+the translated code, asserting:
 
-* neither path ever crashes ungracefully (only :class:`RuleError` /
-  :class:`EvalError` are acceptable failures, and both paths must agree);
+* neither ever crashes ungracefully (only :class:`RuleError` /
+  :class:`EvalError` are acceptable failures, and both must agree);
 * when both succeed, the resulting geometry is identical rect-for-rect,
   edge variable/fixed flags included.
 
@@ -24,16 +25,16 @@ from typing import List, Optional, Tuple
 from ..compact import Compactor
 from ..db import LayoutObject
 from ..geometry import Direction
-from ..lang import Interpreter, translate
+from ..lang import Interpreter
 from ..lang.errors import EvalError, PldlError
-from ..lang.runtime import Runtime
 from ..obs import get_tracer
 from ..tech import RuleError, Technology
+from .reference import TreeWalker
 
-#: Failure classes both execution paths may legitimately raise.
+#: Failure classes both executors may legitimately raise.
 GRACEFUL = (RuleError, EvalError)
 
-#: Share of programs that get one malformed builtin call.
+#: Share of programs that get one malformed builtin or entity call.
 MALFORMED_RATE = 0.1
 
 
@@ -44,17 +45,23 @@ class _ProgramBuilder:
     """One random program; all choices come from the shared ``rng``."""
 
     LAYERS = ("poly", "metal1", "metal2")
-    #: Wrong arity and unknown keywords: the translator rejects these when it
-    #: translates, the interpreter when it reaches the call, so they open
-    #: Main, which the interpreter always reaches first.
+    #: Wrong arity, unknown or repeated keywords and missing parameters:
+    #: the interpreter rejects these when it loads the source, the oracle
+    #: when it reaches the call, so they open Main, which the oracle always
+    #: reaches first.  A program without helpers calls Sub0 as an unknown
+    #: function instead.
     SHAPE_ERRORS = (
         'SPACERULE("poly")',
         'LABEL("x", 0, 0)',
         'INBOX("poly", 1, 1, "n", FALSE, 1)',
         'INBOX("poly", bogus = 1)',
         "x = ABS(x = 1)",
+        "x = Main(1)",
+        "x = Main(bogus = 1)",
+        "x = Sub0()",
+        "x = Sub0(1, p = 2)",
     )
-    #: Wrong argument types and a zero divisor fail when run on both paths,
+    #: Wrong argument types and a zero divisor fail when run on both,
     #: so they go anywhere in Main.
     VALUE_ERRORS = (
         "INBOX(3, 2, 2)",
@@ -187,7 +194,7 @@ class _ProgramBuilder:
         lines = [f"{pad}ALT"]
         branches = rng.randint(2, 3)
         # Usually the last branch succeeds; sometimes all fail, which must
-        # surface as the same graceful RuleError on both execution paths.
+        # surface as the same graceful RuleError on both executors.
         all_fail = rng.random() < 0.15
         for index in range(branches):
             if index:
@@ -213,7 +220,7 @@ class _ProgramBuilder:
         return lines
 
     def malform(self, lines: List[str]) -> None:
-        """Insert one malformed builtin call into Main's *lines*."""
+        """Insert one malformed builtin or entity call into Main's *lines*."""
         rng = self.rng
         if rng.random() < 0.5:
             lines.insert(1, "  " + rng.choice(self.SHAPE_ERRORS))
@@ -285,12 +292,10 @@ def _run_interpreter(source: str, entry: str, tech: Technology):
     return interp.call(entry)
 
 
-def _run_translated(source: str, entry: str, tech: Technology):
-    code = translate(source)
-    namespace: dict = {}
-    exec(compile(code, "<fuzz>", "exec"), namespace)
-    runtime = Runtime(tech, Compactor())
-    return namespace[entry](runtime)
+def _run_oracle(source: str, entry: str, tech: Technology):
+    walker = TreeWalker(tech, Compactor())
+    walker.load(source)
+    return walker.call(entry)
 
 
 def run_fuzz_case(case: int, seed: int, tech: Technology) -> FuzzResult:
@@ -300,12 +305,12 @@ def run_fuzz_case(case: int, seed: int, tech: Technology) -> FuzzResult:
     source, entry = generate_program(rng)
 
     outcomes = []
-    for runner in (_run_interpreter, _run_translated):
+    for runner in (_run_oracle, _run_interpreter):
         try:
             outcomes.append(("ok", _geometry(runner(source, entry, tech))))
         except GRACEFUL as error:
             outcomes.append((type(error).__name__, str(error)))
-        except PldlError as error:  # parse errors must hit both paths alike
+        except PldlError as error:  # parse errors must hit both alike
             outcomes.append((type(error).__name__, str(error)))
         except Exception as error:  # noqa: BLE001 — the point of the fuzzer
             return FuzzResult(
@@ -319,15 +324,15 @@ def run_fuzz_case(case: int, seed: int, tech: Technology) -> FuzzResult:
             return FuzzResult(case, case_seed, "ok")
         return FuzzResult(
             case, case_seed, "diverged",
-            f"geometry differs: interpreter={payload_a!r}"
-            f" translated={payload_b!r}", source,
+            f"geometry differs: oracle={payload_a!r}"
+            f" interpreter={payload_b!r}", source,
         )
     if kind_a == kind_b:
         return FuzzResult(case, case_seed, "graceful", f"{kind_a}: {payload_a}")
     return FuzzResult(
         case, case_seed, "diverged",
-        f"interpreter={kind_a}({payload_a!r})"
-        f" translated={kind_b}({payload_b!r})", source,
+        f"oracle={kind_a}({payload_a!r})"
+        f" interpreter={kind_b}({payload_b!r})", source,
     )
 
 

@@ -33,13 +33,19 @@ The equivalence suites and the benchmarks race the two.  Nothing outside
   scan redone from ``main.rects``, through :func:`frontier_filter` and
   :func:`gather_constraints`; :class:`repro.compact.Compactor`, which
   reads the main object's rect store, must produce identical geometry.
+* :class:`TreeWalker` — the PLDL executed by walking its syntax tree, one
+  statement and expression at a time, checking each call when it is
+  reached.  :class:`repro.lang.Interpreter`, which translates and compiles
+  the source, must build the same geometry or raise the same error class.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 from ..compact import (
     Compactor,
@@ -62,6 +68,10 @@ from ..drc.checker import (
 )
 from ..drc.violations import Violation
 from ..geometry import Direction, Rect, bounding_box, covered_by
+from ..lang import ast_nodes as ast
+from ..lang.errors import EvalError
+from ..lang.parser import parse
+from ..lang.runtime import MAX_CALL_DEPTH, Runtime, TraceHook, check_call
 from ..obs import get_tracer
 from ..opt import OrderResult, Rating, Step
 from ..opt.order import state_key
@@ -72,6 +82,7 @@ __all__ = [
     "CHECKS_BRUTE",
     "ReplayOrderOptimizer",
     "ScanCompactor",
+    "TreeWalker",
     "check_areas_brute",
     "check_enclosures_brute",
     "check_extensions_brute",
@@ -657,3 +668,232 @@ class ScanCompactor(Compactor):
             if spacing is not None and bridge.grown(spacing).intersects(rect):
                 return True
         return False
+
+
+class _Frame:
+    """One entity invocation: its variables and structure under construction."""
+
+    def __init__(self, obj: Optional[LayoutObject]) -> None:
+        self.obj = obj
+        self.vars: Dict[str, Any] = {}
+
+
+class TreeWalker:
+    """The PLDL interpreted by walking its syntax tree, on a :class:`Runtime`.
+
+    Same public surface as :class:`repro.lang.Interpreter` (``load``,
+    ``run``, ``call``, the trace hook).  Nothing is checked before it runs:
+    a malformed call is an :class:`EvalError` when it is reached.  Entity
+    bodies see their parameters, their own variables and the directions.
+    """
+
+    def __init__(
+        self,
+        tech: Technology,
+        compactor: Optional[Compactor] = None,
+        trace: Optional[TraceHook] = None,
+    ) -> None:
+        self.tech = tech
+        self.runtime = Runtime(tech, compactor)
+        self.trace = trace
+        self.entities: Dict[str, ast.Entity] = {}
+        self.globals = _Frame(None)
+        self._counters: Dict[str, int] = {}
+        self._depth = 0
+
+    def load(self, source: str) -> ast.Program:
+        """Parse *source* and register its entities (no execution)."""
+        program = parse(source)
+        for entity in program.entities:
+            self.entities[entity.name] = entity
+        return program
+
+    def run(self, source: str) -> Dict[str, Any]:
+        """Load *source*, execute its top-level statements, return globals."""
+        for statement in self.load(source).statements:
+            self._exec(statement, self.globals)
+        return self.globals.vars
+
+    def call(self, entity_name: str, **kwargs: Any) -> LayoutObject:
+        """Invoke a loaded entity from Python (dimensions in microns)."""
+        entity = self.entities.get(entity_name)
+        if entity is None:
+            raise EvalError(f"unknown entity {entity_name!r}")
+        return self._call_entity(entity, [], list(kwargs.items()), line=entity.line)
+
+    # ------------------------------------------------------------------
+    def _exec(self, statement: ast.Statement, frame: _Frame) -> None:
+        try:
+            if isinstance(statement, ast.Assign):
+                frame.vars[statement.target] = self._eval(statement.value, frame)
+            elif isinstance(statement, ast.ExprStatement):
+                self._eval(statement.value, frame)
+            elif isinstance(statement, ast.If):
+                branch = (
+                    statement.then_body
+                    if self._eval(statement.condition, frame)
+                    else statement.else_body
+                )
+                for inner in branch:
+                    self._exec(inner, frame)
+            elif isinstance(statement, ast.For):
+                self._exec_for(statement, frame)
+            elif isinstance(statement, ast.Alt):
+                self._exec_alt(statement, frame)
+            else:  # pragma: no cover - parser produces no other nodes
+                raise EvalError(f"unknown statement {statement!r}", statement.line)
+        except EvalError as error:
+            # The runtime does not know source lines; the statement does.
+            if error.line is not None:
+                raise
+            raise EvalError(str(error), statement.line) from None
+        if self.trace is not None:
+            self.trace(statement.line, frame.obj)
+
+    def _exec_for(self, statement: ast.For, frame: _Frame) -> None:
+        values = self.runtime.frange(
+            self._eval(statement.start, frame),
+            self._eval(statement.stop, frame),
+            self._eval(statement.step, frame) if statement.step is not None else 1.0,
+        )
+        for value in values:
+            frame.vars[statement.var] = value
+            for inner in statement.body:
+                self._exec(inner, frame)
+
+    def _exec_alt(self, statement: ast.Alt, frame: _Frame) -> None:
+        """Backtracking: try branches until one satisfies all design rules.
+
+        The runtime snapshots and rolls back the variables it is given the
+        names of; the live key view names every variable of the frame.
+        """
+
+        def branch(body: Sequence[ast.Statement]) -> Callable[[], None]:
+            def run() -> None:
+                for inner in body:
+                    self._exec(inner, frame)
+
+            return run
+
+        self.runtime.alt(
+            frame.obj,  # type: ignore[arg-type] - the parser keeps ALT in entities
+            [branch(body) for body in statement.branches],
+            frame.vars,
+            frame.vars.keys(),
+            statement.line,
+        )
+
+    # ------------------------------------------------------------------
+    def _eval(self, expr: ast.Expr, frame: _Frame) -> Any:
+        if isinstance(expr, (ast.Number, ast.String, ast.Boolean)):
+            return expr.value
+        if isinstance(expr, ast.Nil):
+            return None
+        if isinstance(expr, ast.Name):
+            return self._lookup(expr, frame)
+        if isinstance(expr, ast.Attribute):
+            return self.runtime.attr(self._eval(expr.value, frame), expr.attr)
+        if isinstance(expr, ast.Unary):
+            return self._unary(expr, frame)
+        if isinstance(expr, ast.Binary):
+            return self._binary(expr, frame)
+        if isinstance(expr, ast.Call):
+            return self._call(expr, frame)
+        raise EvalError(f"unknown expression {expr!r}", expr.line)
+
+    def _lookup(self, expr: ast.Name, frame: _Frame) -> Any:
+        if expr.ident in frame.vars:
+            return frame.vars[expr.ident]
+        try:
+            return Direction.from_name(expr.ident)
+        except ValueError:
+            pass
+        raise EvalError(f"unknown name {expr.ident!r}", expr.line)
+
+    def _unary(self, expr: ast.Unary, frame: _Frame) -> Any:
+        value = self._eval(expr.operand, frame)
+        if expr.op == "-":
+            return self.runtime.arith("-", value)
+        if expr.op == "NOT":
+            return not value
+        raise EvalError(f"unknown unary operator {expr.op!r}", expr.line)
+
+    def _binary(self, expr: ast.Binary, frame: _Frame) -> Any:
+        if expr.op == "AND":
+            return bool(self._eval(expr.left, frame)) and bool(
+                self._eval(expr.right, frame)
+            )
+        if expr.op == "OR":
+            return bool(self._eval(expr.left, frame)) or bool(
+                self._eval(expr.right, frame)
+            )
+        left = self._eval(expr.left, frame)
+        right = self._eval(expr.right, frame)
+        if expr.op == "==":
+            return left == right
+        if expr.op == "!=":
+            return left != right
+        if expr.op in ("+", "-", "*", "/", "<", ">", "<=", ">="):
+            return self.runtime.arith(expr.op, left, right)
+        raise EvalError(f"unknown operator {expr.op!r}", expr.line)
+
+    def _call(self, expr: ast.Call, frame: _Frame) -> Any:
+        args = [self._eval(arg, frame) for arg in expr.args]
+        kwargs = [(key, self._eval(value, frame)) for key, value in expr.kwargs]
+
+        entity = self.entities.get(expr.func)
+        if entity is not None:
+            return self._call_entity(entity, args, kwargs, expr.line)
+
+        spec = check_call(
+            expr.func, len(args), [key for key, _ in kwargs], frame.obj is not None,
+            expr.line,
+        )
+        if spec.structure is not None:
+            args.insert(0, frame.obj)
+        return getattr(self.runtime, expr.func)(*args, **dict(kwargs))
+
+    def _call_entity(
+        self,
+        entity: ast.Entity,
+        args: Sequence[Any],
+        kwargs: Sequence[Tuple[str, Any]],
+        line: int,
+    ) -> LayoutObject:
+        if len(args) > len(entity.params):
+            raise EvalError(f"{entity.name}: too many positional arguments", line)
+        bound: Dict[str, Any] = {}
+        for param, value in zip(entity.params, args):
+            bound[param.name] = value
+        for key, value in kwargs:
+            if all(param.name != key for param in entity.params):
+                raise EvalError(f"{entity.name}: unknown parameter {key!r}", line)
+            if key in bound:
+                raise EvalError(f"{entity.name}: parameter {key!r} given twice", line)
+            bound[key] = value
+        for param in entity.params:
+            if param.name not in bound:
+                if not param.optional:
+                    raise EvalError(
+                        f"{entity.name}: missing required parameter {param.name!r}",
+                        line,
+                    )
+                bound[param.name] = None
+
+        if self._depth >= MAX_CALL_DEPTH:
+            raise EvalError(
+                f"{entity.name}: entity call depth exceeds {MAX_CALL_DEPTH}"
+                " (recursive module definition?)",
+                line,
+            )
+        index = self._counters.get(entity.name, 0)
+        self._counters[entity.name] = index + 1
+        inner = _Frame(LayoutObject(f"{entity.name}_{index}", self.tech))
+        inner.vars.update(bound)
+        self._depth += 1
+        try:
+            for statement in entity.body:
+                self._exec(statement, inner)
+        finally:
+            self._depth -= 1
+        return inner.obj  # type: ignore[return-value]

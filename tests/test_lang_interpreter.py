@@ -300,3 +300,31 @@ def test_entity_instances_get_unique_names(tech):
     a = i.call("ContactRow", layer="poly")
     b = i.call("ContactRow", layer="poly")
     assert a.name != b.name
+
+
+def test_malformed_call_fails_at_load_even_if_never_run(tech):
+    """Load translates the whole source, so a branch never taken is checked."""
+    source = 'ENT E()\n  IF FALSE\n    INBOX("poly", bogus = 1)\n  ENDIF\nEND\n'
+    with pytest.raises(EvalError) as error:
+        interp(tech).load(source)
+    assert error.value.line == 3
+
+
+@pytest.mark.parametrize("source", [
+    "ENT main()\nEND\n",
+    "ENT E(rt)\nEND\n",
+    "ENT F()\nEND\nENT E(F)\nEND\n",
+    "ENT E(_x)\nEND\n",
+])
+def test_names_the_generated_code_needs_are_rejected(tech, source):
+    with pytest.raises(EvalError):
+        interp(tech).load(source)
+
+
+def test_variables_may_take_any_name(tech):
+    """Variables live in a dict, so Python keywords and generated names work."""
+    result = interp(tech).run(
+        "ENT Row()\n  INBOX(\"poly\", 2, 2)\nEND\n"
+        "from = 1\nobj = 2\nv = from + obj\nRow = Row()\n"
+    )
+    assert result["v"] == 3 and isinstance(result["Row"], LayoutObject)

@@ -1,9 +1,11 @@
-"""The interpreter and translated code agree on every builtin, valid or not.
+"""The interpreter and the tree-walking oracle agree, valid program or not.
 
-Each case runs through both execution paths of the fuzzer.  Both must raise
-the same exception class, or both must build the same geometry, edge
-variable/fixed flags included.  Valid cases must succeed; malformed ones
-must raise the class given.
+Each case runs through both runners of the fuzzer: the production
+:class:`~repro.lang.Interpreter` (translated code) and the oracle
+:class:`~repro.verify.reference.TreeWalker`.  Both must raise the same
+exception class, or both must build the same geometry, edge variable/fixed
+flags included.  Valid cases must succeed; malformed ones must raise the
+class given.
 """
 
 import inspect
@@ -13,11 +15,20 @@ import pytest
 from repro.geometry import Direction
 from repro.lang import BUILTIN_NAMES, EvalError, ParseError, Runtime, TokenKind, tokenize
 from repro.lang.runtime import BUILTINS
-from repro.verify.fuzzer import _geometry, _run_interpreter, _run_translated
+from repro.lang import Interpreter
+from repro.verify.fuzzer import _geometry, _run_interpreter, _run_oracle
+from repro.verify.reference import TreeWalker
 
 CELL = """
 ENT Cell()
   INBOX("poly", 2, 2, "a")
+END
+"""
+
+
+SIZED = """
+ENT Sized(w)
+  INBOX("poly", w, 2)
 END
 """
 
@@ -70,6 +81,9 @@ VALID = {
         'INBOX("poly", MOD(7, 4) + FLOOR(1.5) + ABS(-1), MIN(3, 2, 4) + MAX(1, 2))'
     ),
     "attributes": main("c = Cell()", 'INBOX("metal1", c.width, c.height + c.area)'),
+    "direction_shadowed_later": main(
+        "c = Cell()", "compact(c, NORTH)", "NORTH = 1", 'INBOX("poly", NORTH, 2)'
+    ),
     "for_down": main(
         "FOR i = 3 TO 1 STEP -1", '  WIRE("metal1", 0, i * 4, 5, i * 4)', "ENDFOR"
     ),
@@ -102,6 +116,28 @@ MALFORMED = {
     "divide_by_zero": (main("x = 1 / 0"), EvalError),
     "string_plus_number": (main('x = "a" + 1'), EvalError),
     "and_is_not_a_number": (main("x = 1 AND 2", 'INBOX("poly", x, 2)'), EvalError),
+    # Entity call shapes and names: rejected at load by the interpreter,
+    # when reached by the oracle.
+    "entity_unknown_keyword": (main("c = Cell(bogus = 1)"), EvalError),
+    "entity_too_many_positionals": (main("c = Cell(1)"), EvalError),
+    "entity_missing_required": (SIZED + main("c = Sized()"), EvalError),
+    "unknown_name": (main("x = missing"), EvalError),
+    "top_level_name_in_entity": (
+        "g = 2\n" + main('INBOX("poly", g, 2)'), EvalError
+    ),
+    "read_before_assignment": (
+        main("IF FALSE", "  x = 1", "ENDIF", 'INBOX("poly", x, 2)'), EvalError
+    ),
+    "read_after_rolled_back_alt": (
+        main(
+            "ALT", "  x = 2", '  ERROR("no")', "ELSEALT", '  INBOX("poly", 2, 2)',
+            "ENDALT", 'INBOX("poly", x, 2)',
+        ),
+        EvalError,
+    ),
+    "recursive_entity": (
+        "ENT Loop()\n  x = Loop()\nEND\n" + main("x = Loop()"), EvalError
+    ),
     "top_level_alt": (
         CELL + "ALT\n  x = Cell()\nENDALT\nENT Main()\n  INBOX(\"poly\", 2, 2)\nEND\n",
         ParseError,
@@ -119,17 +155,59 @@ def _outcome(runner, source, tech):
 
 @pytest.mark.parametrize("name", sorted(VALID))
 def test_valid_call_builds_the_same_on_both_paths(name, tech):
-    interpreted = _outcome(_run_interpreter, VALID[name], tech)
-    translated = _outcome(_run_translated, VALID[name], tech)
-    assert isinstance(interpreted, list), interpreted
-    assert interpreted == translated
+    oracle = _outcome(_run_oracle, VALID[name], tech)
+    production = _outcome(_run_interpreter, VALID[name], tech)
+    assert isinstance(oracle, list), oracle
+    assert oracle == production
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_call_raises_the_same_on_both_paths(name, tech):
     source, expected = MALFORMED[name]
+    assert _outcome(_run_oracle, source, tech) is expected
     assert _outcome(_run_interpreter, source, tech) is expected
-    assert _outcome(_run_translated, source, tech) is expected
+
+
+@pytest.mark.parametrize("runner", [_run_oracle, _run_interpreter])
+def test_runtime_error_carries_its_line(runner, tech):
+    """A runtime error names the innermost statement that raised it."""
+    source = SIZED + main("x = 1", "FOR i = 1 TO 2", "  y = MOD(1, i - 1)", "ENDFOR")
+    with pytest.raises(EvalError) as error:
+        runner(source, "Main", tech)
+    assert error.value.line == source.splitlines().index("    y = MOD(1, i - 1)") + 1
+    inner = "ENT Bad()\n  x = FLOOR(\"a\")\nEND\n" + main("b = Bad()")
+    with pytest.raises(EvalError) as error:
+        runner(inner, "Main", tech)
+    assert error.value.line == 2
+
+
+def test_trace_hook_sees_the_same_statements(tech):
+    """Both fire the hook after every statement, nested ones first."""
+    source = SIZED + main(
+        "FOR i = 1 TO 2",
+        "  IF i > 1",
+        '    INBOX("metal1", i, i)',
+        "  ENDIF",
+        "ENDFOR",
+        "ALT",
+        '  INBOX("poly", 4, 4)',
+        '  ERROR("no")',
+        "ELSEALT",
+        "  s = Sized(2)",
+        "  compact(s, WEST)",
+        "ENDALT",
+    ) + "m = Main()\n"
+    steps = []
+    for executor in (TreeWalker, Interpreter):
+        seen = []
+
+        def hook(line, obj, seen=seen):
+            seen.append((line, obj and obj.name, obj and len(obj.rects)))
+
+        executor(tech, trace=hook).run(source)
+        steps.append(seen)
+    assert steps[0] == steps[1]
+    assert len(steps[0]) >= 10
 
 
 def test_every_builtin_has_a_valid_call_case():
@@ -147,7 +225,7 @@ def test_every_builtin_has_a_valid_call_case():
 def test_variable_on_held_layer_name_marks_poly(tech):
     """``VARIABLE(l)`` with ``l = "poly"`` targets the entity structure."""
     source = main('l = "poly"', "INBOX(l, 2, 2)", "VARIABLE(l)")
-    for runner in (_run_interpreter, _run_translated):
+    for runner in (_run_oracle, _run_interpreter):
         rect = runner(source, "Main", tech).rects_on("poly")[0]
         assert rect.edge_variable(Direction.NORTH)
 
@@ -156,5 +234,5 @@ def test_table_keywords_match_runtime_signatures():
     """A keyword builtin's table row names its method's parameters."""
     for name, spec in BUILTINS.items():
         if spec.keywords is not None:
-            params = inspect.signature(getattr(Runtime, spec.method)).parameters
+            params = inspect.signature(getattr(Runtime, name)).parameters
             assert tuple(params)[2:] == spec.keywords, name  # after self, obj

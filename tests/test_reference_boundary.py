@@ -1,11 +1,12 @@
 """Production code never reaches for the test oracles.
 
 :mod:`repro.verify.reference` holds the slow all-pairs twins of the fast
-paths (brute DRC checks, brute connectivity, the from-scratch compactor).
-They are oracles for tests and benchmarks only: no module under
-``src/repro`` outside ``repro/verify/`` may import that module, and none
-may define or export a brute twin of its own (nor the from-scratch
-compaction scans ``frontier_filter`` and ``gather_constraints``).
+paths (brute DRC checks, brute connectivity, the from-scratch compactor,
+the PLDL tree walker).  They are oracles for tests and benchmarks only: no
+module under ``src/repro`` outside ``repro/verify/`` may import that
+module, and none may define or export a brute twin of its own (nor the
+from-scratch compaction scans ``frontier_filter`` and ``gather_constraints``,
+nor a ``TreeWalker``).
 """
 
 import ast
@@ -19,7 +20,7 @@ REFERENCE = "repro.verify.reference"
 #: Names only the oracle module may define or export.
 ORACLE_NAMES = (
     "*_brute", "_Components", "CHECKS_BRUTE", "_enclosed_by_any",
-    "frontier_filter", "gather_constraints",
+    "frontier_filter", "gather_constraints", "TreeWalker",
 )
 
 

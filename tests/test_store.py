@@ -148,7 +148,6 @@ def _check_equals_scratch(obj):
     for layer, bucket in fresh.buckets.items():
         mine = store.buckets[layer]
         assert mine.seqs == bucket.seqs
-        assert bucket.nets <= mine.nets  # grow-only
         if mine.envelope is not None:  # built on demand, then grow-only
             e, f = mine.envelope, fresh.envelope(layer)
             assert e[0] <= f[0] and e[1] <= f[1]

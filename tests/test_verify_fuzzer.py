@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.verify import fuzz, generate_program, run_fuzz_case
-from repro.verify.fuzzer import _run_interpreter, _run_translated, _geometry
+from repro.verify.fuzzer import _geometry, _run_interpreter, _run_oracle
 
 
 def test_generated_programs_are_seeded(tech):
@@ -39,8 +39,8 @@ def test_fuzz_smoke_no_failures(tech):
 
 def _both_paths(source, tech):
     return (
+        _geometry(_run_oracle(source, "Main", tech)),
         _geometry(_run_interpreter(source, "Main", tech)),
-        _geometry(_run_translated(source, "Main", tech)),
     )
 
 
@@ -92,8 +92,8 @@ def test_alt_rollback_nested_regression(tech):
 
 def test_alt_rolls_back_unbound_names(tech):
     """A variable first assigned inside a failing branch must be unbound
-    again in the interpreter; the translation maps that to None.  Either
-    way, later branches must not observe the dead write."""
+    again, in the oracle and in the translated code alike, so later
+    branches cannot observe the dead write."""
     source = (
         "ENT Main()\n"
         "  ALT\n"

@@ -130,8 +130,12 @@ def _race(label, obj, lines, report):
     # wiring); geometry and violations are stable, but early-break scan
     # counts are order-sensitive.  Normalise so the counters diff exactly
     # against the committed baseline on any machine.
-    obj.rects.sort(key=lambda r: (r.layer, r.x1, r.y1, r.x2, r.y2, r.net or ""))
-    obj.invalidate_index()
+    ordered = LayoutObject(obj.name, obj.tech)
+    for rect in sorted(
+        obj.rects, key=lambda r: (r.layer, r.x1, r.y1, r.x2, r.y2, r.net or "")
+    ):
+        ordered.add_rect(rect.copy())
+    obj = ordered
     brute, brute_entry = _traced(
         lambda: run_drc_brute(obj, include_latchup=False)
     )

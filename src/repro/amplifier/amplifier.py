@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 from ..compact import Compactor
 from ..db import ConnectivityIndex, LayoutObject, capacitance_report
 from ..drc import run_drc
-from ..geometry import Rect, bounding_box
+from ..geometry import Rect
 from ..library import substrate_ring
 from ..obs.provenance import provenance_entity
 from ..route import via_stack, wire
@@ -111,8 +111,6 @@ def _substrate_strips(
     the protection into the interior, one per inter-row channel, so the
     temporary rectangles of Fig. 1 cover every active area.
     """
-    from ..db import ArrayLink
-
     box = amp.bbox()
     assert box is not None
     width = tech.min_width("subcontact")
@@ -148,9 +146,8 @@ def _substrate_strips(
         # The diffusion strip runs continuously (only the subcontact layer
         # matters for Fig. 1); the metal is segmented around any global
         # verticals crossing the channel so nothing shorts.
-        strip_diff = amp.add_rect(
-            Rect(box.x1, y1, box.x2, y2, "subcontact", "sub")
-        )
+        amp.add_rect(Rect(box.x1, y1, box.x2, y2, "subcontact", "sub"))
+        strip_diff = len(amp.rects) - 1
         blockers = sorted(
             (r.x1 - m1s, r.x2 + m1s)
             for r in amp.rects_on("metal1")
@@ -166,15 +163,9 @@ def _substrate_strips(
         for sx1, sx2 in segments:
             if sx2 - sx1 < min_len:
                 continue
-            metal = amp.add_rect(Rect(sx1, y1, sx2, y2, "metal1", "sub"))
-            link = ArrayLink(
-                "contact", cut, space, [(strip_diff, enc), (metal, enc)], "sub"
-            )
-            link.rebuild()
-            link.stamp_provenance()
-            for rect in link.rects:
-                amp.rects.append(rect)
-            amp.add_link(link)
+            amp.add_rect(Rect(sx1, y1, sx2, y2, "metal1", "sub"))
+            outers = [(strip_diff, enc), (len(amp.rects) - 1, enc)]
+            amp.add_array("contact", cut, space, outers, "sub")
 
 
 def _global_routing(amp: LayoutObject, tech: Technology, margin: int) -> None:

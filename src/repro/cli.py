@@ -40,8 +40,9 @@ from typing import Any, Dict, List, Optional
 from .core import DesignSession, Environment
 from .db import LayoutObject
 from .drc import format_report, run_drc
-from .io import dumps_object, read_gds, render_svg, write_gds, write_svg
+from .io import dumps_object, read_gds, write_gds, write_svg
 from .io.textdump import load_object
+from .lang import PldlError
 from .obs import (
     ChromeTraceSink,
     ProvenanceRecorder,
@@ -157,7 +158,11 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     env = Environment(tech=_resolve_tech(args.tech))
-    result = env.run(Path(args.source).read_text(encoding="utf-8"))
+    try:
+        result = env.run(Path(args.source).read_text(encoding="utf-8"))
+    except PldlError as error:  # "<file>: line N: message", no traceback
+        print(f"{args.source}: {error}", file=sys.stderr)
+        return 1
     dbu = env.tech.dbu_per_micron
     for name, value in result.items():
         if isinstance(value, LayoutObject):
@@ -170,7 +175,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_translate(args: argparse.Namespace) -> int:
     env = Environment(tech=_resolve_tech(args.tech))
-    code = env.translate(Path(args.source).read_text(encoding="utf-8"))
+    try:
+        code = env.translate(Path(args.source).read_text(encoding="utf-8"))
+    except PldlError as error:
+        print(f"{args.source}: {error}", file=sys.stderr)
+        return 1
     if args.output:
         Path(args.output).write_text(code, encoding="utf-8")
         log.info("wrote %s", args.output)

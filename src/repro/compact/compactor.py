@@ -146,10 +146,11 @@ class Compactor:
         result.shrunk_edges = shrunk
 
         obj.translate(direction.dx * travel, direction.dy * travel)
+        start = len(main.rects)
         result.merged_rects = main.merge(obj)
 
         if self.auto_connect:
-            result.connected = self._auto_connect(main, result.merged_rects, direction)
+            result.connected = self._auto_connect(main, start, direction)
         return result
 
     # ------------------------------------------------------------------
@@ -189,7 +190,8 @@ class Compactor:
             # If any binding constraint involves only fixed edges, no amount
             # of shrinking elsewhere can increase the travel: stop here.
             if any(
-                not self._constraint_relaxable(direction, c) for c in binding
+                not self._constraint_relaxable(main, obj, direction, c)
+                for c in binding
             ):
                 return travel, shrunk
             moved = False
@@ -211,20 +213,21 @@ class Compactor:
         direction: Direction,
         ignore: Tuple[str, ...],
     ) -> List[PairConstraint]:
-        moving = obj.nonempty_rects
+        moving = obj.rects
         tracer = get_tracer()
         store = main.store()
         arrival_nets = frozenset(
-            rect.net for rect in moving if rect.net is not None
+            rect.net for rect in moving
+            if rect.net is not None and not rect.is_empty
         )
         groups = frontier_groups(store, direction, arrival_nets)
-        survivors = sum(len(rects) for _, rects in groups)
+        survivors = sum(len(seqs) for _, seqs in groups)
         tracer.count("compact.frontier_dropped", store.nonempty - survivors)
         groups = self._prune_window(
-            main.tech, moving, groups, direction, ignore, tracer
+            main.tech, moving, main.rects, groups, direction, ignore, tracer
         )
         constraints = gather_constraints_grouped(
-            main.tech, moving, groups, direction, ignore
+            main.tech, moving, main.rects, groups, direction, ignore
         )
         tracer.count("compact.constraints", len(constraints))
         return constraints
@@ -233,12 +236,13 @@ class Compactor:
     def _prune_window(
         tech,
         moving: Sequence[Rect],
-        groups: List[Tuple[str, List[Rect]]],
+        fixed: Sequence[Rect],
+        groups: List[Tuple[str, List[int]]],
         direction: Direction,
         ignore: Tuple[str, ...],
         tracer,
-    ) -> List[Tuple[str, List[Rect]]]:
-        """Drop frontier rects the arriving object cannot reach sideways.
+    ) -> List[Tuple[str, List[int]]]:
+        """Drop frontier seqs (into *fixed*) the arrival cannot reach sideways.
 
         A pair only constrains motion when the perpendicular spans, grown by
         the pair's spacing, overlap.  With ``[lo, hi]`` the union of the
@@ -265,14 +269,14 @@ class Compactor:
         if lo is None:
             tracer.count(
                 "compact.index_window_dropped",
-                sum(len(rects) for _, rects in groups),
+                sum(len(seqs) for _, seqs in groups),
             )
             return []
         dropped = 0
-        pruned: List[Tuple[str, List[Rect]]] = []
+        pruned: List[Tuple[str, List[int]]] = []
         horizontal = perp is Axis.HORIZONTAL
         table = tech.table
-        for flayer, frects in groups:
+        for flayer, fseqs in groups:
             if flayer in ignore:
                 continue  # gather skips the whole group anyway
             margin = None
@@ -285,15 +289,15 @@ class Compactor:
                     margin = spacing
             if margin is None:
                 # No moving layer can constrain against this fixed layer.
-                dropped += len(frects)
+                dropped += len(fseqs)
                 continue
             wlo = lo - margin
             whi = hi + margin
             if horizontal:
-                keep = [r for r in frects if wlo < r.x2 and r.x1 < whi]
+                keep = [s for s in fseqs if wlo < fixed[s].x2 and fixed[s].x1 < whi]
             else:
-                keep = [r for r in frects if wlo < r.y2 and r.y1 < whi]
-            dropped += len(frects) - len(keep)
+                keep = [s for s in fseqs if wlo < fixed[s].y2 and fixed[s].y1 < whi]
+            dropped += len(fseqs) - len(keep)
             if keep:
                 pruned.append((flayer, keep))
         tracer.count("compact.index_window_dropped", dropped)
@@ -313,26 +317,26 @@ class Compactor:
         return (face - lead) * sign
 
     def _constraint_relaxable(
-        self, direction: Direction, constraint: PairConstraint
+        self,
+        main: LayoutObject,
+        obj: LayoutObject,
+        direction: Direction,
+        constraint: PairConstraint,
     ) -> bool:
         """True when some variable edge could weaken this constraint."""
+        moving = obj.rects[constraint.moving]
+        fixed = main.rects[constraint.fixed]
         perp = direction.axis.other
-        a1, a2 = constraint.moving.span(perp)
-        b1, b2 = constraint.fixed.span(perp)
+        a1, a2 = moving.span(perp)
+        b1, b2 = fixed.span(perp)
         if a2 <= b1 or b2 <= a1:  # corner conflict: perpendicular edges
             neg_dir, pos_dir = direction.perpendiculars
             if a2 <= b1:
-                return (
-                    constraint.fixed.edge_variable(neg_dir)
-                    or constraint.moving.edge_variable(pos_dir)
-                )
-            return (
-                constraint.fixed.edge_variable(pos_dir)
-                or constraint.moving.edge_variable(neg_dir)
-            )
+                return fixed.edge_variable(neg_dir) or moving.edge_variable(pos_dir)
+            return fixed.edge_variable(pos_dir) or moving.edge_variable(neg_dir)
         return (
-            constraint.fixed.edge_variable(direction.opposite)
-            or constraint.moving.edge_variable(direction)
+            fixed.edge_variable(direction.opposite)
+            or moving.edge_variable(direction)
         )
 
     def _relax_constraint(
@@ -359,8 +363,8 @@ class Compactor:
         Returns True when an edge actually moved.
         """
         perp = direction.axis.other
-        a1, a2 = constraint.moving.span(perp)
-        b1, b2 = constraint.fixed.span(perp)
+        a1, a2 = obj.rects[constraint.moving].span(perp)
+        b1, b2 = main.rects[constraint.fixed].span(perp)
         if a2 <= b1 or b2 <= a1:
             return self._relax_corner(main, obj, direction, constraint)
         return self._relax_facing(main, obj, direction, constraint, travel, target)
@@ -387,25 +391,26 @@ class Compactor:
         else:
             delta = None  # move to the limit
 
-        fixed, moving = constraint.fixed, constraint.moving
+        fixed_seq, moving_seq = constraint.fixed, constraint.moving
+        fixed, moving = main.rects[fixed_seq], obj.rects[moving_seq]
         if fixed.edge_variable(fixed_edge_dir):
             face = fixed.edge_coord(fixed_edge_dir)
             goal = (
-                main.shrink_limit(fixed, fixed_edge_dir)
+                main.shrink_limit(fixed_seq, fixed_edge_dir)
                 if delta is None
                 else face + sign * delta
             )
-            achieved = main.move_edge(fixed, fixed_edge_dir, goal)
+            achieved = main.move_edge(fixed_seq, fixed_edge_dir, goal)
             if achieved != face:
                 return True
         if moving.edge_variable(moving_edge_dir):
             lead = moving.edge_coord(moving_edge_dir)
             goal = (
-                obj.shrink_limit(moving, moving_edge_dir)
+                obj.shrink_limit(moving_seq, moving_edge_dir)
                 if delta is None
                 else lead - sign * delta
             )
-            achieved = obj.move_edge(moving, moving_edge_dir, goal)
+            achieved = obj.move_edge(moving_seq, moving_edge_dir, goal)
             return achieved != lead
         return False
 
@@ -424,24 +429,24 @@ class Compactor:
         """
         perp = direction.axis.other
         spacing = constraint.spacing
-        moving, fixed = constraint.moving, constraint.fixed
-        a1, a2 = moving.span(perp)
-        b1, b2 = fixed.span(perp)
+        a1, a2 = obj.rects[constraint.moving].span(perp)
+        b1, b2 = main.rects[constraint.fixed].span(perp)
         neg_dir, pos_dir = direction.perpendiculars
 
-        candidates = []  # (owner, rect, edge direction, goal coordinate)
+        candidates = []  # (owner, seq, edge direction, goal coordinate)
         if a2 <= b1:  # moving sits on the low side of fixed
-            candidates.append((main, fixed, neg_dir, a2 + spacing))
-            candidates.append((obj, moving, pos_dir, b1 - spacing))
+            candidates.append((main, constraint.fixed, neg_dir, a2 + spacing))
+            candidates.append((obj, constraint.moving, pos_dir, b1 - spacing))
         else:  # b2 <= a1: moving sits on the high side
-            candidates.append((main, fixed, pos_dir, a1 - spacing))
-            candidates.append((obj, moving, neg_dir, b2 + spacing))
+            candidates.append((main, constraint.fixed, pos_dir, a1 - spacing))
+            candidates.append((obj, constraint.moving, neg_dir, b2 + spacing))
 
-        for owner, rect, edge_dir, goal in candidates:
+        for owner, seq, edge_dir, goal in candidates:
+            rect = owner.rects[seq]
             if not rect.edge_variable(edge_dir):
                 continue
             before = rect.edge_coord(edge_dir)
-            achieved = owner.move_edge(rect, edge_dir, goal)
+            achieved = owner.move_edge(seq, edge_dir, goal)
             if achieved != before:
                 return True
         return False
@@ -450,24 +455,27 @@ class Compactor:
     # same-potential auto-connection (Fig. 5a)
     # ------------------------------------------------------------------
     def _auto_connect(
-        self, main: LayoutObject, new_rects: Sequence[Rect], direction: Direction
+        self, main: LayoutObject, start: int, direction: Direction
     ) -> int:
         """Stretch same-net, same-layer rects across axis gaps to connect.
 
+        The arrivals are the rects merged into *main* from seq *start* on.
         "The geometries of these layers are connected automatically after the
         compaction if they are on the same potential."  The stretch is only
         applied when the bridging strip does not cross foreign geometry on
         the same layer (which would create a short).
         """
-        residents = self._residents(main, new_rects)
+        rects = main.rects
+        residents = self._residents(main, start)
         connected = 0
         perp = direction.axis.other
         sign = 1 if direction.is_positive else -1
 
-        for arrival in new_rects:
+        for arrival in rects[start:]:
             if arrival.net is None or arrival.is_empty:
                 continue
-            for resident in residents.get((arrival.net, arrival.layer), ()):
+            for seq in residents.get((arrival.net, arrival.layer), ()):
+                resident = rects[seq]
                 # Stretching moves the resident's whole edge, so the landing
                 # must cover the resident's full perpendicular span —
                 # otherwise the stretch would spill past the arrival.
@@ -490,7 +498,7 @@ class Compactor:
                     continue
                 if self._bridge_blocked(main, bridge, arrival.net):
                     continue
-                main.move_stretch(resident, direction.opposite, lead)
+                main.move_stretch(seq, direction.opposite, lead)
                 if resident.prov is not None and arrival.prov is not None:
                     resident.prov = resident.prov.derived(
                         "auto_connect", arrival.prov
@@ -518,27 +526,26 @@ class Compactor:
         return Rect(lo, coords[0], hi, coords[1], resident.layer, resident.net)
 
     def _residents(
-        self, main: LayoutObject, new_rects: Sequence[Rect]
-    ) -> Dict[Tuple[str, str], List[Rect]]:
-        """(net, layer) -> non-empty residents of *main* the arrivals may join.
+        self, main: LayoutObject, start: int
+    ) -> Dict[Tuple[str, str], List[int]]:
+        """(net, layer) -> seqs of the non-empty residents of *main* (those
+        before seq *start*) the arrivals (the rest) may join.
 
         Only same-net same-layer pairs can connect, so the arrival loop
         skips everything else.  The store already keeps those buckets;
         fetch (and filter, before the loop) only the keys arrivals ask for.
         """
-        new_ids = set(map(id, new_rects))
         store = main.store()
-        rects, live = store.rects, store.live
-        residents: Dict[Tuple[str, str], List[Rect]] = {}
-        for rect in new_rects:
+        live = store.live
+        residents: Dict[Tuple[str, str], List[int]] = {}
+        for rect in main.rects[start:]:
             if rect.net is None or rect.is_empty:
                 continue
             key = (rect.net, rect.layer)
             if key not in residents:
                 residents[key] = [
-                    rects[seq]
-                    for seq in store.net_seqs.get(key, ())
-                    if live[seq] and id(rects[seq]) not in new_ids
+                    seq for seq in store.net_seqs.get(key, ())
+                    if seq < start and live[seq]
                 ]
         return residents
 

@@ -29,20 +29,20 @@ __all__ = ["bridge_blocked", "frontier_groups"]
 
 def frontier_groups(
     store: RectStore, direction: Direction, arrival_nets: FrozenSet[str]
-) -> List[Tuple[str, List[Rect]]]:
-    """Per-layer frontier survivors, ``[(layer, rects), ...]``.
+) -> List[Tuple[str, List[int]]]:
+    """Per-layer frontier survivors, ``[(layer, seqs), ...]``.
 
-    Concatenated, the groups equal ``frontier_filter(owner.nonempty_rects,
-    direction, arrival_nets)`` element for element: layers ordered by their
-    earliest non-empty rect, survivors in nearest-first stable order.
+    Concatenated, the groups equal ``frontier_filter(owner.rects, direction,
+    arrival_nets)`` element for element: layers ordered by their earliest
+    non-empty rect, survivors in nearest-first stable order.
     """
     tracer = get_tracer()
     rects = store.rects
-    groups: List[Tuple[str, List[Rect]]] = []
+    groups: List[Tuple[str, List[int]]] = []
     for layer in store.layers():
         survivors = layer_frontier(rects, store.seqs_on(layer), direction, arrival_nets)
         tracer.count("compact.index_sweeps")
-        groups.append((layer, [rects[seq] for seq in survivors]))
+        groups.append((layer, survivors))
     return groups
 
 

@@ -29,13 +29,15 @@ UNCONSTRAINED = None
 class PairConstraint:
     """One active separation constraint between a moving and a fixed rect.
 
-    ``max_travel`` is the largest signed travel (along the compaction
-    direction, positive = with the direction) the moving rect may make before
-    the required ``spacing`` to the fixed rect is violated.
+    ``moving`` and ``fixed`` are seqs: positions in the moving object's and
+    the main object's rect lists.  ``max_travel`` is the largest signed
+    travel (along the compaction direction, positive = with the direction)
+    the moving rect may make before the required ``spacing`` to the fixed
+    rect is violated.
     """
 
-    moving: Rect
-    fixed: Rect
+    moving: int
+    fixed: int
     spacing: int
     max_travel: int
 
@@ -123,14 +125,17 @@ def pair_travel(moving: Rect, fixed: Rect, direction: Direction, spacing: int) -
 def gather_constraints_grouped(
     tech: Technology,
     moving_rects: Sequence[Rect],
-    fixed_groups: Sequence[Tuple[str, Sequence[Rect]]],
+    fixed_rects: Sequence[Rect],
+    fixed_groups: Sequence[Tuple[str, Sequence[int]]],
     direction: Direction,
     ignore_layers: Iterable[str] = (),
 ) -> List[PairConstraint]:
     """All active pair constraints for one compaction step.
 
-    *fixed_groups* is ``[(layer, rects), ...]`` — the shape
-    :func:`repro.compact.index.frontier_groups` serves.  The result equals
+    Every non-empty rect of *moving_rects* is paired with the fixed rects
+    *fixed_groups* names: ``[(layer, seqs), ...]``, seqs into
+    *fixed_rects* — the shape :func:`repro.compact.index.frontier_groups`
+    serves.  The result equals
     the all-pairs product of :func:`required_spacing` and
     :func:`pair_travel` over the concatenation of the groups, in order
     (the oracle :func:`repro.verify.reference.gather_constraints`).  The
@@ -152,7 +157,7 @@ def gather_constraints_grouped(
 
     table = tech.table
     pairs_scanned = 0
-    for moving in moving_rects:
+    for mseq, moving in enumerate(moving_rects):
         mlayer = moving.layer
         if mlayer in ignore or moving.is_empty:
             continue
@@ -160,14 +165,15 @@ def gather_constraints_grouped(
         no_overlap = moving.no_overlap
         lead = moving.edge_coord(direction)
         m1, m2 = moving.span(perp)
-        for flayer, frects in fixed_groups:
-            if flayer in ignore or not frects:
+        for flayer, fseqs in fixed_groups:
+            if flayer in ignore or not fseqs:
                 continue
             rule, connect, conducting, _, _ = table[(mlayer, flayer)]
             if rule is None and not conducting:
                 continue
-            pairs_scanned += len(frects)
-            for fixed in frects:
+            pairs_scanned += len(fseqs)
+            for fseq in fseqs:
+                fixed = fixed_rects[fseq]
                 if net is not None and net == fixed.net and connect:
                     continue
                 if rule is not None:
@@ -181,7 +187,7 @@ def gather_constraints_grouped(
                 if not (m1 - margin < b2 and b1 - margin < m2):
                     continue
                 travel = (fixed.edge_coord(facing) - lead) * sign - spacing
-                constraints.append(PairConstraint(moving, fixed, spacing, travel))
+                constraints.append(PairConstraint(mseq, fseq, spacing, travel))
     get_tracer().count("compact.pairs_scanned", pairs_scanned)
     return constraints
 

@@ -12,48 +12,54 @@ Primitives register a link for every geometric dependency they create:
 * :class:`ArrayLink` — a maximal equidistant grid of cut rectangles inside the
   intersection of its outer rectangles (ARRAY).
 
-When the compactor moves an edge, the owning :class:`~repro.db.object.
-LayoutObject` re-solves the affected links, clamping inner rectangles and
-re-placing arrays.  The solve is seeded: it starts from the moved rect's
-links plus the object's *pending* links (appended, mirrored, or restored
-by an ALT rollback) and follows a rect-id -> link adjacency from there,
-rebuilding links in the index order and passes of a full fixpoint over all
-links — so a rebuild must depend only on the link's own rects.  Cuts a
-growing array creates are added to the owner's rects by the solver.
+A link addresses its rects by *seq*, their position in the owning
+:class:`~repro.db.object.LayoutObject`'s ``rects``, so a copy of a link is a
+copy of its numbers (``merge`` shifts them by the parent's length).
+:meth:`Link.rebuild` reads the rects and writes them through the owner
+(``set_rect``; a growing array appends its new cuts to the owner), which
+keeps the owner's rect store exact.  When the compactor moves an edge, the
+owner re-solves the affected links.  The solve is seeded: it starts from
+the moved rect's links plus the object's *pending* links (appended,
+mirrored, or restored by an ALT rollback) and follows a seq -> link
+adjacency from there, rebuilding links in the index order and passes of a
+full fixpoint over all links — so a rebuild must depend only on the link's
+own rects.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..geometry import Direction, Rect
-from ..obs.provenance import get_recorder
+
+if TYPE_CHECKING:
+    from .object import LayoutObject
 
 
 class Link:
     """Base class for geometric dependency records."""
 
-    def rebuild(self) -> None:
-        """Re-satisfy the dependency after one of its rects changed."""
+    def rebuild(self, obj: "LayoutObject") -> None:
+        """Re-satisfy the dependency in *obj* after one of its rects changed."""
         raise NotImplementedError
 
-    def involved_rects(self) -> List[Rect]:
-        """Every rect referenced (for copy remapping)."""
+    def involved_seqs(self) -> List[int]:
+        """The seq of every rect the link reads or writes."""
         raise NotImplementedError
 
-    def remapped(self, mapping: Dict[int, Rect]) -> "Link":
-        """Return a copy with rect references swapped per ``id`` mapping."""
+    def copy(self, shift: int = 0) -> "Link":
+        """An independent copy whose seqs are *shift* further on."""
         raise NotImplementedError
 
 
 class InsideLink(Link):
-    """*inner* must lie inside every *outer* shrunk by its margin.
+    """Rect *inner* must lie inside every *outer* shrunk by its margin.
 
     Rebuilding clamps the inner rectangle; it never grows outers (growth
     happens once, at primitive-construction time).
     """
 
-    def __init__(self, inner: Rect, outers: Sequence[Tuple[Rect, int]]) -> None:
+    def __init__(self, inner: int, outers: Sequence[Tuple[int, int]]) -> None:
         self.inner = inner
         self.outers = list(outers)
         #: Edges exempted from clamping — set when the compactor's
@@ -61,29 +67,34 @@ class InsideLink(Link):
         #: enclosure (a connected wire legitimately leaves its row).
         self.released: set = set()
 
-    def rebuild(self) -> None:
+    def rebuild(self, obj: "LayoutObject") -> None:
         """Clamp the inner rect into the margin-shrunk outer intersection."""
-        for outer, margin in self.outers:
-            if Direction.WEST not in self.released and self.inner.x1 < outer.x1 + margin:
-                self.inner.x1 = outer.x1 + margin
-            if Direction.EAST not in self.released and self.inner.x2 > outer.x2 - margin:
-                self.inner.x2 = outer.x2 - margin
-            if Direction.SOUTH not in self.released and self.inner.y1 < outer.y1 + margin:
-                self.inner.y1 = outer.y1 + margin
-            if Direction.NORTH not in self.released and self.inner.y2 > outer.y2 - margin:
-                self.inner.y2 = outer.y2 - margin
+        rects = obj.rects
+        inner = rects[self.inner]
+        x1, y1, x2, y2 = inner.x1, inner.y1, inner.x2, inner.y2
+        released = self.released
+        for seq, margin in self.outers:
+            outer = rects[seq]
+            if Direction.WEST not in released and x1 < outer.x1 + margin:
+                x1 = outer.x1 + margin
+            if Direction.EAST not in released and x2 > outer.x2 - margin:
+                x2 = outer.x2 - margin
+            if Direction.SOUTH not in released and y1 < outer.y1 + margin:
+                y1 = outer.y1 + margin
+            if Direction.NORTH not in released and y2 > outer.y2 - margin:
+                y2 = outer.y2 - margin
+        obj.set_rect(self.inner, x1, y1, x2, y2)
 
     def release(self, direction: Direction) -> None:
         """Permanently exempt one inner edge from enclosure clamping."""
         self.released.add(direction)
 
-    def involved_rects(self) -> List[Rect]:
-        return [self.inner] + [outer for outer, _ in self.outers]
+    def involved_seqs(self) -> List[int]:
+        return [self.inner] + [seq for seq, _ in self.outers]
 
-    def remapped(self, mapping: Dict[int, Rect]) -> "InsideLink":
+    def copy(self, shift: int = 0) -> "InsideLink":
         link = InsideLink(
-            mapping.get(id(self.inner), self.inner),
-            [(mapping.get(id(o), o), m) for o, m in self.outers],
+            self.inner + shift, [(seq + shift, m) for seq, m in self.outers]
         )
         link.released = set(self.released)
         return link
@@ -103,7 +114,7 @@ class ArrayLink(Link):
         cut_layer: str,
         cut_size: int,
         cut_space: int,
-        outers: Sequence[Tuple[Rect, int]],
+        outers: Sequence[Tuple[int, int]],
         net: Optional[str] = None,
     ) -> None:
         if cut_size <= 0:
@@ -115,21 +126,24 @@ class ArrayLink(Link):
         self.cut_space = cut_space
         self.outers = list(outers)
         self.net = net
-        self.rects: List[Rect] = []
-        #: Creation-time obs.Provenance of the array (set by the ARRAY
-        #: primitive when recording); rebuild() stamps new cuts with a
-        #: "rebuild" lineage derived from it.
+        #: Seqs of the cuts placed so far (collapsed ones included).
+        self.cuts: List[int] = []
+        #: Creation-time obs.Provenance of the array (set by
+        #: LayoutObject.add_array when recording); rebuild() stamps new
+        #: cuts with a "rebuild" lineage derived from it.
         self.prov = None
 
     # ------------------------------------------------------------------
-    def region(self) -> Optional[Rect]:
-        """Intersection of all outers shrunk by their margins."""
+    def region(self, rects: Sequence[Rect]) -> Optional[Rect]:
+        """Intersection of all outers (seqs into *rects*) shrunk by their
+        margins."""
         if not self.outers:
             return None
-        x1 = max(o.x1 + m for o, m in self.outers)
-        y1 = max(o.y1 + m for o, m in self.outers)
-        x2 = min(o.x2 - m for o, m in self.outers)
-        y2 = min(o.y2 - m for o, m in self.outers)
+        outers = [(rects[seq], m) for seq, m in self.outers]
+        x1 = max(o.x1 + m for o, m in outers)
+        y1 = max(o.y1 + m for o, m in outers)
+        x2 = min(o.x2 - m for o, m in outers)
+        y2 = min(o.y2 - m for o, m in outers)
         if x2 < x1 or y2 < y1:
             return None
         return Rect(x1, y1, x2, y2, self.cut_layer, self.net)
@@ -140,37 +154,35 @@ class ArrayLink(Link):
             return 0
         return 1 + (extent - self.cut_size) // (self.cut_size + self.cut_space)
 
-    def rebuild(self) -> None:
-        """Re-place the cut grid; mutates :attr:`rects` in place.
+    def rebuild(self, obj: "LayoutObject") -> None:
+        """Re-place the cut grid in *obj*.
 
-        Existing rect objects are reused where possible so identity held by
-        the owning object's rect list stays valid; surplus rects are emptied.
-        Extra cuts are appended; the owner's link solver adds them to its
-        rect list.
+        Existing cuts are moved first, extra cuts are appended to *obj*,
+        and surplus cuts collapse to empty so they vanish from output.
         """
-        region = self.region()
+        region = self.region(obj.rects)
         placements: List[Tuple[int, int]] = []
         if region is not None:
             xs = self._positions(region.x1, region.x2)
             ys = self._positions(region.y1, region.y2)
             placements = [(x, y) for y in ys for x in xs]
 
+        cuts, size = self.cuts, self.cut_size
         derived = None
         for index, (x, y) in enumerate(placements):
-            if index < len(self.rects):
-                rect = self.rects[index]
-                rect.x1, rect.y1 = x, y
-                rect.x2, rect.y2 = x + self.cut_size, y + self.cut_size
+            if index < len(cuts):
+                obj.set_rect(cuts[index], x, y, x + size, y + size)
             else:
                 if derived is None and self.prov is not None:
                     derived = self.prov.derived("rebuild", self.prov)
-                self.rects.append(
-                    Rect(x, y, x + self.cut_size, y + self.cut_size,
-                         self.cut_layer, self.net, prov=derived)
-                )
-        # Collapse any surplus rects to empty so they vanish from output.
-        for rect in self.rects[len(placements):]:
-            rect.x2, rect.y2 = rect.x1, rect.y1
+                cuts.append(obj._append(
+                    Rect(x, y, x + size, y + size, self.cut_layer, self.net,
+                         prov=derived)
+                ))
+        rects = obj.rects
+        for seq in cuts[len(placements):]:
+            rect = rects[seq]
+            obj.set_rect(seq, rect.x1, rect.y1, rect.x1, rect.y1)
 
     def _positions(self, lo: int, hi: int) -> List[int]:
         """Equidistant edge-to-edge cut origins along one axis."""
@@ -183,33 +195,17 @@ class ArrayLink(Link):
         span = extent - self.cut_size
         return [lo + round(i * span / (n - 1)) for i in range(n)]
 
-    def stamp_provenance(self) -> None:
-        """Record the creation context on the link and its current cuts.
+    def involved_seqs(self) -> List[int]:
+        return self.cuts + [seq for seq, _ in self.outers]
 
-        Array cuts bypass :meth:`LayoutObject.add_rect`, so every builder
-        that creates an :class:`ArrayLink` calls this right after the
-        creating :meth:`rebuild`; later rebuilds then derive "rebuild"
-        lineage from the remembered record.  No-op when recording is off.
-        """
-        recorder = get_recorder()
-        if not recorder.enabled:
-            return
-        self.prov = recorder.current()
-        for rect in self.rects:
-            if rect.prov is None:
-                recorder.stamp(rect)
-
-    def involved_rects(self) -> List[Rect]:
-        return list(self.rects) + [outer for outer, _ in self.outers]
-
-    def remapped(self, mapping: Dict[int, Rect]) -> "ArrayLink":
+    def copy(self, shift: int = 0) -> "ArrayLink":
         link = ArrayLink(
             self.cut_layer,
             self.cut_size,
             self.cut_space,
-            [(mapping.get(id(o), o), m) for o, m in self.outers],
+            [(seq + shift, m) for seq, m in self.outers],
             self.net,
         )
-        link.rects = [mapping.get(id(r), r) for r in self.rects]
+        link.cuts = [seq + shift for seq in self.cuts]
         link.prov = self.prov
         return link

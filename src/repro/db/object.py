@@ -7,35 +7,41 @@ are constructed stand-alone and then *compacted into* a parent object
 why "only outer edges of the main object have to be kept in the data
 structure".
 
+A rect is addressed by its *seq*, its position in ``rects``.  Every rect
+write goes through the object — ``set_rect`` for coordinates, ``tag_rect``
+for a net or ``no_overlap`` — and keeps the object's one
+:class:`~repro.db.store.RectStore`, which serves every geometric query,
+exact in place.
+
 Link solving is incremental.  "The objects affected by the movement are
 rebuilt automatically" (Sec. 2.3): after an edge move the object rebuilds
-only the links reachable from the moved rect, through a rect-id -> link
+only the links reachable from the moved rect, through a seq -> link
 adjacency, plus its *pending* links — those that may be unsatisfied
 because they were appended (``add_link``, ``merge``), mirrored
 (``apply_transform``; array placement rounds, so it is not mirror
-invariant) or arrived in a replaced ``links`` list (the ALT rollback).
-Links are taken in the same index order and pass structure as a full
-fixpoint over every link, so the result is identical to that fixpoint
-(kept as :func:`repro.verify.reference.solve_links_fixpoint`).
-
-Geometric queries are served by the object's one :class:`~repro.db.store.
-RectStore`, built on the first query and kept exact by the write methods
-here.  Code that sets a rect's coordinates, net, layer or ``no_overlap``
-flag directly must call :meth:`LayoutObject.invalidate_index` afterwards.
+invariant) or restored by an ALT rollback (``restore``).  Links are taken
+in the same index order and pass structure as a full fixpoint over every
+link, so the result is identical to that fixpoint (kept as
+:func:`repro.verify.reference.solve_links_fixpoint`).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..geometry import Direction, Rect, Transform, union_area
 from ..obs import get_tracer
 from ..obs.provenance import get_recorder
 from ..tech import Technology
-from ..tech.layer import LayerKind
 from .links import ArrayLink, InsideLink, Link
 from .store import RectStore
+
+#: Rect coordinate index of the edge facing each direction (x1, y1, x2, y2).
+_EDGE_INDEX = {Direction.WEST: 0, Direction.SOUTH: 1, Direction.EAST: 2, Direction.NORTH: 3}
+
+#: tag_rect's "leave the net as it is".
+_KEEP = object()
 
 
 class Label:
@@ -66,43 +72,72 @@ class LayoutObject:
         self.labels: List[Label] = []
         #: The rect store (repro.db.store), built on the first query.
         self._store: Optional[RectStore] = None
-        #: Link-solver state, valid for the ``links`` list in _links_ref:
-        #: how many of its links it covers, the indices that may be
-        #: unsatisfied, and a lazily built rect id -> link indices map.
-        self._links_ref: Optional[List[Link]] = None
+        #: Link-solver state: how many of ``links`` it has indexed, the
+        #: indices that may be unsatisfied, and a lazily built
+        #: seq -> link indices map.
         self._links_known = 0
         self._pending: Set[int] = set()
         self._adjacency: Optional[Dict[int, List[int]]] = None
+        #: While the solver runs, every write as (seq, old coordinates),
+        #: old None for an append.
+        self._writes: Optional[List[Tuple[int, Optional[tuple]]]] = None
 
     # ------------------------------------------------------------------
-    # rect store
+    # rect store and rect writes
     # ------------------------------------------------------------------
     def store(self) -> RectStore:
         """The object's rect store, current with :attr:`rects`."""
-        store = self._current_store()
+        store = self._store
         if store is None:
             store = self._store = RectStore(self.rects)
         store.sync()
         return store
 
-    def _current_store(self) -> Optional[RectStore]:
-        """The store unless :attr:`rects` was replaced or shortened under it
-        (a stale store is dropped)."""
-        store = self._store
-        if store is not None and (
-            store.rects is not self.rects or store.tracked > len(self.rects)
-        ):
-            store = self._store = None
-        return store
-
     def invalidate_index(self) -> None:
         """Drop the rect store; the next query rebuilds it.
 
-        Required after setting rect coordinates, nets, layers or
-        ``no_overlap`` flags directly instead of through this object's
-        methods.
+        Only for code that edits :attr:`rects` by hand (a test removing a
+        rect); every write through this object's methods keeps the store
+        exact.
         """
         self._store = None
+
+    def set_rect(self, seq: int, x1: int, y1: int, x2: int, y2: int) -> None:
+        """Set rect *seq*'s coordinates verbatim (x2 < x1 leaves it empty).
+
+        The one coordinate write: the store follows in place, and the
+        link solver sees the write.  Unchanged coordinates are a no-op.
+        """
+        rect = self.rects[seq]
+        old = (rect.x1, rect.y1, rect.x2, rect.y2)
+        if old == (x1, y1, x2, y2):
+            return
+        rect.x1, rect.y1, rect.x2, rect.y2 = x1, y1, x2, y2
+        if self._store is not None:
+            self._store.note_set(seq, old)
+        if self._writes is not None:
+            self._writes.append((seq, old))
+
+    def tag_rect(
+        self, seq: int, net: object = _KEEP, no_overlap: Optional[bool] = None
+    ) -> None:
+        """Set rect *seq*'s net and/or ``no_overlap`` flag (omitted: kept)."""
+        rect = self.rects[seq]
+        old_net = rect.net
+        if net is not _KEEP:
+            rect.net = net
+        if no_overlap is not None:
+            rect.no_overlap = no_overlap
+        if self._store is not None:
+            self._store.note_tags(seq, old_net)
+
+    def _append(self, rect: Rect) -> int:
+        """Append *rect* as is; returns its seq."""
+        seq = len(self.rects)
+        self.rects.append(rect)
+        if self._writes is not None:
+            self._writes.append((seq, None))
+        return seq
 
     # ------------------------------------------------------------------
     # construction
@@ -113,13 +148,37 @@ class LayoutObject:
         recorder = get_recorder()
         if recorder.enabled and rect.prov is None:
             recorder.stamp(rect)
-        self.rects.append(rect)
+        self._append(rect)
         return rect
 
     def add_link(self, link: Link) -> Link:
         """Register a rebuild link."""
         self.links.append(link)
         return link
+
+    def add_array(
+        self,
+        cut_layer: str,
+        cut_size: int,
+        cut_space: int,
+        outers: Sequence[Tuple[int, int]],
+        net: Optional[str] = None,
+    ) -> Optional[ArrayLink]:
+        """Fill the *outers* ((seq, margin) pairs) with a maximal cut array
+        and register its link; returns it, or None (nothing added) when no
+        cut fits."""
+        link = ArrayLink(cut_layer, cut_size, cut_space, outers, net)
+        link.rebuild(self)
+        if not link.cuts:
+            return None
+        recorder = get_recorder()
+        if recorder.enabled:
+            # Later rebuilds derive "rebuild" lineage from this record.
+            link.prov = recorder.current()
+            for seq in link.cuts:
+                if self.rects[seq].prov is None:
+                    recorder.stamp(self.rects[seq])
+        return self.add_link(link)
 
     def add_label(self, text: str, x: int, y: int, layer: str) -> Label:
         """Attach a text label."""
@@ -133,17 +192,11 @@ class LayoutObject:
         Returns the newly added rect objects (in *other*'s rect order) so the
         caller — typically the compactor — can keep tracking them.
         """
-        mapping: Dict[int, Rect] = {}
-        added: List[Rect] = []
-        for rect in other.rects:
-            clone = rect.copy()
-            mapping[id(rect)] = clone
-            self.rects.append(clone)
-            added.append(clone)
-        for link in other.links:
-            self.links.append(link.remapped(mapping))
-        for label in other.labels:
-            self.labels.append(label.copy())
+        shift = len(self.rects)
+        added = [rect.copy() for rect in other.rects]
+        self.rects.extend(added)
+        self.links.extend(link.copy(shift) for link in other.links)
+        self.labels.extend(label.copy() for label in other.labels)
         return added
 
     def copy(self, name: Optional[str] = None) -> "LayoutObject":
@@ -157,34 +210,38 @@ class LayoutObject:
         """Deep copy tuned for state caching (the order optimizer's trees).
 
         Equivalent to :meth:`copy` but skips object construction overhead and
-        layer re-validation: rects, links and labels are cloned directly with
-        link references remapped.  The search tree snapshots one object per
-        visited order prefix, so this is a hot path.
+        layer re-validation: rects, links and labels are copied directly.
+        The search tree snapshots one object per visited order prefix, so
+        this is a hot path.
         """
         clone = LayoutObject.__new__(LayoutObject)
         clone.name = self.name
         clone.tech = self.tech
-        mapping: Dict[int, Rect] = {}
-        rects: List[Rect] = []
-        for rect in self.rects:
-            twin = rect.copy()
-            mapping[id(rect)] = twin
-            rects.append(twin)
-        clone.rects = rects
-        clone.links = [link.remapped(mapping) for link in self.links]
+        clone.rects = [rect.copy() for rect in self.rects]
+        clone.links = [link.copy() for link in self.links]
         clone.labels = [label.copy() for label in self.labels]
         # Same links in the same order: the pending indices carry over; the
-        # id-keyed adjacency is rebuilt lazily for the new rects.
-        clone._links_ref = clone.links
-        clone._links_known = self._links_known if self._links_ref is self.links else 0
+        # adjacency is rebuilt lazily.
+        clone._links_known = self._links_known
         clone._pending = set(self._pending)
         clone._adjacency = None
+        clone._writes = None
         # Rect positions are preserved, so the store (with its cached views)
         # carries over: the order optimizer's search tree snapshots one
         # layout per visited prefix and resumes without re-sweeping.
-        store = self._current_store()
-        clone._store = store.copy(rects) if store is not None else None
+        store = self._store
+        clone._store = store.copy(clone.rects) if store is not None else None
         return clone
+
+    def restore(self, snapshot: "LayoutObject") -> None:
+        """Roll back to *snapshot*, a copy of this object taken earlier (the
+        ALT rollback): the object takes over its rects, links, labels and
+        store, and every link becomes pending, as after a merge."""
+        self.rects = snapshot.rects
+        self.links = snapshot.links
+        self.labels = snapshot.labels
+        self._store = snapshot._store
+        self._links_known, self._pending, self._adjacency = 0, set(), None
 
     # ------------------------------------------------------------------
     # queries
@@ -251,26 +308,21 @@ class LayoutObject:
         for label in self.labels:
             label.x += dx
             label.y += dy
-        store = self._current_store()
-        if store is not None:
+        if self._store is not None:
             # A uniform shift preserves every sorted order and sweep result.
-            store.note_translate(dx, dy)
+            self._store.note_translate(dx, dy)
         return self
 
     def apply_transform(self, transform: Transform) -> "LayoutObject":
-        """Apply an orthogonal transform in place; returns self.
-
-        Rect objects are mutated (not replaced) so links remain valid.
-        """
-        for rect in self.rects:
+        """Apply an orthogonal transform in place; returns self."""
+        for seq, rect in enumerate(self.rects):
             image = transform.apply_rect(rect)
-            rect.x1, rect.y1, rect.x2, rect.y2 = image.as_tuple()
             rect._edges = image._edges
+            self.set_rect(seq, image.x1, image.y1, image.x2, image.y2)
         for label in self.labels:
             label.x, label.y = transform.apply_point(label.x, label.y)
         # Array placement rounds, so a mirrored array is off its fixpoint.
         self._pending.update(range(self._links_known))
-        self.invalidate_index()
         return self
 
     def mirror_x(self, axis_y: int = 0) -> "LayoutObject":
@@ -290,10 +342,9 @@ class LayoutObject:
 
     def set_net(self, net: str, layer: Optional[str] = None) -> "LayoutObject":
         """Assign *net* to every rect (optionally restricted to *layer*)."""
-        for rect in self.rects:
+        for seq, rect in enumerate(self.rects):
             if layer is None or rect.layer == layer:
-                rect.net = net
-        self.invalidate_index()
+                self.tag_rect(seq, net)
         return self
 
     def rename_nets(self, mapping: Dict[str, str]) -> "LayoutObject":
@@ -302,14 +353,13 @@ class LayoutObject:
         Swaps are supported (``{"a": "b", "b": "a"}``) — the mapping is
         applied simultaneously, not sequentially.
         """
-        for rect in self.rects:
+        for seq, rect in enumerate(self.rects):
             if rect.net in mapping:
-                rect.net = mapping[rect.net]
+                self.tag_rect(seq, mapping[rect.net])
         for link in self.links:
             net = getattr(link, "net", None)
             if net in mapping:
                 link.net = mapping[net]
-        self.invalidate_index()
         return self
 
     # ------------------------------------------------------------------
@@ -323,19 +373,21 @@ class LayoutObject:
         width = self.tech.rules.width(rect.layer)
         return width if width is not None else 0
 
-    def shrink_limit(self, rect: Rect, direction: Direction) -> int:
-        """Furthest coordinate the edge facing *direction* may move inward.
+    def shrink_limit(self, seq: int, direction: Direction) -> int:
+        """Furthest coordinate rect *seq*'s edge facing *direction* may move
+        inward.
 
         For NORTH/EAST edges the result is a lower bound on the coordinate;
         for SOUTH/WEST edges an upper bound.  The limit honours the rect's
         own minimum width, explicit edge bounds, and — through the rebuild
         links — the survival of enclosed rects and at least one array cut.
         """
-        return self._shrink_limit(rect, direction, frozenset())
+        return self._shrink_limit(seq, direction, frozenset())
 
-    def _shrink_limit(self, rect: Rect, direction: Direction, visiting: frozenset) -> int:
+    def _shrink_limit(self, seq: int, direction: Direction, visiting: frozenset) -> int:
+        rect = self.rects[seq]
         sign = 1 if direction.is_positive else -1
-        key = (id(rect), direction)
+        key = (seq, direction)
         if key in visiting:
             return rect.edge_coord(direction)
         visiting = visiting | {key}
@@ -355,91 +407,76 @@ class LayoutObject:
         for link in self.links:
             if isinstance(link, InsideLink):
                 for outer, margin in link.outers:
-                    if outer is rect:
+                    if outer == seq:
                         inner_limit = self._shrink_limit(link.inner, direction, visiting)
                         bounds.append(inner_limit + sign * margin)
             elif isinstance(link, ArrayLink):
                 for outer, margin in link.outers:
-                    if outer is rect:
-                        far = self._array_far_side(link, direction, rect)
+                    if outer == seq:
+                        far = self._array_far_side(link, direction)
                         bounds.append(far + sign * (link.cut_size + margin))
 
         return max(bounds) if sign > 0 else min(bounds)
 
-    def _array_far_side(self, link: ArrayLink, direction: Direction, moving: Rect) -> int:
+    def _array_far_side(self, link: ArrayLink, direction: Direction) -> int:
         """Region boundary opposite the moving edge of an array's outers."""
         other = direction.opposite
         coords = [
-            outer.edge_coord(other) - other.dx * margin - other.dy * margin
+            self.rects[outer].edge_coord(other) - other.dx * margin - other.dy * margin
             for outer, margin in link.outers
         ]
         # The region's far side is the tightest of the outers' far edges.
         return max(coords) if direction.is_positive else min(coords)
 
-    def move_edge(self, rect: Rect, direction: Direction, coord: int) -> int:
-        """Move an edge inward to *coord* (clamped to the shrink limit).
+    def _set_edge(self, seq: int, direction: Direction, coord: int) -> None:
+        box = list(self.rects[seq].as_tuple())
+        box[_EDGE_INDEX[direction]] = coord
+        self.set_rect(seq, *box)
+
+    def move_edge(self, seq: int, direction: Direction, coord: int) -> int:
+        """Move rect *seq*'s edge inward to *coord* (clamped to the shrink
+        limit).
 
         Dependent links are rebuilt.  Returns the coordinate actually set.
         """
-        limit = self.shrink_limit(rect, direction)
+        limit = self.shrink_limit(seq, direction)
+        current = self.rects[seq].edge_coord(direction)
         if direction.is_positive:
-            coord = max(coord, limit)
-            coord = min(coord, rect.edge_coord(direction))
+            coord = min(max(coord, limit), current)
         else:
-            coord = min(coord, limit)
-            coord = max(coord, rect.edge_coord(direction))
-        rect.set_edge_coord(direction, coord)
-        self._rebuild_links_tracked(rect)
+            coord = max(min(coord, limit), current)
+        self._set_edge(seq, direction, coord)
+        self._solve_links(seq)
         return coord
 
-    def move_stretch(self, rect: Rect, direction: Direction, coord: int) -> None:
-        """Move an edge *outward* to *coord* (auto-connection stretch).
+    def move_stretch(self, seq: int, direction: Direction, coord: int) -> None:
+        """Move rect *seq*'s edge *outward* to *coord* (auto-connection
+        stretch).
 
         Any enclosure clamp on that edge is released first so rebuilds do not
         pull the stretched wire back; dependent arrays are then recomputed
         (a longer wire may admit more cuts).
         """
-        current = rect.edge_coord(direction)
+        current = self.rects[seq].edge_coord(direction)
         outward = coord > current if direction.is_positive else coord < current
         if not outward:
             return
         for link in self.links:
-            if isinstance(link, InsideLink) and link.inner is rect:
+            if isinstance(link, InsideLink) and link.inner == seq:
                 link.release(direction)
-        rect.set_edge_coord(direction, coord)
-        self._rebuild_links_tracked(rect)
+        self._set_edge(seq, direction, coord)
+        self._solve_links(seq)
 
     def rebuild_links(self) -> None:
-        """Re-solve every link (the seeded solver, seeded with all of them).
-
-        Callers typically set rect coordinates directly beforehand
-        (primitive construction), so the store is dropped; the compactor's
-        edge moves go through the tracked variant instead, which keeps the
-        store exact.
-        """
+        """Re-solve every link (the seeded solver, seeded with all of them)."""
         self._solve_links(None)
-        self.invalidate_index()
-
-    def _rebuild_links_tracked(self, moved: Rect) -> None:
-        """Re-solve the links an edge move reaches, keeping the store exact."""
-        changed = self._solve_links(moved)
-        store = self._current_store()
-        if store is not None:
-            changed.add(id(moved))
-            store.note_changed(changed)
 
     def _link_adjacency(self) -> Dict[int, List[int]]:
         """Sync the solver state with ``self.links``; return the adjacency.
 
-        A replaced or shortened list makes every link pending; links
-        appended since the last sync become pending and join the map.
+        Links appended since the last sync become pending and join the map.
         """
         links = self.links
-        if self._links_ref is not links or self._links_known > len(links):
-            self._links_ref = links
-            self._links_known = 0
-            self._pending = set()
-            self._adjacency = None
         known = self._links_known
         adjacency = self._adjacency
         if adjacency is None:
@@ -448,23 +485,23 @@ class LayoutObject:
         else:
             start = known
         for index in range(start, len(links)):
-            for rect in links[index].involved_rects():
-                adjacency.setdefault(id(rect), []).append(index)
+            for seq in links[index].involved_seqs():
+                adjacency.setdefault(seq, []).append(index)
         self._pending.update(range(known, len(links)))
         self._links_known = len(links)
         return adjacency
 
-    def _solve_links(self, moved: Optional[Rect]) -> Set[int]:
-        """Seeded worklist solve; returns the ids of every rect it changed.
+    def _solve_links(self, moved: Optional[int]) -> None:
+        """Seeded worklist solve.
 
-        Seeds are the pending links plus the links on *moved* (every link
-        when *moved* is None).  Indices pop from a heap in passes: when
-        link *i* changes a rect, each link *j* on it is queued in this pass
-        if ``j > i`` and for the next pass otherwise.  That is exactly the
+        Seeds are the pending links plus the links on rect *moved* (every
+        link when *moved* is None).  Indices pop from a heap in passes:
+        when link *i* writes a rect, each link *j* on it is queued in this
+        pass if ``j > i`` and for the next pass otherwise (a cut the
+        rebuild appends belongs to link *i* alone).  That is exactly the
         non-no-op subset of a full fixpoint's rebuilds, with its
         ``len(links) + 2`` pass cap and its stop on a pass that leaves
-        every rect as it found it.  Array cuts a rebuild creates join
-        ``self.rects``.
+        every rect as it found it.
         """
         links = self.links
         adjacency = self._link_adjacency()
@@ -472,48 +509,35 @@ class LayoutObject:
         if moved is None:
             seeds = set(range(len(links)))
         else:
-            seeds = pending | set(adjacency.get(id(moved), ()))
+            seeds = pending | set(adjacency.get(moved, ()))
         pending.clear()
-        changed: Set[int] = set()
         if not seeds:
-            return changed
+            return
         queue = sorted(seeds)
         rebuilds = 0
+        rects = self.rects
+        writes = self._writes = []
         for _ in range(len(links) + 2):
             queued = set(queue)
             following: Set[int] = set()
-            first: Dict[int, tuple] = {}  # pass-start tuple per changed rect
+            first: Dict[int, Optional[tuple]] = {}  # pass-start tuple per written seq
             while queue:
                 i = heapq.heappop(queue)
-                link = links[i]
-                involved = link.involved_rects()
-                before = [rect.as_tuple() for rect in involved]
-                cuts = len(link.rects) if isinstance(link, ArrayLink) else None
-                link.rebuild()
+                links[i].rebuild(self)
                 rebuilds += 1
-                for rect, old in zip(involved, before):
-                    if rect.as_tuple() == old:
-                        continue
-                    rid = id(rect)
-                    changed.add(rid)
-                    if rid not in first:
-                        first[rid] = (rect, old)
-                    for j in adjacency.get(rid, (i,)):
+                for seq, old in writes:
+                    if seq not in first:
+                        first[seq] = old
+                    if old is None:
+                        adjacency[seq] = [i]
+                    for j in adjacency[seq]:
                         if j <= i:
                             following.add(j)
                         elif j not in queued:
                             queued.add(j)
                             heapq.heappush(queue, j)
-                if cuts is not None and len(link.rects) > cuts:
-                    # A grown array: its new cuts join the layout.
-                    for rect in link.rects[cuts:]:
-                        rid = id(rect)
-                        self.rects.append(rect)
-                        adjacency[rid] = [i]
-                        changed.add(rid)
-                        first[rid] = (rect, None)
-                    following.add(i)
-            if all(rect.as_tuple() == old for rect, old in first.values()):
+                writes.clear()
+            if all(rects[seq].as_tuple() == old for seq, old in first.items()):
                 pending.update(following)
                 break
             queue = sorted(following)
@@ -521,8 +545,8 @@ class LayoutObject:
                 break
         else:
             pending.update(queue)
+        self._writes = None
         get_tracer().count("links.rebuild_calls", rebuilds)
-        return changed
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:

@@ -7,21 +7,22 @@ object's own ``bbox``, ``is_empty``, ``rects_on``, ``rects_on_net``,
 ``nets`` and ``layers``.  A rect is addressed by its *seq*, its position
 in ``rects``; rects are only appended, so a seq never moves.  Each layer's
 :class:`Bucket` carries a *version* that any change to a member bumps;
-views derived from a layer (DRC's x1 order) live in one cache, stamped
-with that version, and are reused until it moves.
+the layer's x1 order (DRC's sweep view) is cached, stamped with that
+version, and reused until it moves.
 
-One staleness rule: ``LayoutObject`` methods keep the store exact, and a
-replaced or shortened ``rects`` list is detected.  Any other write — a
-rect's coordinates, net, layer or ``no_overlap`` set directly — must be
-followed by :meth:`LayoutObject.invalidate_index`, which drops the store.
-``tests/test_store.py`` checks every query and view against a store
-rebuilt from scratch after each step of random write sequences.
+The store is exact by construction: every rect write goes through the
+owning ``LayoutObject``, which reports it here (:meth:`RectStore.note_set`,
+:meth:`RectStore.note_tags`, :meth:`RectStore.note_translate`; appends are
+folded in by :meth:`RectStore.sync`).  ``tests/test_store.py`` checks every
+query and view against a store rebuilt from scratch after each step of
+random write sequences.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from itertools import compress
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..geometry import Rect
 from ..obs import get_tracer
@@ -53,7 +54,7 @@ def _shift(box: Optional[List[int]], dx: int, dy: int) -> None:
 
 
 class Bucket:
-    """The rects of one layer, by seq, and what its views depend on."""
+    """The rects of one layer, by seq, and what its x1 order depends on."""
 
     __slots__ = ("seqs", "envelope", "version")
 
@@ -63,7 +64,7 @@ class Bucket:
         #: Grow-only box over every coordinate any member occupied since
         #: it was first asked for (None until then; see RectStore.envelope).
         self.envelope: Optional[List[int]] = None
-        #: Bumped by every change to a member; stamps the cached views.
+        #: Bumped by every change to a member; stamps the cached x1 order.
         self.version = 0
 
     def copy(self) -> "Bucket":
@@ -79,7 +80,7 @@ class RectStore:
 
     __slots__ = (
         "rects", "tracked", "buckets", "net_seqs", "live", "nonempty",
-        "_bbox", "_where", "views",
+        "_bbox", "views",
     )
 
     def __init__(self, rects: List[Rect]) -> None:
@@ -97,10 +98,8 @@ class RectStore:
         #: Exact box of the non-empty rects; None until asked for and
         #: after a change that may shrink it (see :meth:`bbox`).
         self._bbox: Optional[List[int]] = None
-        #: id(rect) -> seq, built on the first change notification.
-        self._where: Optional[Dict[int, int]] = None
-        #: (layer, key) -> (bucket version, view).
-        self.views: Dict[Tuple[str, Hashable], Tuple[int, tuple]] = {}
+        #: layer -> (bucket version, by_x1 order).
+        self.views: Dict[str, Tuple[int, tuple]] = {}
         get_tracer().count("db.store_builds")
 
     # ------------------------------------------------------------------
@@ -109,9 +108,7 @@ class RectStore:
     def sync(self) -> None:
         """Fold in the rects appended since the last call."""
         rects = self.rects
-        buckets, net_seqs, live, where = (
-            self.buckets, self.net_seqs, self.live, self._where
-        )
+        buckets, net_seqs, live = self.buckets, self.net_seqs, self.live
         box, nonempty = self._bbox, self.nonempty
         for seq in range(self.tracked, len(rects)):
             rect = rects[seq]
@@ -125,8 +122,6 @@ class RectStore:
                 _grow(bucket.envelope, rect)
             if rect.net is not None:
                 net_seqs.setdefault((rect.net, layer), []).append(seq)
-            if where is not None:
-                where[id(rect)] = seq
             if rect.x1 < rect.x2 and rect.y1 < rect.y2:
                 live.append(True)
                 nonempty += 1
@@ -143,39 +138,53 @@ class RectStore:
             _shift(bucket.envelope, dx, dy)
         _shift(self._bbox, dx, dy)
 
-    def note_changed(self, rect_ids: Iterable[int]) -> None:
-        """The coordinates of these rects changed.
+    def note_set(self, seq: int, old: Tuple[int, int, int, int]) -> None:
+        """Rect *seq* moved from the coordinates *old* to where it is now.
 
-        Rects appended since the last :meth:`sync` are skipped: the next
-        sync folds them in as they are then.
+        A rect appended since the last :meth:`sync` is skipped: the next
+        sync folds it in as it is then.
         """
-        where = self._where
-        rects = self.rects
-        if where is None:
-            where = self._where = {
-                id(rects[seq]): seq for seq in range(self.tracked)
-            }
-        live = self.live
-        buckets = self.buckets
-        self._bbox = None  # a member may have shrunk: recomputed on demand
-        for rid in rect_ids:
-            seq = where.get(rid)
-            if seq is None:
-                continue
-            rect = rects[seq]
-            bucket = buckets[rect.layer]
-            bucket.version += 1
-            if bucket.envelope is not None:
-                _grow(bucket.envelope, rect)
-            now = not rect.is_empty
-            if now != live[seq]:
-                live[seq] = now
-                self.nonempty += 1 if now else -1
+        if seq >= self.tracked:
+            return
+        rect = self.rects[seq]
+        bucket = self.buckets[rect.layer]
+        bucket.version += 1
+        if bucket.envelope is not None:
+            _grow(bucket.envelope, rect)
+        was = self.live[seq]
+        now = rect.x1 < rect.x2 and rect.y1 < rect.y2
+        if now != was:
+            self.live[seq] = now
+            self.nonempty += 1 if now else -1
+        box = self._bbox
+        if box is not None:
+            if was and (old[0] <= box[0] or old[1] <= box[1]
+                        or old[2] >= box[2] or old[3] >= box[3]):
+                self._bbox = None  # it may have defined a side: recomputed
+            elif now:
+                _grow(box, rect)
+
+    def note_tags(self, seq: int, old_net: Optional[str]) -> None:
+        """Rect *seq*'s net (formerly *old_net*) or no_overlap flag changed."""
+        if seq >= self.tracked:
+            return
+        rect = self.rects[seq]
+        self.buckets[rect.layer].version += 1
+        if rect.net == old_net:
+            return
+        if old_net is not None:
+            key = (old_net, rect.layer)
+            seqs = self.net_seqs[key]
+            seqs.remove(seq)
+            if not seqs:
+                del self.net_seqs[key]
+        if rect.net is not None:
+            insort(self.net_seqs.setdefault((rect.net, rect.layer), []), seq)
 
     def copy(self, rects: List[Rect]) -> "RectStore":
         """This store over *rects*, a position-preserving copy of the list.
 
-        Views are shared: they are immutable and keyed by version.
+        Views are shared: they are immutable and stamped by version.
         """
         twin = RectStore.__new__(RectStore)
         twin.rects = rects
@@ -185,34 +194,20 @@ class RectStore:
         twin.live = self.live.copy()
         twin.nonempty = self.nonempty
         twin._bbox = None if self._bbox is None else self._bbox.copy()
-        twin._where = None
         twin.views = self.views.copy()
         return twin
 
-    # ------------------------------------------------------------------
-    # the view cache
-    # ------------------------------------------------------------------
-    def cached(self, layer: str, key: Hashable) -> Optional[tuple]:
-        """The view (layer, key) if derived from the layer as it is now."""
-        entry = self.views.get((layer, key))
-        if entry is not None and entry[0] == self.buckets[layer].version:
-            return entry[1]
-        return None
-
-    def cache(self, layer: str, key: Hashable, view: tuple) -> tuple:
-        """Remember *view* for the layer's current version; returns it."""
-        self.views[(layer, key)] = (self.buckets[layer].version, view)
-        return view
-
     def by_x1(self, layer: str) -> tuple:
-        """The layer's non-empty seqs stably sorted by x1 (the sweep order)."""
-        order = self.cached(layer, "x1")
-        if order is None:
+        """The layer's non-empty seqs stably sorted by x1 (the sweep order),
+        cached until the layer's version moves."""
+        version = self.buckets[layer].version
+        entry = self.views.get(layer)
+        if entry is None or entry[0] != version:
             rects = self.rects
-            order = self.cache(layer, "x1", tuple(
+            entry = self.views[layer] = (version, tuple(
                 sorted(self.seqs_on(layer), key=lambda seq: rects[seq].x1)
             ))
-        return order
+        return entry[1]
 
     # ------------------------------------------------------------------
     # queries

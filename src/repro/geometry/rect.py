@@ -17,7 +17,7 @@ defines the dbu-per-micron scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
 from .direction import Axis, Direction
@@ -133,17 +133,6 @@ class Rect:
         if direction is Direction.EAST:
             return self.x2
         return self.x1
-
-    def set_edge_coord(self, direction: Direction, coord: int) -> None:
-        """Move the edge facing *direction* to *coord* (may invert the rect)."""
-        if direction is Direction.NORTH:
-            self.y2 = coord
-        elif direction is Direction.SOUTH:
-            self.y1 = coord
-        elif direction is Direction.EAST:
-            self.x2 = coord
-        else:
-            self.x1 = coord
 
     def set_variable(self, *directions: Direction) -> "Rect":
         """Mark edges as variable; with no arguments, mark all four."""

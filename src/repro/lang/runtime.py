@@ -581,9 +581,7 @@ class Runtime:
                 except RuleError as error:
                     last = error
                     log.debug("ALT branch %d rolled back (%s)", index, error)
-                    obj.rects = snapshot.rects
-                    obj.links = snapshot.links
-                    obj.labels = snapshot.labels
+                    obj.restore(snapshot)
                     tracer.count("interp.alt_rollbacks")
                     for name in [name for name in variables if name in names]:
                         del variables[name]

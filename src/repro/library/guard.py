@@ -10,11 +10,9 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..compact import Compactor
-from ..db import ArrayLink, LayoutObject
+from ..db import LayoutObject
 from ..geometry import Rect
 from ..primitives import ring
-from ..tech import Technology
 from ..obs.provenance import provenance_entity
 
 
@@ -45,25 +43,16 @@ def substrate_ring(
         ring_width = max(
             tech.min_width(layer), cut + 2 * max(enc_metal, enc_diff)
         )
+    first = len(obj.rects)  # RING appends its four sides in order
     diff_rects = ring(obj, layer, width=ring_width, net=net)
     if not contacted:
         return diff_rects
-    for side in diff_rects:
-        metal = side.copy()
-        metal.layer = "metal1"
-        metal.net = net
-        obj.add_rect(metal)
-        margin = max(enc_metal, enc_diff)
-        link = ArrayLink(
-            "contact", cut, space,
-            [(side, margin), (metal, margin)], net,
-        )
-        link.rebuild()
-        if link.rects:
-            link.stamp_provenance()
-            for rect in link.rects:
-                obj.rects.append(rect)
-            obj.add_link(link)
+    margin = max(enc_metal, enc_diff)
+    for offset, side in enumerate(diff_rects):
+        obj.add_rect(Rect(side.x1, side.y1, side.x2, side.y2, "metal1", net,
+                          prov=side.prov))
+        outers = [(first + offset, margin), (len(obj.rects) - 1, margin)]
+        obj.add_array("contact", cut, space, outers, net)
     return diff_rects
 
 

@@ -8,11 +8,11 @@ rules — the paper's partitioning explicitly weighs "poly-wire resistance".
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..compact import Compactor
 from ..db import LayoutObject, estimate_net_capacitance, estimate_net_resistance
-from ..geometry import Direction, Rect
+from ..geometry import Direction
 from ..primitives import angle_adaptor
 from ..route import wire
 from ..tech import RuleError, Technology
@@ -73,16 +73,16 @@ def poly_resistor(
     wire(obj, layer, (0, 0), (-lead_a, 0), width=w, net=body_net)
     wire(obj, layer, (b_x, b_y), (b_x + b_dir * lead_b, b_y), width=w,
          net=body_net)
-    a_patches = angle_adaptor(obj, layer, "metal1", -lead_a, 0, w, w, net=net_a)
-    b_patches = angle_adaptor(
+    first = len(obj.rects)
+    angle_adaptor(obj, layer, "metal1", -lead_a, 0, w, w, net=net_a)
+    angle_adaptor(
         obj, layer, "metal1", b_x + b_dir * lead_b, b_y, w, w, net=net_b,
     )
     # The patches overlap the body ends; relabel their base-layer rects so
     # connectivity sees terminal → body → terminal as one chain.
-    for patch in a_patches + b_patches:
-        if patch.layer == layer:
-            patch.net = body_net
-    obj.invalidate_index()
+    for seq in range(first, len(obj.rects)):
+        if obj.rects[seq].layer == layer:
+            obj.tag_rect(seq, body_net)
     return obj
 
 

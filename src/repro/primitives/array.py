@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..db import ArrayLink, LayoutObject
+from ..db import LayoutObject
 from ..geometry import Axis, Rect
 from ..obs.provenance import builtin_call
 from ..tech import RuleError
@@ -39,26 +39,20 @@ def array(
     if obj.is_empty():
         raise RuleError(f"ARRAY({layer!r}): structure is empty")
 
-    outers = list(obj.nonempty_rects)
-    link = ArrayLink(
-        layer,
-        cut_size,
-        cut_space,
-        [(outer, enclosure_margin(obj, outer.layer, layer)) for outer in outers],
-        net,
-    )
-
+    outers = obj.store().live_seqs()
     # Expand the outers until at least one cut fits along each axis.
     x1, _, x2, _ = inner_region(obj, layer, outers)  # type: ignore[misc]
     expand_outers(obj, outers, Axis.HORIZONTAL, cut_size - (x2 - x1))
     _, y1, _, y2 = inner_region(obj, layer, outers)  # type: ignore[misc]
     expand_outers(obj, outers, Axis.VERTICAL, cut_size - (y2 - y1))
 
-    link.rebuild()
-    assert link.rects, "ARRAY expansion must yield at least one cut"
-    link.stamp_provenance()
-    for rect in link.rects:
-        obj.rects.append(rect)
-    obj.add_link(link)
-    return list(link.rects)
-
+    rects = obj.rects
+    link = obj.add_array(
+        layer,
+        cut_size,
+        cut_space,
+        [(seq, enclosure_margin(obj, rects[seq].layer, layer)) for seq in outers],
+        net,
+    )
+    assert link is not None, "ARRAY expansion must yield at least one cut"
+    return [rects[seq] for seq in link.cuts]

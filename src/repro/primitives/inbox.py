@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..db import InsideLink, LayoutObject
-from ..geometry import Axis, Direction, Rect
+from ..geometry import Axis, Rect
 from ..obs.provenance import builtin_call
 from ..tech import RuleError
 from .util import default_extent, enclosure_margin, expand_outers, inner_region
@@ -76,7 +76,7 @@ def _inner_rect(
     net: Optional[str],
 ) -> Rect:
     """Rectangle inside all existing rects, expanding outers when needed."""
-    outers = list(obj.nonempty_rects)
+    outers = obj.store().live_seqs()
     min_w = obj.tech.rules.width(layer) or 1
 
     need_h = w if w is not None else min_w
@@ -106,10 +106,11 @@ def _inner_rect(
         ry2 = ry1 + w
 
     rect = obj.add_rect(Rect(rx1, ry1, rx2, ry2, layer, net))
+    rects = obj.rects
     obj.add_link(
         InsideLink(
-            rect,
-            [(outer, enclosure_margin(obj, outer.layer, layer)) for outer in outers],
+            len(rects) - 1,
+            [(seq, enclosure_margin(obj, rects[seq].layer, layer)) for seq in outers],
         )
     )
     return rect

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..db import LayoutObject
-from ..geometry import Axis, Rect
+from ..geometry import Axis
 from ..tech import RuleError
 
 
@@ -19,16 +19,17 @@ def enclosure_margin(obj: LayoutObject, outer_layer: str, inner_layer: str) -> i
 
 
 def inner_region(
-    obj: LayoutObject, inner_layer: str, outers: List[Rect]
+    obj: LayoutObject, inner_layer: str, outers: List[int]
 ) -> Optional[Tuple[int, int, int, int]]:
-    """Intersection of all outers shrunk by their enclosure margins.
+    """Intersection of the outers (seqs) shrunk by their enclosure margins.
 
     Returns (x1, y1, x2, y2) which may be inverted when the region is
     infeasible; ``None`` when there are no outers.
     """
     if not outers:
         return None
-    shrunk = [(o, enclosure_margin(obj, o.layer, inner_layer)) for o in outers]
+    rects = [obj.rects[seq] for seq in outers]
+    shrunk = [(o, enclosure_margin(obj, o.layer, inner_layer)) for o in rects]
     x1 = max(o.x1 + m for o, m in shrunk)
     y1 = max(o.y1 + m for o, m in shrunk)
     x2 = min(o.x2 - m for o, m in shrunk)
@@ -36,8 +37,8 @@ def inner_region(
     return (x1, y1, x2, y2)
 
 
-def expand_outers(obj: LayoutObject, outers: List[Rect], axis: Axis, deficit: int) -> None:
-    """Grow every outer symmetrically so the inner region gains *deficit*.
+def expand_outers(obj: LayoutObject, outers: List[int], axis: Axis, deficit: int) -> None:
+    """Grow every outer (seq) symmetrically so the inner region gains *deficit*.
 
     Implements "If the new rectangle cannot be placed inside the other
     rectangles, all outer rectangles are expanded" (Sec. 2.2).  Growth is
@@ -48,13 +49,12 @@ def expand_outers(obj: LayoutObject, outers: List[Rect], axis: Axis, deficit: in
         return
     low = deficit // 2
     high = deficit - low
-    for outer in outers:
+    for seq in outers:
+        r = obj.rects[seq]
         if axis is Axis.HORIZONTAL:
-            outer.x1 -= low
-            outer.x2 += high
+            obj.set_rect(seq, r.x1 - low, r.y1, r.x2 + high, r.y2)
         else:
-            outer.y1 -= low
-            outer.y2 += high
+            obj.set_rect(seq, r.x1, r.y1 - low, r.x2, r.y2 + high)
     obj.rebuild_links()
 
 

@@ -22,18 +22,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ..baselines import GraphCompactor
 from ..compact import Compactor
 from ..db import LayoutObject
 from ..db.netindex import ConnectivityIndex
-from ..geometry import Direction, Rect
+from ..geometry import Direction
 from ..library import contact_row, mos_transistor
 from ..obs import get_tracer
 from ..route import path
 from ..tech import Technology
-from .oracles import LayoutSnapshot, OracleViolation, check_layout
+from .oracles import LayoutSnapshot, check_layout
 from .reference import ScanCompactor
 
 
@@ -101,9 +101,8 @@ def random_object_set(
             if rng.random() < 0.3:
                 # A parasitic-protection plate: forbids overlap with any
                 # conducting layer that has no explicit SPACE rule to metal1.
-                for rect in obj.rects_on("metal1"):
-                    rect.no_overlap = True
-                obj.invalidate_index()
+                for seq in obj.store().seqs_on("metal1"):
+                    obj.tag_rect(seq, no_overlap=True)
         jitter = rng.randint(-4, 4) * dbu
         dx = -direction.dx * index * pitch + abs(direction.dy) * jitter
         dy = -direction.dy * index * pitch + abs(direction.dx) * jitter

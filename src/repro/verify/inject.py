@@ -85,7 +85,6 @@ def _attempt(
     every accepted plant against the reference oracle, so a (hypothetical)
     indexed-path miss would surface there, not hide here.
     """
-    obj.invalidate_index()  # the perturbation wrote rect coordinates directly
     after = run_drc(obj, include_latchup=False)
     known = list(baseline)
     new = []
@@ -106,14 +105,9 @@ def _attempt(
     return None
 
 
-def _restore_coords(obj: LayoutObject, rect: Rect) -> Callable[[], None]:
-    saved = (rect.x1, rect.y1, rect.x2, rect.y2)
-
-    def undo() -> None:
-        rect.x1, rect.y1, rect.x2, rect.y2 = saved
-        obj.invalidate_index()
-
-    return undo
+def _restore_coords(obj: LayoutObject, seq: int) -> Callable[[], None]:
+    saved = obj.rects[seq].as_tuple()
+    return lambda: obj.set_rect(seq, *saved)
 
 
 # ----------------------------------------------------------------------
@@ -123,17 +117,19 @@ def inject_narrow_width(obj: LayoutObject) -> Optional[Injection]:
     """Narrow some wire one dbu below its layer's WIDTH rule."""
     baseline = _baseline(obj)
     rules = obj.tech.rules
-    for rect in list(obj.nonempty_rects):
+    for seq in obj.store().live_seqs():
+        rect = obj.rects[seq]
         if rules.cut_size(rect.layer) is not None:
             continue
         rule = rules.width(rect.layer)
         if rule is None or rule < 2 or rect.short_side() < rule:
             continue
-        undo = _restore_coords(obj, rect)
+        undo = _restore_coords(obj, seq)
+        x1, y1, x2, y2 = rect.as_tuple()
         if rect.width <= rect.height:
-            rect.x2 = rect.x1 + rule - 1
+            obj.set_rect(seq, x1, y1, x1 + rule - 1, y2)
         else:
-            rect.y2 = rect.y1 + rule - 1
+            obj.set_rect(seq, x1, y1, x2, y1 + rule - 1)
         injection = _attempt(
             obj,
             baseline,
@@ -188,11 +184,11 @@ def inject_spacing_probe(obj: LayoutObject) -> Optional[Injection]:
                     return None
                 attempts += 1
                 probe = Rect(x1, y1, x1 + side, y1 + side, layer, PROBE_NET)
+                saved = obj.snapshot()
                 obj.add_rect(probe)
 
-                def undo(probe=probe) -> None:
-                    obj.rects.remove(probe)
-                    obj.invalidate_index()
+                def undo(saved=saved) -> None:
+                    obj.restore(saved)
 
                 injection = _attempt(
                     obj,
@@ -214,7 +210,8 @@ def inject_enclosure_shrink(obj: LayoutObject) -> Optional[Injection]:
     """Nudge a cut until a conductor's ENCLOSE margin fails."""
     baseline = _baseline(obj)
     tech = obj.tech
-    for cut in list(obj.nonempty_rects):
+    for seq in obj.store().live_seqs():
+        cut = obj.rects[seq]
         if tech.rules.cut_size(cut.layer) is None:
             continue
         pairs = tech.connected_layers(cut.layer)
@@ -228,11 +225,8 @@ def inject_enclosure_shrink(obj: LayoutObject) -> Optional[Injection]:
         shifts = sorted({1, 2, *(m for m in margins if m > 0)})
         for distance in shifts:
             for dx, dy in ((distance, 0), (-distance, 0), (0, distance), (0, -distance)):
-                undo = _restore_coords(obj, cut)
-                cut.x1 += dx
-                cut.x2 += dx
-                cut.y1 += dy
-                cut.y2 += dy
+                undo = _restore_coords(obj, seq)
+                obj.set_rect(seq, cut.x1 + dx, cut.y1 + dy, cut.x2 + dx, cut.y2 + dy)
                 injection = _attempt(
                     obj,
                     baseline,
@@ -269,21 +263,23 @@ def inject_extension_short(obj: LayoutObject) -> Optional[Injection]:
             assert box is not None
             if gate.y1 <= box.y1 and gate.y2 >= box.y2:  # vertical crossing
                 trims = (
-                    ("y2", box.y2 + endcap - 1),
-                    ("y1", box.y1 - endcap + 1),
+                    ("y2", 3, box.y2 + endcap - 1),
+                    ("y1", 1, box.y1 - endcap + 1),
                 )
             elif gate.x1 <= box.x1 and gate.x2 >= box.x2:  # horizontal
                 trims = (
-                    ("x2", box.x2 + endcap - 1),
-                    ("x1", box.x1 - endcap + 1),
+                    ("x2", 2, box.x2 + endcap - 1),
+                    ("x1", 0, box.x1 - endcap + 1),
                 )
             else:
                 continue
-            for attr, value in trims:
-                if getattr(gate, attr) == value:
+            for attr, at, value in trims:
+                coords = list(gate.as_tuple())
+                if coords[at] == value:
                     continue  # already there: no mutation to make
-                undo = _restore_coords(obj, gate)
-                setattr(gate, attr, value)
+                undo = _restore_coords(obj, gate_index)
+                coords[at] = value
+                obj.set_rect(gate_index, *coords)
                 injection = _attempt(
                     obj,
                     baseline,

@@ -53,7 +53,7 @@ from ..compact import (
     gather_constraints_grouped,
     layer_frontier,
 )
-from ..db import ArrayLink, DisjointSet, LayoutObject
+from ..db import DisjointSet, LayoutObject
 from ..drc.checker import (
     _check_areas,
     _check_crossing,
@@ -103,30 +103,26 @@ def solve_links_fixpoint(obj: LayoutObject) -> Set[int]:
     """Rebuild every link of *obj* until a pass changes nothing.
 
     At most ``len(obj.links) + 2`` passes; array cuts a rebuild creates
-    join ``obj.rects``.  Returns the ids of the rects whose tuple differs
+    join ``obj.rects``.  Returns the seqs of the rects whose tuple differs
     across some pass.
     """
     changed: Set[int] = set()
+    rects = obj.rects
     for _ in range(len(obj.links) + 2):
-        before = {}
+        before = {
+            seq: rects[seq].as_tuple()
+            for link in obj.links for seq in link.involved_seqs()
+        }
         for link in obj.links:
-            for rect in link.involved_rects():
-                before[id(rect)] = rect.as_tuple()
-        for link in obj.links:
-            cuts = len(link.rects) if isinstance(link, ArrayLink) else 0
-            link.rebuild()
-            if isinstance(link, ArrayLink):
-                obj.rects.extend(link.rects[cuts:])
+            link.rebuild(obj)
         stable = True
         for link in obj.links:
-            for rect in link.involved_rects():
-                rid = id(rect)
-                if before.get(rid) != rect.as_tuple():
+            for seq in link.involved_seqs():
+                if before.get(seq) != rects[seq].as_tuple():
                     stable = False
-                    changed.add(rid)
+                    changed.add(seq)
         if stable:
             break
-    obj.invalidate_index()
     return changed
 
 
@@ -563,17 +559,18 @@ def frontier_filter(
     rects: Sequence[Rect],
     direction: Direction,
     arrival_nets: FrozenSet[str] = frozenset(),
-) -> List[Rect]:
-    """Drop fixed rects fully shadowed behind nearer same-layer geometry:
-    one :func:`~repro.compact.layer_frontier` sweep per layer, layers in
+) -> List[int]:
+    """Seqs (positions in *rects*) of the non-empty rects not fully
+    shadowed behind nearer same-layer geometry: one
+    :func:`~repro.compact.layer_frontier` sweep per layer, layers in
     first-occurrence order.  :func:`repro.compact.frontier_groups` must
-    return the same rects in the same order."""
+    return the same seqs in the same order."""
     by_layer: Dict[str, List[int]] = {}
     for seq, rect in enumerate(rects):
         if not rect.is_empty:
             by_layer.setdefault(rect.layer, []).append(seq)
     return [
-        rects[seq]
+        seq
         for seqs in by_layer.values()
         for seq in layer_frontier(rects, seqs, direction, arrival_nets)
     ]
@@ -585,17 +582,21 @@ def gather_constraints(
     fixed_rects: Sequence[Rect],
     direction: Direction,
     ignore_layers: Iterable[str] = (),
+    seqs: Optional[Iterable[int]] = None,
 ) -> List[PairConstraint]:
     """All active pair constraints, ungrouped: the all-pairs product of
     :func:`~repro.compact.required_spacing` and
-    :func:`~repro.compact.pair_travel`, in pair order, computed by
+    :func:`~repro.compact.pair_travel` over the fixed rects at *seqs*
+    (default: all), in pair order, computed by
     :func:`~repro.compact.gather_constraints_grouped` over runs of one
-    layer."""
-    live = (rect for rect in fixed_rects if not rect.is_empty)
+    layer.  Constraints name rects by their positions in the two lists."""
+    if seqs is None:
+        seqs = range(len(fixed_rects))
+    live = (seq for seq in seqs if not fixed_rects[seq].is_empty)
     groups = [(layer, list(run)) for layer, run in
-              itertools.groupby(live, key=lambda rect: rect.layer)]
+              itertools.groupby(live, key=lambda seq: fixed_rects[seq].layer)]
     return gather_constraints_grouped(
-        tech, moving_rects, groups, direction, ignore_layers
+        tech, moving_rects, fixed_rects, groups, direction, ignore_layers
     )
 
 
@@ -626,28 +627,30 @@ class ScanCompactor(Compactor):
         direction: Direction,
         ignore: Tuple[str, ...],
     ) -> List[PairConstraint]:
-        moving = obj.nonempty_rects
-        fixed = main.nonempty_rects
+        moving, fixed = obj.rects, main.rects
+        seqs = None
         tracer = get_tracer()
         if self.frontier:
             arrival_nets = frozenset(
-                rect.net for rect in moving if rect.net is not None
+                rect.net for rect in moving
+                if rect.net is not None and not rect.is_empty
             )
-            before = len(fixed)
-            fixed = frontier_filter(fixed, direction, arrival_nets)
-            tracer.count("compact.frontier_dropped", before - len(fixed))
-        constraints = gather_constraints(main.tech, moving, fixed, direction, ignore)
+            seqs = frontier_filter(fixed, direction, arrival_nets)
+            live = sum(not rect.is_empty for rect in fixed)
+            tracer.count("compact.frontier_dropped", live - len(seqs))
+        constraints = gather_constraints(
+            main.tech, moving, fixed, direction, ignore, seqs
+        )
         tracer.count("compact.constraints", len(constraints))
         return constraints
 
     def _residents(
-        self, main: LayoutObject, new_rects: Sequence[Rect]
-    ) -> Dict[Tuple[str, str], List[Rect]]:
-        new_ids = set(map(id, new_rects))
-        residents: Dict[Tuple[str, str], List[Rect]] = {}
-        for rect in main.nonempty_rects:
-            if id(rect) not in new_ids and rect.net is not None:
-                residents.setdefault((rect.net, rect.layer), []).append(rect)
+        self, main: LayoutObject, start: int
+    ) -> Dict[Tuple[str, str], List[int]]:
+        residents: Dict[Tuple[str, str], List[int]] = {}
+        for seq, rect in enumerate(main.rects[:start]):
+            if not rect.is_empty and rect.net is not None:
+                residents.setdefault((rect.net, rect.layer), []).append(seq)
         return residents
 
     def _bridge_blocked(self, main: LayoutObject, bridge: Rect, net: str) -> bool:

@@ -66,6 +66,28 @@ def test_run_reports_globals(source_file, capsys):
     assert "gatecon: layout" in out
 
 
+@pytest.mark.parametrize("command, body, message", [
+    ("run", "x = y", "line 2: unknown name 'y'"),
+    ("run", "x = 1 / 0", "line 2: division by zero"),
+    ("translate", "x = y", "line 2: unknown name 'y'"),
+])
+def test_pldl_error_is_one_line_not_a_traceback(
+    command, body, message, tmp_path, monkeypatch, capsys
+):
+    from repro.obs.ledger import Ledger
+
+    monkeypatch.setenv("REPRO_LEDGER", "1")
+    monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path / "ledger"))
+    path = tmp_path / "bad.pldl"
+    path.write_text(f"ENT Main()\n  {body}\nEND\nm = Main()\n", encoding="utf-8")
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip() == f"{path}: {message}"
+    assert "Traceback" not in captured.out + captured.err
+    with Ledger(tmp_path / "ledger") as ledger:
+        assert ledger.last(command).status == 1
+
+
 def test_translate_to_stdout(source_file, capsys):
     assert main(["translate", str(source_file)]) == 0
     assert "def ContactRow" in capsys.readouterr().out

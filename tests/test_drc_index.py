@@ -116,20 +116,17 @@ def test_indexed_equals_brute_on_random_soups(tech_name, spec_list):
 def test_invalidate_after_mutation_equals_scratch(tech_name, spec_list, moves, appended):
     """A fresh index after a mutation equals the brute path.
 
-    The index is a snapshot: after in-place coordinate moves (followed by
-    ``invalidate_index``, as every direct write must be) and after appends,
+    The index is a snapshot: after in-place coordinate moves (through
+    ``set_rect``, which keeps the object's store exact) and after appends,
     a newly built index must agree with the reference again.
     """
     obj = _soup(tech_name, spec_list)
     _assert_equivalent(obj)
-    rects = obj.nonempty_rects
+    seqs = obj.store().live_seqs()
     for which, dx, dy in moves:
-        rect = rects[which % len(rects)]
-        rect.x1 += dx
-        rect.x2 += dx
-        rect.y1 += dy
-        rect.y2 += dy
-    obj.invalidate_index()  # direct coordinate writes: the store's rule
+        seq = seqs[which % len(seqs)]
+        rect = obj.rects[seq]
+        obj.set_rect(seq, rect.x1 + dx, rect.y1 + dy, rect.x2 + dx, rect.y2 + dy)
     _assert_equivalent(obj)
     for x, y, w, h, layer_choice, net in appended:
         layers = LAYERS[tech_name]

@@ -83,17 +83,18 @@ def _apply(obj, op):
         obj.merge(other)
     elif kind in ("shrink", "stretch"):
         _, selector, direction, amount = op
-        live = obj.nonempty_rects
+        live = obj.store().live_seqs()
         if not live:
             return
-        rect = live[selector % len(live)]
+        seq = live[selector % len(live)]
+        rect = obj.rects[seq]
         sign = 1 if direction.is_positive else -1
         coord = rect.edge_coord(direction)
         if kind == "shrink":
             rect.set_variable()
-            obj.move_edge(rect, direction, coord - sign * amount)
+            obj.move_edge(seq, direction, coord - sign * amount)
         else:
-            obj.move_stretch(rect, direction, coord + sign * amount)
+            obj.move_stretch(seq, direction, coord + sign * amount)
     elif kind == "translate":
         obj.translate(op[1], op[2])
     else:  # "query": warm the caches mid-sequence
@@ -121,9 +122,8 @@ def _check_equals_scratch(obj):
     for direction in Direction:
         for nets in (frozenset(), frozenset({"a"}), frozenset({"a", "b"})):
             groups = frontier_groups(store, direction, nets)
-            flat = [rect for _, rects_ in groups for rect in rects_]
-            expected = frontier_filter(fresh, direction, nets)
-            assert [id(r) for r in flat] == [id(r) for r in expected]
+            flat = [seq for _, seqs in groups for seq in seqs]
+            assert flat == frontier_filter(obj.rects, direction, nets)
 
     buckets: dict = {}
     for rect in fresh:

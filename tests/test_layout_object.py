@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.db import ArrayLink, InsideLink, LayoutObject
+from repro.db import InsideLink, LayoutObject
 from repro.geometry import Direction, Rect
 from repro.tech import RuleError
 
@@ -10,15 +10,14 @@ from repro.tech import RuleError
 def row_object(tech, name="row"):
     """A contact-row-like object with an InsideLink and an ArrayLink."""
     obj = LayoutObject(name, tech)
-    poly = obj.add_rect(Rect(0, 0, 10000, 2600, "poly", "g"))
-    metal = obj.add_rect(Rect(0, 0, 10000, 2600, "metal1", "g"))
-    obj.add_link(InsideLink(metal, [(poly, 0)]))
-    link = ArrayLink("contact", 1000, 1200, [(poly, 800), (metal, 500)], "g")
-    link.rebuild()
-    for rect in link.rects:
-        obj.rects.append(rect)
-    obj.add_link(link)
+    obj.add_rect(Rect(0, 0, 10000, 2600, "poly", "g"))  # seq 0
+    obj.add_rect(Rect(0, 0, 10000, 2600, "metal1", "g"))  # seq 1
+    obj.add_link(InsideLink(1, [(0, 0)]))
+    obj.add_array("contact", 1000, 1200, [(0, 800), (1, 500)], "g")
     return obj
+
+
+POLY, METAL = 0, 1
 
 
 def test_add_rect_validates_layer(tech):
@@ -61,10 +60,11 @@ def test_merge_copies_rects_and_links(tech):
     added[0].translate(5, 5)
     assert source.rects[0].as_tuple() != added[0].as_tuple()
     assert len(target.links) == len(source.links)
-    # Links in the target reference the target's rects, not the source's.
-    for link in target.links:
-        for rect in link.involved_rects():
-            assert any(rect is r for r in target.rects)
+    # Links are copies addressing the target's rects.
+    for link, original in zip(target.links, source.links):
+        assert link is not original
+        assert link.involved_seqs() == original.involved_seqs()
+        assert all(seq < len(target.rects) for seq in link.involved_seqs())
 
 
 def test_copy_statement_semantics(tech):
@@ -111,34 +111,33 @@ def test_set_net_and_rename(tech):
 
 def test_shrink_limit_respects_min_width(tech):
     obj = LayoutObject("o", tech)
-    rect = obj.add_rect(Rect(0, 0, 10000, 2000, "metal1"))
+    obj.add_rect(Rect(0, 0, 10000, 2000, "metal1"))
     # metal1 min width 1500: the east edge may come in to x = 1500.
-    assert obj.shrink_limit(rect, Direction.EAST) == 1500
-    assert obj.shrink_limit(rect, Direction.WEST) == 8500
+    assert obj.shrink_limit(0, Direction.EAST) == 1500
+    assert obj.shrink_limit(0, Direction.WEST) == 8500
 
 
 def test_shrink_limit_respects_explicit_bounds(tech):
     obj = LayoutObject("o", tech)
     rect = obj.add_rect(Rect(0, 0, 10000, 2000, "metal1"))
     rect.edge(Direction.EAST).min_coord = 7000
-    assert obj.shrink_limit(rect, Direction.EAST) == 7000
+    assert obj.shrink_limit(0, Direction.EAST) == 7000
 
 
 def test_shrink_limit_protects_array_cut(tech):
     obj = row_object(tech)
-    poly = obj.rects_on("poly")[0]
     # Shrinking the poly east edge must keep room for one contact:
     # far side (west) region edge + cut + margin.
-    limit = obj.shrink_limit(poly, Direction.EAST)
+    limit = obj.shrink_limit(POLY, Direction.EAST)
     assert limit == 800 + 1000 + 800
 
 
 def test_move_edge_clamps_and_rebuilds(tech):
     obj = row_object(tech)
-    poly = obj.rects_on("poly")[0]
+    poly = obj.rects[POLY]
     cuts_before = len(obj.rects_on("contact"))
-    achieved = obj.move_edge(poly, Direction.EAST, 0)  # ask for impossible
-    assert achieved == obj.shrink_limit(poly, Direction.EAST)
+    achieved = obj.move_edge(POLY, Direction.EAST, 0)  # ask for impossible
+    assert achieved == obj.shrink_limit(POLY, Direction.EAST)
     assert len(obj.rects_on("contact")) == 1
     assert len(obj.rects_on("contact")) < cuts_before
     # metal follows the poly inward (InsideLink).
@@ -148,15 +147,15 @@ def test_move_edge_clamps_and_rebuilds(tech):
 
 def test_move_edge_never_moves_outward(tech):
     obj = LayoutObject("o", tech)
-    rect = obj.add_rect(Rect(0, 0, 10000, 2000, "metal1"))
-    achieved = obj.move_edge(rect, Direction.EAST, 20000)
+    obj.add_rect(Rect(0, 0, 10000, 2000, "metal1"))
+    achieved = obj.move_edge(0, Direction.EAST, 20000)
     assert achieved == 10000  # clamped to the current coordinate
 
 
 def test_move_stretch_releases_enclosure(tech):
     obj = row_object(tech)
-    metal = obj.rects_on("metal1")[0]
-    obj.move_stretch(metal, Direction.NORTH, 5000)
+    metal = obj.rects[METAL]
+    obj.move_stretch(METAL, Direction.NORTH, 5000)
     assert metal.y2 == 5000
     obj.rebuild_links()  # must NOT clamp the released edge back
     assert metal.y2 == 5000
@@ -164,8 +163,8 @@ def test_move_stretch_releases_enclosure(tech):
 
 def test_move_stretch_ignores_inward_requests(tech):
     obj = row_object(tech)
-    metal = obj.rects_on("metal1")[0]
-    obj.move_stretch(metal, Direction.NORTH, 100)  # inward: refused
+    metal = obj.rects[METAL]
+    obj.move_stretch(METAL, Direction.NORTH, 100)  # inward: refused
     assert metal.y2 == 2600
 
 

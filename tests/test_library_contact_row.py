@@ -54,9 +54,10 @@ def test_variable_metal_flag(tech):
 
 def test_metal_min_width_bounds_shrink(tech):
     row = contact_row(tech, "pdiff", w=10.0, metal_min_width=2.8)
-    metal = row.rects_on("metal1")[0]
-    limit = row.shrink_limit(metal, Direction.EAST)
-    other = row.shrink_limit(metal, Direction.WEST)
+    seq = row.store().seqs_on("metal1")[0]
+    metal = row.rects[seq]
+    limit = row.shrink_limit(seq, Direction.EAST)
+    other = row.shrink_limit(seq, Direction.WEST)
     assert other - limit >= -2800  # cannot narrow below the landing
     assert metal.edge(Direction.EAST).min_coord is not None
 

@@ -26,10 +26,9 @@ def test_simple_mirror_grown_cut_is_in_layout(tech05):
     ``generic_cmos_05u/simple_current_mirror`` golden hash)."""
     with recording(ProvenanceRecorder(enabled=True)):
         mirror = simple_current_mirror(tech05, w=8.0, length=2.0)
-    in_layout = {id(r) for r in mirror.rects}
-    cuts = [r for link in mirror.links if hasattr(link, "cut_layer")
-            for r in link.rects if not r.is_empty]
-    assert all(id(r) in in_layout for r in cuts)
+    cuts = [mirror.rects[seq] for link in mirror.links
+            if hasattr(link, "cut_layer") for seq in link.cuts]
+    cuts = [r for r in cuts if not r.is_empty]
     grown = [r for r in cuts if any(kind == "rebuild" for kind, _ in r.prov.lineage)]
     assert [r.as_tuple() for r in grown] == [(1400, 4900, 1900, 5400)]
 

@@ -5,17 +5,17 @@ reaches, plus its pending links (appended, mirrored or arrived in a
 replaced ``links`` list).  Its contract is that this changes nothing: a
 ``snapshot()`` twin driven with the same returned coordinates and solved by
 :func:`repro.verify.reference.solve_links_fixpoint` must hold the same rect
-tuples after every step.  The id set handed to the rect store must also
-cover every rect the solve moved or created.
+tuples after every step.  The rect store must also see every rect the
+solve moved or created: its layer's version moves, and its live flags
+equal a store built from scratch.
 """
 
-from contextlib import contextmanager
 from functools import lru_cache
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.db import ArrayLink, InsideLink, LayoutObject
+from repro.db import InsideLink, LayoutObject
 from repro.db.store import RectStore
 from repro.geometry import Direction, Rect
 from repro.library import contact_row, interdigitated_transistor, mos_transistor, substrate_ring
@@ -39,13 +39,11 @@ def _nested(tech):
     solved and then mirrored: array placement rounds, so its vias sit off
     their fixpoint and every link starts out pending."""
     obj = LayoutObject("Nested", tech)
-    diff = obj.add_rect(Rect(0, 0, 7_801, 4_000, "ndiff", "n"))
-    metal1 = obj.add_rect(Rect(0, 0, 7_801, 4_000, "metal1", "n"))
-    metal2 = obj.add_rect(Rect(-900, -700, 8_700, 4_700, "metal2", "n"))
-    vias = ArrayLink("via", 1_000, 1_200, [(metal1, 500), (metal2, 500)], "n")
-    vias.rebuild()
-    obj.rects.extend(vias.rects)
-    obj.add_link(vias)
+    diff, metal1, metal2 = 0, 1, 2
+    obj.add_rect(Rect(0, 0, 7_801, 4_000, "ndiff", "n"))
+    obj.add_rect(Rect(0, 0, 7_801, 4_000, "metal1", "n"))
+    obj.add_rect(Rect(-900, -700, 8_700, 4_700, "metal2", "n"))
+    obj.add_array("via", 1_000, 1_200, [(metal1, 500), (metal2, 500)], "n")
     obj.add_link(InsideLink(metal2, [(metal1, 400)]))
     obj.add_link(InsideLink(metal1, [(diff, 300)]))
     obj.rebuild_links()
@@ -108,66 +106,54 @@ def _tuples(obj):
     return [rect.as_tuple() for rect in obj.rects]
 
 
-@contextmanager
-def _reported_ids():
-    """Collect every id handed to ``RectStore.note_changed``."""
-    reported = set()
-    original = RectStore.note_changed
-
-    def note(store, ids):
-        ids = set(ids)
-        reported.update(ids)
-        original(store, ids)
-
-    RectStore.note_changed = note
-    try:
-        yield reported
-    finally:
-        RectStore.note_changed = original
+EDGE_INDEX = {Direction.WEST: 0, Direction.SOUTH: 1, Direction.EAST: 2, Direction.NORTH: 3}
 
 
 def _move(obj, twin, kind, selector, direction, amount):
     """Move one edge of *obj*; replay the outcome on *twin* by hand.
 
-    Returns the ids *obj* reported to its rect store and its rect
-    tuples (by id) from before the move.
+    Returns *obj*'s rect tuples and its store's layer versions from
+    before the move.
     """
     index = _pick(obj, selector)
-    rect, twin_rect = obj.rects[index], twin.rects[index]
-    obj.store()
-    before = {id(r): r.as_tuple() for r in obj.rects}
+    rect = obj.rects[index]
+    store = obj.store()
+    before = _tuples(obj)
+    versions = {layer: bucket.version for layer, bucket in store.buckets.items()}
     sign = 1 if direction.is_positive else -1
     edge = rect.edge_coord(direction)
-    with _reported_ids() as reported:
-        if kind == "shrink":
-            coord = obj.move_edge(rect, direction, edge - sign * amount)
-        else:
-            coord = edge + sign * amount
-            obj.move_stretch(rect, direction, coord)
+    if kind == "shrink":
+        coord = obj.move_edge(index, direction, edge - sign * amount)
+    else:
+        coord = edge + sign * amount
+        obj.move_stretch(index, direction, coord)
     if kind == "stretch":
         for link in twin.links:
-            if isinstance(link, InsideLink) and link.inner is twin_rect:
+            if isinstance(link, InsideLink) and link.inner == index:
                 link.release(direction)
-    twin_rect.set_edge_coord(direction, coord)
+    box = list(twin.rects[index].as_tuple())
+    box[EDGE_INDEX[direction]] = coord
+    twin.set_rect(index, *box)
     solve_links_fixpoint(twin)
-    return reported, before
+    return before, versions
 
 
-def _restore(obj, saved):
-    """The ALT rollback: the object takes over a copy's lists."""
-    obj.rects = saved.rects
-    obj.links = saved.links
-    obj.labels = saved.labels
+def _check_store_saw_the_move(obj, before, versions):
+    store = obj.store()
+    fresh = RectStore(obj.rects)
+    fresh.sync()
+    assert (store.live, store.nonempty) == (fresh.live, fresh.nonempty)
+    for rect, old in zip(obj.rects, before):
+        if rect.as_tuple() != old:
+            assert store.buckets[rect.layer].version > versions[rect.layer]
 
 
 def _apply(obj, twin, op):
     """Apply *op* to both objects; returns the object to continue on."""
     kind = op[0]
     if kind in ("shrink", "stretch"):
-        reported, before = _move(obj, twin, *op)
-        for rect in obj.rects:
-            if before.get(id(rect)) != rect.as_tuple():
-                assert id(rect) in reported, (rect, before.get(id(rect)))
+        before, versions = _move(obj, twin, *op)
+        _check_store_saw_the_move(obj, before, versions)
     elif kind == "mirror_x":
         obj.mirror_x(op[1])
         twin.mirror_x(op[1])
@@ -185,8 +171,8 @@ def _apply(obj, twin, op):
     else:  # alt: a branch moves an edge, fails, and is rolled back
         saved, twin_saved = obj.copy(), twin.copy()
         _move(obj, twin, "shrink", *op[1:])
-        _restore(obj, saved)
-        _restore(twin, twin_saved)
+        obj.restore(saved)
+        twin.restore(twin_saved)
     return obj
 
 
@@ -218,9 +204,9 @@ def test_rebuild_links_equals_fixpoint(tech):
     twin = row.snapshot()
     for obj in (row, twin):
         for link in obj.links:
-            for outer, _ in getattr(link, "outers", ()):
-                outer.x2 += 7_300
-                outer.y1 -= 1_100
+            for seq, _ in getattr(link, "outers", ()):
+                outer = obj.rects[seq]
+                obj.set_rect(seq, outer.x1, outer.y1 - 1_100, outer.x2 + 7_300, outer.y2)
     row.rebuild_links()
     solve_links_fixpoint(twin)
     assert _tuples(row) == _tuples(twin)
@@ -233,12 +219,11 @@ def test_edge_move_rebuilds_only_reached_links(tech):
     for i, row in enumerate(rows):
         main.merge(row.translate(i * 40_000, 0))
     main.rebuild_links()
-    metal = next(r for r in main.rects if r.layer == "metal1")
-    reached = [link for link in main.links
-               if any(rect is metal for rect in link.involved_rects())]
+    metal = main.store().seqs_on("metal1")[0]
+    reached = [link for link in main.links if metal in link.involved_seqs()]
     sink = StatsSink()
     with activate(Tracer(sinks=[sink])):
-        main.move_stretch(metal, Direction.EAST, metal.x2 + 20_000)
+        main.move_stretch(metal, Direction.EAST, main.rects[metal].x2 + 20_000)
     # Each reached link is rebuilt, and once more when it changed a rect.
     assert 0 < sink.counters["links.rebuild_calls"] <= 2 * len(reached)
     assert len(main.links) > 2 * len(reached)

@@ -189,13 +189,13 @@ def test_gather_constraints_fast_path_matches_naive_product(main, moving_rect, d
     fast = gather_constraints(TECH, [moving_rect], fixed, direction)
 
     naive = []
-    for other in fixed:
+    for seq, other in enumerate(fixed):
         spacing = required_spacing(TECH, moving_rect, other, frozenset())
         if spacing is None:
             continue
         travel = pair_travel(moving_rect, other, direction, spacing)
         if travel is None:
             continue
-        naive.append((id(other), spacing, travel))
+        naive.append((seq, spacing, travel))
 
-    assert [(id(c.fixed), c.spacing, c.max_travel) for c in fast] == naive
+    assert [(c.fixed, c.spacing, c.max_travel) for c in fast] == naive

@@ -90,12 +90,16 @@ def test_array_rebuild_links_new_cuts_to_ancestor(tech, recorder, tmp_path):
     link = next(l for l in row.links if hasattr(l, "cut_layer"))
     creation = link.prov
     assert creation is not None and creation.entity_stack[0] == "ContactRow"
-    before = len([r for r in link.rects if not r.is_empty])
+    def cuts():
+        return [row.rects[seq] for seq in link.cuts if not row.rects[seq].is_empty]
+
+    before = len(cuts())
     # Stretch the outers as an auto-connection would; the array grows.
-    for outer, _ in link.outers:
-        outer.x2 += 20000
+    for seq, _ in link.outers:
+        outer = row.rects[seq]
+        row.set_rect(seq, outer.x1, outer.y1, outer.x2 + 20000, outer.y2)
     row.rebuild_links()
-    grown = [r for r in link.rects if not r.is_empty]
+    grown = cuts()
     assert len(grown) > before
     for rect in grown[before:]:
         assert rect.prov is not None
@@ -109,9 +113,8 @@ def test_array_rebuild_links_new_cuts_to_ancestor(tech, recorder, tmp_path):
     assert written == sorted(r.as_tuple() for r in grown)
     twin = row.snapshot()
     twin_link = next(l for l in twin.links if hasattr(l, "cut_layer"))
-    twin_ids = {id(r) for r in twin.rects}
-    assert all(id(r) in twin_ids for r in twin_link.rects)
-    assert not {id(r) for r in twin_link.rects} & {id(r) for r in link.rects}
+    assert twin_link is not link and twin_link.cuts == link.cuts
+    assert not {id(twin.rects[s]) for s in twin_link.cuts} & {id(row.rects[s]) for s in link.cuts}
 
 
 def test_compacted_contact_row_keeps_ancestry(tech, compactor, recorder):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.db import LayoutObject
 from repro.geometry import Direction, Rect
 
 coords = st.integers(min_value=-10_000, max_value=10_000)
@@ -66,13 +67,16 @@ def test_distance_is_chebyshev_like():
     assert a.distance(Rect(5, 5, 20, 20, "poly")) == 0
 
 
-def test_edge_coords_and_set():
+def test_edge_coords_and_set(tech):
     rect = Rect(1, 2, 3, 4, "poly")
     assert rect.edge_coord(Direction.WEST) == 1
     assert rect.edge_coord(Direction.SOUTH) == 2
     assert rect.edge_coord(Direction.EAST) == 3
     assert rect.edge_coord(Direction.NORTH) == 4
-    rect.set_edge_coord(Direction.NORTH, 10)
+    # An edge is set through the rect's layout object.
+    obj = LayoutObject("o", tech)
+    obj.add_rect(rect)
+    obj.move_stretch(0, Direction.NORTH, 10)
     assert rect.y2 == 10
 
 

@@ -110,9 +110,7 @@ def test_frontier_filter_drops_shadowed(tech):
     survivors = frontier_filter(
         [near, far, other_net], Direction.SOUTH, frozenset({"n"})
     )
-    assert near in survivors
-    assert far not in survivors
-    assert other_net in survivors
+    assert sorted(survivors) == [0, 2]  # far is dropped
 
 
 def test_frontier_filter_cross_net_shadowing_when_safe(tech):
@@ -120,7 +118,7 @@ def test_frontier_filter_cross_net_shadowing_when_safe(tech):
     near = Rect(0, 100, 100, 200, "metal1", "n")
     far = Rect(10, 0, 90, 50, "metal1", "m")
     survivors = frontier_filter([near, far], Direction.SOUTH, frozenset({"m"}))
-    assert survivors == [near]
+    assert survivors == [0]
 
 
 def test_frontier_filter_union_coverage():
@@ -129,18 +127,17 @@ def test_frontier_filter_union_coverage():
     right = Rect(50, 100, 120, 200, "metal1", None)
     behind = Rect(10, 0, 110, 50, "metal1", None)
     survivors = frontier_filter([left, right, behind], Direction.SOUTH)
-    assert behind not in survivors
-    assert left in survivors and right in survivors
+    assert sorted(survivors) == [0, 1]  # behind is dropped
 
 
 def test_frontier_filter_no_overlap_not_shadowed_by_plain():
     near = Rect(0, 100, 100, 200, "metal1", "a")
     guarded = Rect(10, 0, 90, 50, "metal1", "b", no_overlap=True)
     survivors = frontier_filter([near, guarded], Direction.SOUTH)
-    assert guarded in survivors  # plain rects cannot dominate no_overlap
+    assert 1 in survivors  # plain rects cannot dominate no_overlap
     armored_near = Rect(0, 100, 100, 200, "metal1", "a", no_overlap=True)
     survivors = frontier_filter([armored_near, guarded], Direction.SOUTH)
-    assert guarded not in survivors
+    assert 1 not in survivors
 
 
 def test_frontier_filter_keeps_partial_spans(tech):

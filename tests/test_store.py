@@ -1,21 +1,20 @@
 """Property test: the rect store stays equal to one rebuilt from scratch.
 
 A :class:`~repro.db.store.RectStore` is built once and then kept exact by
-the :class:`~repro.db.LayoutObject` write methods, under one staleness
-rule: methods keep it current, a replaced or shortened ``rects`` list is
-detected, and any other write is followed by ``invalidate_index()``.
-Random write sequences — appends, merges (with linked contact rows),
-translations, edge moves and stretches (so the link solver grows and
-collapses array cuts), mirrors, net edits, full link rebuilds, the ALT
-list replacement and direct writes followed by ``invalidate_index()`` —
-each applied with every view warm must leave every store query and every
-cached view equal to a store rebuilt from the rect list.
+the :class:`~repro.db.LayoutObject` write methods, through which every
+write goes.  Random write sequences through the object API only —
+appends, merges (with linked contact rows), translations, edge moves and
+stretches (so the link solver grows and collapses array cuts), mirrors,
+net edits, full link rebuilds, the ALT rollback (``restore``) and single
+rect writes (``set_rect``, ``tag_rect``) — each applied with every view
+warm must leave every store query and every cached view equal to a store
+rebuilt from the rect list, on the object and on its snapshot.
 """
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.compact import frontier_groups, layer_frontier
+from repro.compact import frontier_groups
 from repro.db import LayoutObject
 from repro.db.store import RectStore
 from repro.geometry import Direction, Rect, bounding_box
@@ -56,12 +55,13 @@ operations = st.one_of(
     st.tuples(st.just("rename_nets")),
     st.tuples(st.just("rebuild_links")),
     st.tuples(st.just("alt"), selectors, directions, amounts),
-    st.tuples(st.just("raw"), selectors, shifts, st.sampled_from(NETS)),
+    st.tuples(st.just("rect"), selectors, shifts, st.sampled_from(NETS)),
 )
 
 
 def _pick(obj, selector):
-    live = obj.nonempty_rects
+    """The seq of a non-empty rect chosen by *selector*, or None."""
+    live = obj.store().live_seqs()
     return live[selector % len(live)] if live else None
 
 
@@ -92,16 +92,17 @@ def _apply(obj, op):
         obj.translate(op[1], op[2])
     elif kind in ("move_edge", "move_stretch"):
         _, selector, direction, amount = op
-        rect = _pick(obj, selector)
-        if rect is None:
+        seq = _pick(obj, selector)
+        if seq is None:
             return
+        rect = obj.rects[seq]
         sign = 1 if direction.is_positive else -1
         coord = rect.edge_coord(direction)
         if kind == "move_edge":
             rect.set_variable()
-            obj.move_edge(rect, direction, coord - sign * amount)
+            obj.move_edge(seq, direction, coord - sign * amount)
         else:
-            obj.move_stretch(rect, direction, coord + sign * amount)
+            obj.move_stretch(seq, direction, coord + sign * amount)
     elif kind == "mirror":
         (obj.mirror_x if op[1] else obj.mirror_y)(op[2])
     elif kind == "set_net":
@@ -111,22 +112,19 @@ def _apply(obj, op):
     elif kind == "rebuild_links":
         obj.rebuild_links()
     elif kind == "alt":
-        # A failed ALT branch: edits, then the object takes a copy's lists.
+        # A failed ALT branch: edits, then the rollback to a copy.
         saved = obj.copy()
         _apply(obj, ("move_stretch",) + op[1:])
         obj.add_rect(Rect(0, 0, 2_000, 2_000, "metal1", "a"))
-        obj.rects = saved.rects
-        obj.links = saved.links
-        obj.labels = saved.labels
-    elif kind == "raw":
-        rect = _pick(obj, op[1])
-        if rect is None:
+        obj.restore(saved)
+    elif kind == "rect":
+        seq = _pick(obj, op[1])
+        if seq is None:
             return
+        rect = obj.rects[seq]
         # May empty or invert the rect (x2 < x1 is empty, copies included).
-        rect.x2 += op[2]
-        rect.net = op[3]
-        rect.no_overlap = not rect.no_overlap
-        obj.invalidate_index()
+        obj.set_rect(seq, rect.x1, rect.y1, rect.x2 + op[2], rect.y2)
+        obj.tag_rect(seq, op[3], not rect.no_overlap)
 
 
 def _box(rect):
@@ -154,16 +152,9 @@ def _check_equals_scratch(obj):
             assert e[2] >= f[2] and e[3] >= f[3]
 
     # Every cached view that claims to be current is.
-    for (layer, key), (version, view) in store.views.items():
-        if version != store.buckets[layer].version:
-            continue
-        if key == "x1":
+    for layer, (version, view) in store.views.items():
+        if version == store.buckets[layer].version:
             assert view == fresh.by_x1(layer)
-        else:
-            direction, nets = key
-            assert view == tuple(
-                layer_frontier(rects, fresh.seqs_on(layer), direction, nets)
-            )
 
     # Every query, against the rect list itself.
     live = obj.nonempty_rects
@@ -200,10 +191,10 @@ def _check_equals_scratch(obj):
     linked=False,
     ops=[("move_edge", 0, Direction.WEST, 6_000)],
 )
-@example(  # a direct write that inverts a rect: its snapshot copy stays empty
+@example(  # a write that inverts a rect: its snapshot copy stays empty
     initial=[Rect(0, 0, 4_000, 2_000, "metal1")],
     linked=False,
-    ops=[("raw", 0, -6_000, "a")],
+    ops=[("rect", 0, -6_000, "a")],
 )
 def test_store_equals_a_rebuilt_store_after_every_write(initial, linked, ops):
     obj = LayoutObject("main", TECH)

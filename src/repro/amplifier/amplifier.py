@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 from ..compact import Compactor
 from ..db import ConnectivityIndex, LayoutObject, capacitance_report
 from ..drc import run_drc
-from ..geometry import Rect
+from ..geometry import Rect, bounding_box
 from ..library import substrate_ring
 from ..obs.provenance import provenance_entity
 from ..route import via_stack, wire

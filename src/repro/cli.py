@@ -40,7 +40,7 @@ from typing import Any, Dict, List, Optional
 from .core import DesignSession, Environment
 from .db import LayoutObject
 from .drc import format_report, run_drc
-from .io import dumps_object, read_gds, write_gds, write_svg
+from .io import dumps_object, read_gds, render_svg, write_gds, write_svg
 from .io.textdump import load_object
 from .lang import PldlError
 from .obs import (

@@ -34,14 +34,13 @@ from ..geometry import Direction, Rect, Transform, union_area
 from ..obs import get_tracer
 from ..obs.provenance import get_recorder
 from ..tech import Technology
+from ..tech.layer import LayerKind
 from .links import ArrayLink, InsideLink, Link
 from .store import RectStore
 
 #: Rect coordinate index of the edge facing each direction (x1, y1, x2, y2).
 _EDGE_INDEX = {Direction.WEST: 0, Direction.SOUTH: 1, Direction.EAST: 2, Direction.NORTH: 3}
 
-#: tag_rect's "leave the net as it is".
-_KEEP = object()
 
 
 class Label:
@@ -114,18 +113,17 @@ class LayoutObject:
             return
         rect.x1, rect.y1, rect.x2, rect.y2 = x1, y1, x2, y2
         if self._store is not None:
-            self._store.note_set(seq, old)
+            self._store.note_set(seq)
         if self._writes is not None:
             self._writes.append((seq, old))
 
     def tag_rect(
-        self, seq: int, net: object = _KEEP, no_overlap: Optional[bool] = None
+        self, seq: int, net: Optional[str], no_overlap: Optional[bool] = None
     ) -> None:
-        """Set rect *seq*'s net and/or ``no_overlap`` flag (omitted: kept)."""
+        """Set rect *seq*'s net, and its ``no_overlap`` flag when given."""
         rect = self.rects[seq]
         old_net = rect.net
-        if net is not _KEEP:
-            rect.net = net
+        rect.net = net
         if no_overlap is not None:
             rect.no_overlap = no_overlap
         if self._store is not None:
@@ -176,8 +174,7 @@ class LayoutObject:
             # Later rebuilds derive "rebuild" lineage from this record.
             link.prov = recorder.current()
             for seq in link.cuts:
-                if self.rects[seq].prov is None:
-                    recorder.stamp(self.rects[seq])
+                recorder.stamp(self.rects[seq])
         return self.add_link(link)
 
     def add_label(self, text: str, x: int, y: int, layer: str) -> Label:

@@ -138,8 +138,8 @@ class RectStore:
             _shift(bucket.envelope, dx, dy)
         _shift(self._bbox, dx, dy)
 
-    def note_set(self, seq: int, old: Tuple[int, int, int, int]) -> None:
-        """Rect *seq* moved from the coordinates *old* to where it is now.
+    def note_set(self, seq: int) -> None:
+        """Rect *seq*'s coordinates changed.
 
         A rect appended since the last :meth:`sync` is skipped: the next
         sync folds it in as it is then.
@@ -156,13 +156,7 @@ class RectStore:
         if now != was:
             self.live[seq] = now
             self.nonempty += 1 if now else -1
-        box = self._bbox
-        if box is not None:
-            if was and (old[0] <= box[0] or old[1] <= box[1]
-                        or old[2] >= box[2] or old[3] >= box[3]):
-                self._bbox = None  # it may have defined a side: recomputed
-            elif now:
-                _grow(box, rect)
+        self._bbox = None  # a member may have shrunk: recomputed on demand
 
     def note_tags(self, seq: int, old_net: Optional[str]) -> None:
         """Rect *seq*'s net (formerly *old_net*) or no_overlap flag changed."""

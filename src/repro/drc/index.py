@@ -39,9 +39,9 @@ properties over random rect soups across all builtin technologies and
 with the golden-cell matrix.
 
 The index is a snapshot of the layout when it is constructed, and
-``run_drc`` builds a fresh one per call.  After mutating the layout, build
-a new index (after a direct rect write, call
-:meth:`~repro.db.LayoutObject.invalidate_index` first).
+``run_drc`` builds a fresh one per call.  After mutating the layout (every
+rect write goes through the layout object, which keeps its store exact),
+build a new index.
 
 Deterministic counters (gated exactly by ``repro perf check``):
 

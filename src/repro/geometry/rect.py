@@ -17,7 +17,7 @@ defines the dbu-per-micron scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple
 
 from .direction import Axis, Direction

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from ..compact import Compactor
 from ..db import LayoutObject
 from ..geometry import Rect
 from ..primitives import ring
+from ..tech import Technology
 from ..obs.provenance import provenance_entity
 
 

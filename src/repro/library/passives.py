@@ -8,11 +8,11 @@ rules — the paper's partitioning explicitly weighs "poly-wire resistance".
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..compact import Compactor
 from ..db import LayoutObject, estimate_net_capacitance, estimate_net_resistance
-from ..geometry import Direction
+from ..geometry import Direction, Rect
 from ..primitives import angle_adaptor
 from ..route import wire
 from ..tech import RuleError, Technology

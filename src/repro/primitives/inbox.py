@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..db import InsideLink, LayoutObject
-from ..geometry import Axis, Rect
+from ..geometry import Axis, Direction, Rect
 from ..obs.provenance import builtin_call
 from ..tech import RuleError
 from .util import default_extent, enclosure_margin, expand_outers, inner_region

@@ -22,18 +22,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..baselines import GraphCompactor
 from ..compact import Compactor
 from ..db import LayoutObject
 from ..db.netindex import ConnectivityIndex
-from ..geometry import Direction
+from ..geometry import Direction, Rect
 from ..library import contact_row, mos_transistor
 from ..obs import get_tracer
 from ..route import path
 from ..tech import Technology
-from .oracles import LayoutSnapshot, check_layout
+from .oracles import LayoutSnapshot, OracleViolation, check_layout
 from .reference import ScanCompactor
 
 
@@ -102,7 +102,7 @@ def random_object_set(
                 # A parasitic-protection plate: forbids overlap with any
                 # conducting layer that has no explicit SPACE rule to metal1.
                 for seq in obj.store().seqs_on("metal1"):
-                    obj.tag_rect(seq, no_overlap=True)
+                    obj.tag_rect(seq, obj.rects[seq].net, no_overlap=True)
         jitter = rng.randint(-4, 4) * dbu
         dx = -direction.dx * index * pitch + abs(direction.dy) * jitter
         dy = -direction.dy * index * pitch + abs(direction.dx) * jitter

@@ -108,14 +108,13 @@ class LayoutObject:
         link solver sees the write.  Unchanged coordinates are a no-op.
         """
         rect = self.rects[seq]
-        old = (rect.x1, rect.y1, rect.x2, rect.y2)
-        if old == (x1, y1, x2, y2):
+        if rect.x1 == x1 and rect.y1 == y1 and rect.x2 == x2 and rect.y2 == y2:
             return
+        if self._writes is not None:
+            self._writes.append((seq, (rect.x1, rect.y1, rect.x2, rect.y2)))
         rect.x1, rect.y1, rect.x2, rect.y2 = x1, y1, x2, y2
         if self._store is not None:
             self._store.note_set(seq)
-        if self._writes is not None:
-            self._writes.append((seq, old))
 
     def tag_rect(
         self, seq: int, net: Optional[str], no_overlap: Optional[bool] = None
